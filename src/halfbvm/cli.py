@@ -9,6 +9,7 @@ configuration, 3 solver non-convergence.
 import argparse
 import json
 import math
+import os
 import sys as _sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -170,8 +171,7 @@ def _solve_once(cfg, pb, h=None, m=None, precondition=None):
             if use_pre else None
         report = gmres_solve(system, pre, tol=cfg.solver.tol,
                              max_iter=cfg.solver.max_iter,
-                             restart=cfg.solver.restart,
-                             workers=cfg.solver.workers)
+                             restart=cfg.solver.restart)
     traj = extract_trajectory(report.solution, system)
     return report, run, gmm, traj
 
@@ -247,7 +247,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         points = [{"tau": tau} for tau in cfg.tau_sweep]
         log_axis = cfg.tau_sweep
     results = []
-    workers = max(1, cfg.solver.workers)
+    workers = min(max(1, cfg.solver.workers), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_sweep_point, cfg, pb, **pt) for pt in points]
         results = [fut.result() for fut in futures]
@@ -319,7 +319,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--workers", type=int, default=None,
-                        help="concurrent sweep points / block solves")
+                        help="concurrent sweep points")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)

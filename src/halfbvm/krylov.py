@@ -15,10 +15,10 @@ the first row gives z = (lam w - r1)/tau and w solves the n-sized system
 
     [lam (lam I - tau Q) - tau^2 P] w = tau r2 + (lam I - tau Q) r1 .
 
-The frequency blocks are independent: factor data is immutable after
-construction and every solve touches only its own slice, so they may run
-concurrently (a vectorized batch for circulant operators, an optional thread
-pool otherwise).
+P and Q are diagonal in the system's spatial eigenbasis (DST-I modes between
+walls, DFT columns on a periodic grid), so that system is diagonal there too:
+all N blocks are solved together by one spatial transform, one division by
+the reduced symbol and one inverse transform.
 
 omega(A) differs from A only in the first-row corner entry and the final
 (backward Euler) row, a rank <= 2 perturbation; the preconditioned spectrum
@@ -27,19 +27,18 @@ is therefore 1 except for a bounded number of outliers.
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.fft import fft, ifft
+from scipy.linalg import solve_banded, solve_triangular
 
 from .bvm import AllAtOnceSystem, GmmMatrices
+from .spectrum import eigenvalues_of_D
 
 __all__ = [
     "OmegaPreconditioner",
     "SolveReport",
-    "SingularBlockError",
     "build_omega_circulant",
     "materialize_omega_circulant",
     "build_preconditioner",
@@ -49,10 +48,6 @@ __all__ = [
     "gmres_solve",
     "direct_solve",
 ]
-
-
-class SingularBlockError(ValueError):
-    pass
 
 
 def _generating_column(N: int, omega: complex) -> np.ndarray:
@@ -93,128 +88,102 @@ def materialize_omega_circulant(gmm: GmmMatrices, omega: complex) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OmegaPreconditioner:
-    """Factorized omega-circulant preconditioner for one (gmm, sys, tau)."""
+    """Factorized omega-circulant preconditioner for one (gmm, sys, tau).
+
+    ``shift`` holds lam_j - tau q_hat_k, row j per frequency, with a single
+    column when Q is scalar.
+    """
 
     omega: complex
     n_steps: int
     tau: float
     theta_scaling: np.ndarray = field(repr=False)
     lambda_omega: np.ndarray = field(repr=False)
-    sys: object = None
-    reduced_symbol: np.ndarray = field(default=None, repr=False)   # circulant path
-    banded: tuple = field(default=None, repr=False)                # banded path
+    sys: object = field(repr=False)
+    shift: np.ndarray = field(repr=False)
 
-    def apply(self, r: np.ndarray, workers: int = 0) -> np.ndarray:
-        return apply_preconditioner(self, self.sys, self.tau, r, workers=workers)
+    def apply(self, r: np.ndarray) -> np.ndarray:
+        return apply_preconditioner(self, self.sys, self.tau, r)
+
+
+def _blocks_near(lam, z, tol):
+    """Indices j with lam_j within tol*(1+|lam_j|) of some point of z.
+
+    The lam_j lie on the imaginary axis and take each value at most twice,
+    so the four of them around Im z in sorted order include the nearest.
+    """
+    order = np.argsort(lam.imag)
+    pos = np.searchsorted(lam.imag[order], z.imag)
+    near = order[np.clip(pos + np.arange(-2, 2)[:, None], 0, len(lam) - 1)]
+    hit = np.abs(lam[near] - z) < tol * (1.0 + np.abs(lam[near]))
+    return np.unique(near[hit])
 
 
 def build_preconditioner(gmm: GmmMatrices, sys, theta: float = np.pi,
                          singular_tol: float = 1e-13) -> OmegaPreconditioner:
-    """Assemble Lambda and the per-frequency reduced solve data.
+    """Assemble Lambda and the reduced block data in the spatial eigenbasis.
 
-    Near-singular frequency blocks (lam_j in the tau*D spectrum) are nudged
-    by 1e-14*(1+|lam_j|) with a warning; exact hits occur only on a measure
-    zero set of parameters.
+    Block j is singular where lam_j is an eigenvalue of tau*D.  Blocks within
+    singular_tol of one are nudged once here, by 1e-14*(1+|lam_j|), with one
+    warning; exact hits occur only on a measure zero set of parameters.
+    Nothing N x n is formed here: the reduced symbol is rebuilt on each
+    apply, which costs less than the page faults of building and holding it
+    added to set-up.
     """
     omega = np.exp(1j * theta)
     lam, scaling = build_omega_circulant(gmm, omega)
     tau = gmm.tau
-    n = sys.n
-    if sys.is_circulant:
-        p_hat, q_hat = sys.symbols()
-        sym = (lam[:, None] * (lam[:, None] - tau * q_hat[None, :])
-               - tau ** 2 * p_hat[None, :])
-        bad = np.abs(sym) < singular_tol * (1.0 + np.abs(lam[:, None]) ** 2)
-        if np.any(bad):
-            rows = sorted(set(np.nonzero(bad)[0].tolist()))
-            warnings.warn(f"perturbing near-singular frequency blocks {rows}")
-            for j in rows:
-                lam[j] += 1e-14 * (1.0 + abs(lam[j]))
-            sym = (lam[:, None] * (lam[:, None] - tau * q_hat[None, :])
-                   - tau ** 2 * p_hat[None, :])
-        return OmegaPreconditioner(omega=omega, n_steps=gmm.n_steps, tau=tau,
-                                   theta_scaling=scaling, lambda_omega=lam,
-                                   sys=sys, reduced_symbol=sym)
-    # Dirichlet path: P tridiagonal, Q = q0*I, reduced matrix stays tridiagonal
-    P = sys.P.tocsr()
-    if (abs(sp.triu(P, 2)).sum() + abs(sp.tril(P, -2)).sum()) > 0:
-        raise ValueError("banded frequency solve expects a tridiagonal P")
-    q0 = sys.Q.diagonal()[0] if sys.Q.nnz else 0.0
-    pd = P.diagonal().astype(complex)
-    pu = P.diagonal(1).astype(complex)
-    pl = P.diagonal(-1).astype(complex)
+    rows = _blocks_near(lam, tau * eigenvalues_of_D(sys), singular_tol)
+    if rows.size:
+        warnings.warn(f"perturbing near-singular frequency blocks {rows.tolist()}")
+        lam[rows] += 1e-14 * (1.0 + np.abs(lam[rows]))
+    q_hat = sys.q_hat
+    if np.all(q_hat == q_hat[0]):      # scalar Q: one column, not N x n
+        q_hat = q_hat[:1]
     return OmegaPreconditioner(omega=omega, n_steps=gmm.n_steps, tau=tau,
-                               theta_scaling=scaling, lambda_omega=lam,
-                               sys=sys, banded=(pd, pu, pl, complex(q0)))
+                               theta_scaling=scaling, lambda_omega=lam, sys=sys,
+                               shift=lam[:, None] - tau * q_hat)
+
+
+def _solve_blocks(p: OmegaPreconditioner, V: np.ndarray, rows=slice(None)):
+    """Overwrite each row of the complex array V, one 2n frequency block
+    v1, with the solution v2 of (lam_j I - tau D) v2 = v1, for the
+    frequencies ``rows``; the reduced n-sized solve is diagonal in the
+    spatial eigenbasis.  Works in place: the preconditioner apply is bound by
+    memory traffic, and every fresh N x 2n array costs page faults."""
+    sys_, tau = p.sys, p.tau
+    n = sys_.n
+    lam, shift = p.lambda_omega[rows, None], p.shift[rows]
+    M = sys_.to_modes(V.reshape(len(V), 2, n))
+    w = M[:, 0]                        # (tau r2 + (lam - tau q) r1) / symbol
+    np.multiply(shift, w, out=w)       # not w * shift: that rounds apart (FMA)
+    M[:, 1] *= tau
+    w += M[:, 1]
+    w /= lam * shift - tau ** 2 * sys_.p_hat
+    u = sys_.from_modes(w)
+    v = V[:, n:]                       # (lam u - r1) / tau
+    np.multiply(lam, u, out=v)
+    v -= V[:, :n]
+    v /= tau
+    V[:, :n] = u
+    return V
 
 
 def solve_frequency_block(p: OmegaPreconditioner, j: int, v1: np.ndarray) -> np.ndarray:
     """Solve (lam_j I - tau D) v2 = v1 for one 2n frequency block."""
-    n = p.sys.n
-    lam, tau = p.lambda_omega[j], p.tau
-    r1, r2 = v1[:n], v1[n:]
-    if p.reduced_symbol is not None:
-        q_hat = p.sys.symbols()[1]
-        rhs = tau * np.fft.fft(r2) + (lam - tau * q_hat) * np.fft.fft(r1)
-        v2u = np.fft.ifft(rhs / p.reduced_symbol[j])
-    else:
-        pd, pu, pl, q0 = p.banded
-        for attempt in range(2):
-            ab = np.zeros((3, n), dtype=complex)
-            ab[0, 1:] = -tau ** 2 * pu
-            ab[1, :] = lam * (lam - tau * q0) - tau ** 2 * pd
-            ab[2, :-1] = -tau ** 2 * pl
-            rhs = tau * r2 + (lam - tau * q0) * r1
-            try:
-                v2u = solve_banded((1, 1), ab, rhs)
-            except np.linalg.LinAlgError:
-                v2u = np.full(n, np.nan, dtype=complex)
-            if np.all(np.isfinite(v2u)):
-                break
-            if attempt == 1:
-                raise SingularBlockError(f"frequency block {j} is singular")
-            warnings.warn(f"perturbing near-singular frequency block {j}")
-            lam = lam + 1e-14 * (1.0 + abs(lam)) + 1e-14j
-    v2v = (lam * v2u - r1) / tau
-    return np.concatenate([v2u, v2v])
+    return _solve_blocks(p, np.array(v1, dtype=complex)[None, :], slice(j, j + 1))[0]
 
 
-def _solve_all_blocks(p: OmegaPreconditioner, V1: np.ndarray, workers: int) -> np.ndarray:
-    n = p.sys.n
-    if p.reduced_symbol is not None:
-        lam = p.lambda_omega[:, None]
-        tau = p.tau
-        q_hat = p.sys.symbols()[1][None, :]
-        r1_hat = np.fft.fft(V1[:, :n], axis=1)
-        r2_hat = np.fft.fft(V1[:, n:], axis=1)
-        v2u_hat = (tau * r2_hat + (lam - tau * q_hat) * r1_hat) / p.reduced_symbol
-        v2u = np.fft.ifft(v2u_hat, axis=1)
-        v2v = (lam * v2u - V1[:, :n]) / tau
-        return np.hstack([v2u, v2v])
-    out = np.empty_like(V1)
-    if workers and workers > 1:
-        def run(j):
-            out[j] = solve_frequency_block(p, j, V1[j])
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, range(p.n_steps)))
-    else:
-        for j in range(p.n_steps):
-            out[j] = solve_frequency_block(p, j, V1[j])
-    return out
-
-
-def apply_preconditioner(p: OmegaPreconditioner, sys, tau: float, r: np.ndarray,
-                         workers: int = 0) -> np.ndarray:
+def apply_preconditioner(p: OmegaPreconditioner, sys, tau: float,
+                         r: np.ndarray) -> np.ndarray:
     """z = P^{-1} r via Theta scaling, time FFT, block solves, inverse FFT."""
     N = p.n_steps
-    dim = sys.dim
     real_in = not np.iscomplexobj(r)
-    R = np.asarray(r, dtype=complex).reshape(N, dim)
-    R = R * np.conj(p.theta_scaling)[:, None]
-    V1 = np.fft.fft(R, axis=0)
-    V2 = _solve_all_blocks(p, V1, workers)
-    Z = np.fft.ifft(V2, axis=0) * p.theta_scaling[:, None]
-    z = Z.ravel()
+    V = np.asarray(r).reshape(N, sys.dim) * np.conj(p.theta_scaling)[:, None]
+    V = fft(V, axis=0, overwrite_x=True)
+    V = ifft(_solve_blocks(p, V), axis=0, overwrite_x=True)
+    V *= p.theta_scaling[:, None]
+    z = V.ravel()
     if real_in and abs(p.omega.imag) < 1e-12:
         return z.real.copy()
     return z
@@ -230,14 +199,9 @@ class SolveReport:
     converged: bool
     wall_time: float
 
-    # optional context filled by drivers
-    rel_error: float = None
-    config: dict = None
 
-
-def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None,
-          workers: int = 0):
-    """Left-preconditioned GMRES with modified Gram-Schmidt and Givens updates.
+def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None):
+    """Left-preconditioned GMRES with CGS2 orthogonalisation and Givens updates.
 
     Residuals are measured on the preconditioned system, relative to the
     preconditioned right-hand side.  Returns a SolveReport; non-convergence
@@ -245,7 +209,7 @@ def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None,
     """
     t0 = time.perf_counter()
     b = np.asarray(b)
-    mb = precond(b, workers) if precond is not None else b
+    mb = precond(b) if precond is not None else b
     beta0 = np.linalg.norm(mb)
     if beta0 == 0.0:
         return SolveReport(solution=np.zeros_like(b), iterations=0,
@@ -257,21 +221,23 @@ def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None,
     restart = min(restart, m)
     work = np.result_type(mb.dtype, float)
     x = np.zeros(m, dtype=work)
+    # shared by all restart cycles: every entry a cycle reads it has written
+    # first, so nothing is cleared between cycles
+    V = np.empty((restart + 1, m), dtype=work)
+    H = np.zeros((restart + 1, restart), dtype=work)
+    cs = np.zeros(restart, dtype=work)
+    sn = np.zeros(restart, dtype=work)
+    g = np.zeros(restart + 1, dtype=work)
     history = [1.0]
     total = 0
     converged = False
     while total < max_iter and not converged:
         Ax = apply_op(x)
-        r = mb - (precond(Ax, workers) if precond is not None else Ax)
+        r = mb - (precond(Ax) if precond is not None else Ax)
         beta = np.linalg.norm(r)
         if beta / beta0 <= tol:
             converged = True
             break
-        V = np.empty((restart + 1, m), dtype=work)
-        H = np.zeros((restart + 1, restart), dtype=work)
-        cs = np.zeros(restart, dtype=work)
-        sn = np.zeros(restart, dtype=work)
-        g = np.zeros(restart + 1, dtype=work)
         V[0] = r / beta
         g[0] = beta
         k_used = 0
@@ -279,7 +245,7 @@ def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None,
         for k in range(restart):
             w = apply_op(V[k])
             if precond is not None:
-                w = precond(w, workers)
+                w = precond(w)
             w = w.astype(work, copy=True)
             # classical Gram-Schmidt, repeated once (CGS2): BLAS-2 speed with
             # modified-GS-grade orthogonality; conjugate the vector, not the basis
@@ -317,7 +283,7 @@ def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None,
             if history[-1] <= tol or total >= max_iter or breakdown:
                 break
         if k_used:
-            y = np.linalg.solve(H[:k_used, :k_used], g[:k_used])
+            y = solve_triangular(H[:k_used, :k_used], g[:k_used])
             x = x + V[:k_used].T @ y
         if history[-1] <= tol:
             converged = True
@@ -328,8 +294,8 @@ def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None,
 
 
 def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
-                tol: float = 1e-10, max_iter: int = 500, restart: int = None,
-                workers: int = 0) -> SolveReport:
+                tol: float = 1e-10, max_iter: int = 500,
+                restart: int = None) -> SolveReport:
     """Solve the all-at-once system, optionally omega-circulant preconditioned.
 
     Full GMRES by default; above 2e5 unknowns the basis is capped at 50
@@ -337,11 +303,9 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     """
     if restart is None and system.shape[0] > 200_000:
         restart = 50
-    apply_p = None
-    if precond is not None:
-        apply_p = lambda r, w=0: precond.apply(r, workers=w or workers)
+    apply_p = precond.apply if precond is not None else None
     return gmres(system.apply, system.rhs, precond=apply_p, tol=tol,
-                 max_iter=max_iter, restart=restart, workers=workers)
+                 max_iter=max_iter, restart=restart)
 
 
 def _time_band_template(N, tau):
@@ -365,61 +329,32 @@ def _time_band_template(N, tau):
 def direct_solve(system: AllAtOnceSystem) -> SolveReport:
     """Exact solve by diagonalizing space, then banded solves in time.
 
-    P and Q share the grid eigenbasis (DFT columns when periodic, discrete
-    sine modes when Dirichlet), so one spatial transform decouples the
-    all-at-once system into n independent 2N x 2N banded problems, one per
-    spatial mode.  Complements the iterative path when the drift-dominated
-    spectrum hugs the scheme's marginal segment and Krylov convergence
-    degrades; also serves as a same-discretization cross-check for it.
+    P and Q act diagonally in the system's spatial eigenbasis (DFT columns
+    when periodic, DST-I sine modes between walls), so one spatial transform
+    decouples the all-at-once system into n independent 2N x 2N banded
+    problems, one per spatial mode.  Complements the iterative path when the
+    drift-dominated spectrum hugs the scheme's marginal segment and Krylov
+    convergence degrades; also serves as a same-discretization cross-check
+    for it.
     """
     t0 = time.perf_counter()
     sys_, gmm = system.sys, system.gmm
     N, n = gmm.n_steps, sys_.n
     tau = gmm.tau
-    R = np.asarray(system.rhs).reshape(N, 2 * n)
-    if sys_.is_circulant:
-        p_hat, q_hat = sys_.symbols()
-        Ru = np.fft.fft(R[:, :n], axis=1)
-        Rv = np.fft.fft(R[:, n:], axis=1)
-    else:
-        from scipy.fft import dst
-        if sys_.op.variant == "advection":
-            raise ValueError("Dirichlet direct solve expects a scalar operator")
-        k = np.arange(1, n + 1)
-        lam_K = (2.0 - 2.0 * np.cos(k * np.pi / (n + 1))) / sys_.grid.h ** 2
-        eps_sq = (complex(sys_.epsilon) ** 2).real
-        delta = sys_.op.delta if sys_.op.variant == "scalar" else 0.0
-        p_hat = eps_sq * lam_K - delta ** 2
-        q_hat = np.full(n, 2.0 * delta)
-
-        def _dst(X):
-            if np.iscomplexobj(X):
-                return dst(X.real, type=1, axis=1) + 1j * dst(X.imag, type=1, axis=1)
-            return dst(X, type=1, axis=1)
-
-        Ru = _dst(R[:, :n])
-        Rv = _dst(R[:, n:])
+    R = sys_.to_modes(np.asarray(system.rhs).reshape(N, 2, n))
     ab0, even, odd = _time_band_template(N, tau)
-    Uh = np.empty_like(Ru, dtype=complex)
-    Vh = np.empty_like(Rv, dtype=complex)
+    X = np.empty((N, 2, n), dtype=complex)
     y = np.empty(2 * N, dtype=complex)
     for j in range(n):
         ab = ab0.copy()
-        ab[3, even] += -tau * p_hat[j]          # d=-1 on v-rows
-        ab[2, odd] += -tau * q_hat[j]              # diagonal of v-rows
-        y[0::2] = Ru[:, j]
-        y[1::2] = Rv[:, j]
+        ab[3, even] += -tau * sys_.p_hat[j]        # d=-1 on v-rows
+        ab[2, odd] += -tau * sys_.q_hat[j]         # diagonal of v-rows
+        y[0::2] = R[:, 0, j]
+        y[1::2] = R[:, 1, j]
         sol = solve_banded((2, 2), ab, y)
-        Uh[:, j] = sol[0::2]
-        Vh[:, j] = sol[1::2]
-    if sys_.is_circulant:
-        U = np.fft.ifft(Uh, axis=1)
-        V = np.fft.ifft(Vh, axis=1)
-    else:
-        from scipy.fft import idst
-        U = idst(Uh.real, type=1, axis=1) + 1j * idst(Uh.imag, type=1, axis=1)
-        V = idst(Vh.real, type=1, axis=1) + 1j * idst(Vh.imag, type=1, axis=1)
-    x = np.hstack([U, V]).ravel()
+        X[:, 0, j] = sol[0::2]
+        X[:, 1, j] = sol[1::2]
+    x = sys_.from_modes(X).ravel()
     if not np.iscomplexobj(system.rhs):
         x = x.real.copy()
     res = float(np.linalg.norm(system.apply(x) - system.rhs)

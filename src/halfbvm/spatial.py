@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dst, idst
 
 __all__ = [
     "DIRICHLET",
@@ -121,19 +122,71 @@ def derivative_matrix(grid: Grid):
     return Dh.tocsr()
 
 
-def _first_column(M):
-    return M.tocsc()[:, [0]].toarray().ravel()
+def _symbol(M, grid: Grid, scalar: bool = False) -> np.ndarray:
+    """Eigenvalues of M in the grid's eigenbasis, ordered like its transform.
+
+    Periodic grids need M circulant: its DFT symbol is the FFT of the first
+    column.  Wall grids need M symmetric Toeplitz tridiagonal, (p1, p0, p1),
+    whose discrete sine modes sin(j k pi/(n+1)) carry p0 + 2 p1 cos(k pi/(n+1)),
+    k = 1..n; ``scalar`` narrows that to M = p0 I.  Anything else has no
+    shared eigenbasis with the assembled operators and is rejected.
+    """
+    n = grid.n
+    periodic = grid.boundary == PERIODIC
+    kind = ("a multiple of the identity" if scalar else
+            "circulant" if periodic else "symmetric Toeplitz tridiagonal")
+    error = ConfigurationError(
+        f"spatial operator must be {kind} of size {n} on a {grid.boundary} grid")
+    M = M.tocsr()
+    if M.shape != (n, n):
+        raise error
+    if not M.has_canonical_format:     # sum duplicates in a copy, not in place
+        M = M.copy()
+        M.sum_duplicates()
+    row = np.repeat(np.arange(n), np.diff(M.indptr))
+    col = np.zeros(n, dtype=M.dtype)
+    first = M.indices == 0
+    col[row[first]] = M.data[first]
+    # every stored entry must equal the first-column entry on its diagonal,
+    # and every diagonal with a nonzero entry must be complete
+    diag = (row - M.indices) % n if periodic else np.abs(row - M.indices)
+    full = np.full(n, n) if periodic else 2 * (n - np.arange(n))
+    full[0] = n
+    tol = 1e-12 * max(float(np.abs(col).max()), 1e-300)
+    used = np.abs(col) > tol
+    width = 1 if scalar else (n if periodic else 2)
+    if (used[width:].any() or (np.abs(M.data - col[diag]) > tol).any()
+            or (np.bincount(diag, minlength=n)[used] != full[used]).any()):
+        raise error
+    if periodic:
+        return np.fft.fft(col)
+    k = np.arange(1, n + 1)
+    return col[0] + 2.0 * col[1] * np.cos(k * np.pi / (n + 1))
 
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Semi-discrete doubled system U' = D U + G, D = [[0, I], [P, Q]]."""
+    """Semi-discrete doubled system U' = D U + G, D = [[0, I], [P, Q]].
+
+    P and Q share one spatial eigenbasis, checked at construction: DFT
+    columns on periodic grids, discrete sine modes (DST-I) between walls,
+    where Q must be scalar.  ``to_modes``/``from_modes`` move the last axis of
+    an array into and out of that basis, where P and Q act as the diagonals
+    ``p_hat`` and ``q_hat``.
+    """
 
     grid: Grid
     epsilon: complex
     op: OperatorKind
     P: sp.spmatrix = field(repr=False)
     Q: sp.spmatrix = field(repr=False)
+    p_hat: np.ndarray = field(init=False, repr=False, compare=False)
+    q_hat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "p_hat", _symbol(self.P, self.grid))
+        object.__setattr__(self, "q_hat", _symbol(self.Q, self.grid,
+                                                  scalar=not self.is_circulant))
 
     @property
     def n(self) -> int:
@@ -148,16 +201,17 @@ class DiscreteSystem:
     def is_circulant(self) -> bool:
         return self.grid.boundary == PERIODIC
 
-    def symbols(self):
-        """(p_hat, q_hat): eigenvalues of P, Q in the discrete Fourier basis.
+    def to_modes(self, X):
+        """Coefficients of X (last axis) in the eigenbasis: FFT or DST-I."""
+        if self.is_circulant:
+            return np.fft.fft(X, axis=-1)
+        return dst(X, type=1, axis=-1)
 
-        Only meaningful for circulant systems; eigenvalue k pairs with the
-        k-th DFT column for both matrices.
-        """
-        if not self.is_circulant:
-            raise ConfigurationError("symbols need a periodic (circulant) system")
-        return (np.fft.fft(_first_column(self.P)),
-                np.fft.fft(_first_column(self.Q)))
+    def from_modes(self, X):
+        """Inverse of ``to_modes``."""
+        if self.is_circulant:
+            return np.fft.ifft(X, axis=-1)
+        return idst(X, type=1, axis=-1)
 
     def apply_D(self, x):
         """D @ x for a state vector of size 2n (or a stack of rows (k, 2n))."""

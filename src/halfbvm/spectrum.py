@@ -19,9 +19,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
-from .spatial import ADVECTION, SCALAR, ZERO, DiscreteSystem
+from .spatial import ADVECTION, DiscreteSystem, laplacian_matrix
 
 __all__ = [
     "MethodPolynomials",
@@ -194,48 +193,28 @@ def classify_stability(mp: MethodPolynomials, q: complex, tol: float = 1e-9) -> 
     return UNSTABLE
 
 
-def eigenvalues_of_D(sys: DiscreteSystem, dense_limit: int = 256) -> np.ndarray:
+def eigenvalues_of_D(sys: DiscreteSystem) -> np.ndarray:
     """All 2n eigenvalues of the doubled generator.
 
-    When P and Q commute (scalar Q, or circulant pair) the quadratic formula
-    over the shared eigenbasis is used; otherwise a dense solve, available up
-    to 2n = 2*dense_limit.
+    P and Q act as the diagonals p_hat, q_hat in the system's spatial
+    eigenbasis (DST-I sine modes between walls, DFT columns when periodic),
+    so each mode contributes the two roots of lam^2 - q_hat lam - p_hat = 0.
     """
-    n = sys.n
-    if sys.op.variant in (ZERO, SCALAR):
-        lam_p = sla.eigvalsh(sys.P.toarray())
-        lam_q = np.full(n, 2.0 * sys.op.delta if sys.op.variant == SCALAR else 0.0,
-                        dtype=complex)
-    elif sys.is_circulant:
-        comm = sys.P @ sys.Q - sys.Q @ sys.P
-        scale = sla.norm(sys.P.toarray()) * sla.norm(sys.Q.toarray())
-        if sla.norm(comm.toarray()) > 1e-12 * max(scale, 1.0):
-            return _dense_eigenvalues(sys, dense_limit)
-        lam_p, lam_q = sys.symbols()
-        if sys.op.variant == ADVECTION:
-            # (lam_Q)^2 + 4 lam_P = 4 eps^2 lam_{-Lap} exactly for the
-            # assembled central-difference pair; the summed form cancels the
-            # +-(delta d)^2 parts in floating point, so prefer the clean one
-            # whenever it is consistent with the stored matrices
-            from .spatial import laplacian_matrix
-            K = laplacian_matrix(sys.grid)
-            k_hat = np.fft.fft(K[:, [0]].toarray().ravel())
-            eps_sq = (complex(sys.epsilon) ** 2).real
-            clean = 4.0 * eps_sq * k_hat.astype(complex)
-            summed = lam_q.astype(complex) ** 2 + 4.0 * lam_p.astype(complex)
-            if np.abs(clean - summed).max() <= 1e-8 * (1.0 + np.abs(clean).max()):
-                disc = np.sqrt(clean)
-                return np.concatenate([(lam_q + disc) / 2.0, (lam_q - disc) / 2.0])
-    else:
-        return _dense_eigenvalues(sys, dense_limit)
-    disc = np.sqrt(lam_q.astype(complex) ** 2 + 4.0 * lam_p.astype(complex))
+    lam_p, lam_q = sys.p_hat.astype(complex), sys.q_hat.astype(complex)
+    disc_sq = lam_q ** 2 + 4.0 * lam_p
+    if sys.op.variant == ADVECTION:
+        # (lam_Q)^2 + 4 lam_P = 4 eps^2 lam_{-Lap} exactly for the
+        # assembled central-difference pair; the summed form cancels the
+        # +-(delta d)^2 parts in floating point, so prefer the clean one
+        # whenever it is consistent with the stored matrices
+        K = laplacian_matrix(sys.grid)
+        k_hat = np.fft.fft(K[:, [0]].toarray().ravel())
+        eps_sq = (complex(sys.epsilon) ** 2).real
+        clean = 4.0 * eps_sq * k_hat.astype(complex)
+        if np.abs(clean - disc_sq).max() <= 1e-8 * (1.0 + np.abs(clean).max()):
+            disc_sq = clean
+    disc = np.sqrt(disc_sq)
     return np.concatenate([(lam_q + disc) / 2.0, (lam_q - disc) / 2.0])
-
-
-def _dense_eigenvalues(sys, dense_limit):
-    if sys.n > dense_limit:
-        raise ValueError(f"dense eigensolver limited to n <= {dense_limit}")
-    return np.linalg.eigvals(sys.dense_D())
 
 
 def segment_distance(q) -> np.ndarray:

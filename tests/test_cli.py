@@ -109,6 +109,26 @@ def test_converge_sweep(tmp_path):
     assert manifest["fitted_slope"] == pytest.approx(2.0, abs=0.5)
 
 
+def test_sweep_threads_capped_at_cpu_count(tmp_path, monkeypatch):
+    seen = []
+    pool = cli.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        seen.append(max_workers)
+        return pool(max_workers=max_workers)
+
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+    cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
+                        h_sweep=[1.0, 0.5], tau_over_h=0.25,
+                        solver={"tol": 1e-10, "max_iter": 300})
+    for asked, used in (("64", 2), ("1", 1), ("0", 1)):
+        rc = cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "s"),
+                       "--workers", asked])
+        assert rc == cli.EXIT_OK
+        assert seen.pop() == used
+
+
 def test_converge_tau_sweep(tmp_path):
     # temporal error must dominate: fine h, stiff mode, coarse tau sweep
     cfg = _write_config(tmp_path, problem="single_mode", eps=2.0, mode=2,

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from conftest import ToySystem, assert_multiset_close
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import halfbvm as hb
-from halfbvm import krylov
+from halfbvm import krylov, spatial
 from halfbvm.bvm import AllAtOnceSystem, build_gmm
 from halfbvm.doubling import ZERO_SOURCE, DoubledState
 
@@ -98,7 +100,6 @@ def test_frequency_block_with_zero_operators_divides_by_lambda():
     # P = Q = 0 leaves the v rows decoupled: v2_v = r_v / lambda_j; the whole
     # apply still inverts the materialized preconditioner exactly
     import scipy.sparse as sp
-    from halfbvm import spatial
     g = spatial.Grid(length=4.0, m=5, boundary=spatial.DIRICHLET)
     sys = spatial.DiscreteSystem(grid=g, epsilon=complex(0.0),
                                  op=spatial.OperatorKind("zero"),
@@ -141,23 +142,60 @@ def test_frequency_blocks_order_independent():
     ref = np.stack([krylov.solve_frequency_block(pre, j, V1[j]) for j in range(8)])
     assert np.all(out == ref)
     # the batched path agrees with the per-block path
-    batch = krylov._solve_all_blocks(pre, V1, workers=0)
+    batch = krylov._solve_blocks(pre, V1.copy())      # works in place
     assert np.abs(batch - ref).max() < 1e-11
 
 
-def test_banded_blocks_concurrent_matches_serial():
-    pb, run, gmm, system = _setup(m=17, N=12)
-    pre = krylov.build_preconditioner(gmm, run.sys)
-    rng = np.random.default_rng(6)
-    r = rng.normal(size=system.shape[0])
-    assert np.abs(pre.apply(r, workers=4) - pre.apply(r, workers=0)).max() == 0.0
+def _random_system(data, m, periodic):
+    """A small assembled system of a random model, real epsilon."""
+    if periodic:
+        boundary, model = spatial.PERIODIC, "advection"
+    else:
+        boundary = spatial.DIRICHLET
+        model = data.draw(st.sampled_from(["zero", "scalar"]))
+    eps = data.draw(st.floats(0.05, 1.0))
+    delta = data.draw(st.floats(-0.5, 0.5))
+    grid = spatial.Grid(length=4.0, m=m, boundary=boundary)
+    return spatial.assemble_discrete_system(grid, eps,
+                                            spatial.OperatorKind(model, delta))
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(3, 8), N=st.integers(2, 8), periodic=st.booleans(),
+       theta=st.one_of(st.just(np.pi), st.floats(0.1, 2 * np.pi - 0.1)),
+       data=st.data())
+def test_preconditioner_inverts_materialized_property(m, N, periodic, theta, data):
+    # odd N puts lam_j = 0 at theta = pi, where it meets the constant mode
+    # of a periodic D: P is singular and only the nudged inverse exists
+    assume(not (periodic and theta == np.pi and N % 2))
+    sys = _random_system(data, m, periodic)
+    gmm = build_gmm(N, 1.0)
+    pre = krylov.build_preconditioner(gmm, sys, theta=theta)
+    P = _materialized_preconditioner(gmm, sys, theta)
+    r = np.random.default_rng(m * 10 + N).normal(size=N * sys.dim)
+    z = pre.apply(r)
+    # backward error at round-off, whatever the conditioning of P
+    assert np.linalg.norm(P @ z - r) <= 1e-13 * np.linalg.norm(P) * np.linalg.norm(z)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(3, 8), N=st.integers(2, 8), periodic=st.booleans(),
+       data=st.data())
+def test_direct_solve_matches_dense_property(m, N, periodic, data):
+    sys = _random_system(data, m, periodic)
+    gmm = build_gmm(N, data.draw(st.floats(0.5, 4.0)))
+    rhs = np.random.default_rng(m * 10 + N).normal(size=N * sys.dim)
+    system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs)
+    M = system.materialize()
+    xd = np.linalg.solve(M, rhs)
+    x = krylov.direct_solve(system).solution
+    assert np.linalg.norm(x - xd) <= 1e-13 * np.linalg.cond(M) * np.linalg.norm(xd)
 
 
 def test_singular_frequency_block_perturbed_with_warning():
     # theta = pi with odd N makes one eigenvalue of omega(A) vanish; with
     # D = 0 that block is exactly singular until nudged
     import scipy.sparse as sp
-    from halfbvm import spatial
     g = spatial.Grid(length=4.0, m=4, boundary=spatial.DIRICHLET)
     sys = spatial.DiscreteSystem(grid=g, epsilon=complex(0.0),
                                  op=spatial.OperatorKind("zero"),
@@ -165,10 +203,25 @@ def test_singular_frequency_block_perturbed_with_warning():
     gmm = build_gmm(5, 1.0)
     lam, _ = krylov.build_omega_circulant(gmm, np.exp(1j * np.pi))
     assert np.abs(lam).min() < 1e-15
-    pre = krylov.build_preconditioner(gmm, sys)
     with pytest.warns(UserWarning, match="perturbing"):
-        z = pre.apply(np.ones(5 * sys.dim))
+        pre = krylov.build_preconditioner(gmm, sys)
+    z = pre.apply(np.ones(5 * sys.dim))
     assert np.all(np.isfinite(z))
+
+
+@pytest.mark.parametrize("N,theta", [(8, np.pi), (7, np.pi), (6, 1.0), (2, np.pi)])
+def test_near_singular_blocks_match_brute_force(N, theta):
+    # sin is symmetric, so lam_j values come in equal pairs: a point planted
+    # on one of them must flag its twin too
+    lam, _ = krylov.build_omega_circulant(build_gmm(N, 1.0), np.exp(1j * theta))
+    rng = np.random.default_rng(N)
+    noise = np.concatenate([rng.normal(size=20) + 1j * rng.uniform(-1, 1, 20),
+                            [2j, -2j, 0.0]])
+    cases = [lam[j:j + 1] + 1e-15 for j in range(N)] + [noise, np.r_[lam, noise]]
+    for pts in cases:
+        brute = np.abs(lam[:, None] - pts).min(axis=1) < 1e-13 * (1 + np.abs(lam))
+        assert (krylov._blocks_near(lam, pts, 1e-13).tolist()
+                == np.flatnonzero(brute).tolist())
 
 
 def test_gmres_zero_rhs():
@@ -223,7 +276,7 @@ def test_preconditioned_spectrum_clusters_at_one():
 
 
 def test_other_theta_values_still_solve():
-    # omega != -1 makes the banded path complex end to end
+    # omega != -1 makes the preconditioner complex end to end
     pb, run, gmm, system = _setup(m=25, N=16, T=1.0)
     pre = krylov.build_preconditioner(gmm, run.sys, theta=np.pi / 2)
     rep = krylov.gmres_solve(system, pre, tol=1e-10, max_iter=400)

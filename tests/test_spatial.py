@@ -149,12 +149,45 @@ def test_imaginary_epsilon_keeps_real_matrices():
 
 
 def test_symbols_match_dense_eigenvalues():
-    g = spatial.Grid(length=4.0, m=12, boundary=spatial.PERIODIC)
-    sys = spatial.assemble_discrete_system(g, 0.05,
-                                           spatial.OperatorKind("advection", 0.4))
-    p_hat, q_hat = sys.symbols()
-    F = np.exp(-2j * np.pi * np.outer(np.arange(12), np.arange(12)) / 12)
-    for M, lam in ((sys.P.toarray(), p_hat), (sys.Q.toarray(), q_hat)):
-        # each DFT column is an eigenvector with the paired symbol value
-        v = np.exp(2j * np.pi * 3 * np.arange(12) / 12)
-        assert np.abs(M @ v - lam[3] * v).max() < 1e-10
+    for boundary, model in ((spatial.PERIODIC, "advection"),
+                            (spatial.DIRICHLET, "scalar")):
+        g = spatial.Grid(length=4.0, m=12, boundary=boundary)
+        sys = spatial.assemble_discrete_system(g, 0.05,
+                                               spatial.OperatorKind(model, 0.4))
+        n = sys.n
+        # row k of from_modes(I) is the k-th basis vector: an eigenvector of
+        # P and Q with the paired symbol values
+        B = sys.from_modes(np.eye(n)).T
+        for M, lam in ((sys.P.toarray(), sys.p_hat), (sys.Q.toarray(), sys.q_hat)):
+            assert np.abs(M @ B - B * lam[None, :]).max() < 1e-10
+        X = np.random.default_rng(0).normal(size=(3, n)) * (1 + 1j)
+        assert np.abs(sys.from_modes(sys.to_modes(X)) - X).max() < 1e-13
+
+
+def test_operators_without_shared_eigenbasis_rejected():
+    import scipy.sparse as sp
+    gd = spatial.Grid(length=4.0, m=6)
+    gp = spatial.Grid(length=4.0, m=6, boundary=spatial.PERIODIC)
+    K = spatial.laplacian_matrix(gd)
+    Kp = spatial.laplacian_matrix(gp)
+    zero = sp.csr_matrix((5, 5))
+    holed = K.tolil()
+    holed[2, 3] = holed[3, 2] = 0.0
+    holed = holed.tocsr()
+    holed.eliminate_zeros()
+    bad = [
+        (gd, holed, zero),                                # incomplete diagonal
+        (gd, sp.diags(np.arange(1.0, 6.0)), zero),        # not Toeplitz
+        (gd, sp.diags([1.0, 2.0], [0, 1], (5, 5)), zero),   # not symmetric
+        (gd, K, 0.1 * K),                                 # Q not scalar
+        (gd, sp.eye(6), sp.eye(6)),                       # wrong size
+        (gp, spatial.laplacian_matrix(spatial.Grid(length=4.0, m=7)),
+         sp.csr_matrix((6, 6))),                          # no wrap-around
+    ]
+    for g, P, Q in bad:
+        with pytest.raises(spatial.ConfigurationError):
+            spatial.DiscreteSystem(grid=g, epsilon=1.0, op=spatial.OperatorKind(),
+                                   P=P, Q=Q)
+    ok = spatial.DiscreteSystem(grid=gp, epsilon=1.0, op=spatial.OperatorKind(),
+                                P=Kp, Q=0.3 * spatial.derivative_matrix(gp))
+    assert ok.p_hat.shape == ok.q_hat.shape == (6,)
