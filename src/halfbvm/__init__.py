@@ -17,8 +17,7 @@ from .doubling import (DoubledState, LineProfile, SourceSpec, SourceTerm,
 from .hilbert import (CatalogFunction, InvalidSampleError,
                       UnsupportedFunctionError, WeidemanExpansion,
                       half_laplacian_of, hilbert_exact, hilbert_exact_twice,
-                      hilbert_quadrature_oracle, weideman_eval, weideman_fit,
-                      weideman_transform)
+                      hilbert_quadrature_oracle, weideman_eval, weideman_fit)
 from .krylov import (OmegaPreconditioner, SolveReport, build_omega_circulant,
                      build_preconditioner, direct_solve, gmres,
                      gmres_solve, solve_frequency_block)

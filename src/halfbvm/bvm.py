@@ -5,10 +5,9 @@ Interior rows advance by the explicit midpoint stencil (u_{j+1} - u_{j-1})/2
 u_N - u_{N-1} = tau f_N.  Collecting the N unknown time slices of the linear
 ODE U' = D U + G into one vector gives
 
-    (A (x) I - tau B (x) D) u = tau (B (x) I) g
-                                + tau (b0 (x) (D U0 + g0)) - a0 (x) U0,
+    (A (x) I - tau B (x) D) u = tau (B (x) I) g - a0 (x) U0,
 
-with B = I and b0 = 0 for this scheme (the b0 term is kept for generality).
+with B = I for this scheme.
 The operator is applied matrix free: block row j touches only slices j-1, j,
 j+1.
 """
@@ -30,27 +29,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GmmMatrices:
-    """Time-stepping matrices A, B = I, a0, b0 = 0 for N steps of size tau.
-
-    b0 vanishes for this scheme; ``b0_override`` exists so the general
-    initial-data term of the assembly stays exercised.
-    """
+    """Time-stepping matrices A, B = I and a0 for N steps of size tau."""
 
     n_steps: int
     tau: float
-    b0_override: tuple = None
 
     @property
     def a0(self) -> np.ndarray:
         a = np.zeros(self.n_steps)
         a[0] = -0.5
         return a
-
-    @property
-    def b0(self) -> np.ndarray:
-        if self.b0_override is not None:
-            return np.asarray(self.b0_override, dtype=float)
-        return np.zeros(self.n_steps)
 
     @property
     def times(self) -> np.ndarray:
@@ -103,10 +91,6 @@ class AllAtOnceSystem:
         n = self.gmm.n_steps * self.sys.dim
         return (n, n)
 
-    @property
-    def dtype(self):
-        return self.rhs.dtype
-
     def apply(self, x: np.ndarray) -> np.ndarray:
         """M @ x without materializing M."""
         N, dim = self.gmm.n_steps, self.sys.dim
@@ -140,7 +124,7 @@ def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,
         cache, g0 = None, np.zeros(dim)
     else:
         cache = source_block_values(src, sys, hmode, weideman_n)
-        g0 = doubled_source(src, sys, 0.0, hmode, _cache=cache)
+        g0 = doubled_source(src, sys, 0.0, hmode, _cache=cache)   # for the dtype
     dtype = np.result_type(U0.dtype, g0.dtype, float)
     rhs = np.zeros((N, dim), dtype=dtype)
     if not src.is_zero:
@@ -148,11 +132,6 @@ def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,
             rhs[j] = tau * doubled_source(src, sys, t, hmode, _cache=cache)
     # -a0 (x) U0 with a0 = (-1/2, 0, ..., 0)
     rhs[0] += 0.5 * U0
-    b0 = gmm.b0
-    if np.any(b0):
-        correction = sys.apply_D(U0) + g0
-        for j in range(N):
-            rhs[j] += tau * b0[j] * correction
     return AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs.ravel(), initial=u0v0)
 
 

@@ -208,8 +208,14 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     err, flagged = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
     manifest = {
         "config": _resolved(cfg),
+        # the discretisation actually solved: T/tau and L/h are rounded
+        "n_steps": gmm.n_steps, "tau_effective": gmm.tau,
+        "n": run.grid.n, "h_effective": run.grid.h,
+        "unknowns": gmm.n_steps * run.sys.dim, "boundary": run.grid.boundary,
+        "path": report.path, "half_spectrum": report.half_spectrum,
         "iterations": report.iterations,
         "converged": report.converged,
+        "true_residual": report.true_residual,
         "wall_time": report.wall_time,
         "residual_history": report.residual_history,
         "rel_l2_error_at_T": err,

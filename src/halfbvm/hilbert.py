@@ -31,7 +31,6 @@ __all__ = [
     "hilbert_exact_twice",
     "weideman_fit",
     "weideman_eval",
-    "weideman_transform",
     "hilbert_quadrature_oracle",
     "half_laplacian_of",
 ]
@@ -238,11 +237,6 @@ class WeidemanExpansion:
             raise ValueError("expansion needs exactly 2N coefficients")
         self.coefficients.setflags(write=False)
 
-    @property
-    def nodes(self):
-        j = np.arange(-self.order + 1, self.order)
-        return j * np.pi / self.order
-
 
 def weideman_fit(f, N: int, tail=None) -> WeidemanExpansion:
     """Expand f over the rational basis from 2N-1 tangent-node samples.
@@ -279,26 +273,26 @@ def weideman_fit(f, N: int, tail=None) -> WeidemanExpansion:
 def weideman_eval(e: WeidemanExpansion, x):
     """Evaluate the approximate transform of the expanded function at x.
 
-    Returns sum_n (-i sgn(n+1/2)) a_n (1+ix)^n / (1-ix)^{n+1}; for real input
-    samples the result is real up to round-off.
+    Returns sum_n (-i sgn(n+1/2)) a_n z^n / (1-ix), z = (1+ix)/(1-ix); for
+    real input samples the result is real up to round-off.  Horner's rule sums
+    the n >= 0 terms in z and the n < 0 ones in 1/z = conj(z), in O(len(x)) memory.
     """
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x)):
         raise ValueError("evaluation point must be finite")
-    N = e.order
-    ns = np.arange(-N, N)
-    sig = np.where(ns >= 0, -1j, 1j)
-    phi = 2.0 * np.arctan(x)
-    out = np.exp(1j * np.outer(phi, ns)) @ (sig * e.coefficients)
-    out = out / (1.0 - 1j * x)
+
+    def horner(coeffs, w):     # coeffs[0] w^(K-1) + ... + coeffs[K-1], small end first
+        acc = np.full(x.shape, coeffs[0])
+        for ck in coeffs[1:]:
+            acc *= w
+            acc += ck
+        return acc
+    N, c = e.order, e.coefficients
+    z = np.exp(2j * np.arctan(x))
+    out = horner(c[:N], z.conj()) * z.conj() - horner(c[:N - 1:-1], z)
+    out *= 1j / (1.0 - 1j * x)
     return complex(out[0]) if scalar else out
-
-
-def weideman_transform(f, N: int = 256, tail=None):
-    """Convenience wrapper: fit once and return a vectorized H[f] evaluator."""
-    e = weideman_fit(f, N, tail=tail)
-    return lambda x: weideman_eval(e, x)
 
 
 def hilbert_quadrature_oracle(f, x: float, R: float = 1e3, n_quad: int = 100_000):

@@ -36,7 +36,11 @@ from scipy.linalg import solve_banded, solve_triangular
 from .bvm import AllAtOnceSystem, GmmMatrices
 from .spectrum import eigenvalues_of_D
 
+TRUE_RESIDUAL_MAX = 1e-8   # ||b - Mx|| / ||b|| above which a direct solve failed
+_CHUNK_BYTES = 4 << 20     # band of one banded LAPACK call in direct_solve
+
 __all__ = [
+    "TRUE_RESIDUAL_MAX",
     "OmegaPreconditioner",
     "SolveReport",
     "build_omega_circulant",
@@ -198,22 +202,30 @@ class SolveReport:
     residual_history: list
     converged: bool
     wall_time: float
+    true_residual: float = None     # ||b - Mx|| / ||b||
+    path: str = None                # "direct", "gmres+omega" or "gmres"
+    half_spectrum: bool = False     # a direct solve of the rfft modes only
+
+
+def _true_residual(apply_op, b, x) -> float:
+    return float(np.linalg.norm(b - apply_op(x)) / max(np.linalg.norm(b), 1e-300))
 
 
 def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None):
     """Left-preconditioned GMRES with CGS2 orthogonalisation and Givens updates.
 
-    Residuals are measured on the preconditioned system, relative to the
-    preconditioned right-hand side.  Returns a SolveReport; non-convergence
-    is reported, not raised.
+    Preconditioned residuals, relative to the preconditioned rhs, decide
+    convergence; the true residual is computed once, at exit.  Returns a
+    SolveReport; non-convergence is reported, not raised.
     """
     t0 = time.perf_counter()
     b = np.asarray(b)
     mb = precond(b) if precond is not None else b
     beta0 = np.linalg.norm(mb)
-    if beta0 == 0.0:
+    if beta0 == 0.0:                   # x = 0: the true residual is ||b|| / ||b||
         return SolveReport(solution=np.zeros_like(b), iterations=0,
                            residual_history=[0.0], converged=True,
+                           true_residual=float(np.any(b)),
                            wall_time=time.perf_counter() - t0)
     m = b.size
     if restart is None or restart > max_iter:
@@ -290,7 +302,8 @@ def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None):
         elif breakdown:
             break
     return SolveReport(solution=x, iterations=total, residual_history=history,
-                       converged=converged, wall_time=time.perf_counter() - t0)
+                       converged=converged, true_residual=_true_residual(apply_op, b, x),
+                       wall_time=time.perf_counter() - t0)
 
 
 def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
@@ -304,26 +317,27 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     if restart is None and system.shape[0] > 200_000:
         restart = 50
     apply_p = precond.apply if precond is not None else None
-    return gmres(system.apply, system.rhs, precond=apply_p, tol=tol,
-                 max_iter=max_iter, restart=restart)
+    report = gmres(system.apply, system.rhs, precond=apply_p, tol=tol,
+                   max_iter=max_iter, restart=restart)
+    report.path = "gmres+omega" if precond is not None else "gmres"
+    return report
 
 
 def _time_band_template(N, tau):
-    """Banded (l=2, u=2) template of A (x) I2 - tau I (x) D_k, interleaved."""
+    """Banded (l=2, u=2) template of A (x) I2 - tau I (x) D_k, interleaved;
+    zero wherever the band reaches outside the 2N block, so copies stack."""
     M = 2 * N
     ab = np.zeros((5, M), dtype=complex)
-    even = np.arange(0, M, 2)
-    odd = even + 1
     # d=+2: u_{j+1}, v_{j+1} couplings for steps 0..N-2
     ab[0, 2:] = 0.5
     # d=+1: u-row couples -tau * v_j
-    ab[1, odd] = -tau
+    ab[1, 1::2] = -tau
     # d=-2: -1/2 interior, -1 on the final backward-Euler rows
     ab[4, : M - 2] = -0.5
     ab[4, M - 4: M - 2] = -1.0
     # diagonal: zero except the final rows carry +1 (filled per k for v-rows)
     ab[2, M - 2:] += 1.0
-    return ab, even, odd
+    return ab
 
 
 def direct_solve(system: AllAtOnceSystem) -> SolveReport:
@@ -331,33 +345,40 @@ def direct_solve(system: AllAtOnceSystem) -> SolveReport:
 
     P and Q act diagonally in the system's spatial eigenbasis (DFT columns
     when periodic, DST-I sine modes between walls), so one spatial transform
-    decouples the all-at-once system into n independent 2N x 2N banded
-    problems, one per spatial mode.  Complements the iterative path when the
-    drift-dominated spectrum hugs the scheme's marginal segment and Krylov
-    convergence degrades; also serves as a same-discretization cross-check
-    for it.
+    decouples the all-at-once system into independent 2N x 2N banded
+    problems, one per spatial mode; real rhs, P and Q on a periodic grid
+    need only the n//2+1 modes of ``rfft`` (mode n-k conjugates mode k).
+    A chunk of modes is one block-diagonal band of at most ``_CHUNK_BYTES``
+    for one LAPACK call; pivoting stays in each block, so the bits match one
+    call per mode.  Complements the iterative path when the drift-dominated
+    spectrum hugs the scheme's marginal segment and Krylov convergence
+    degrades; also serves as a same-discretization cross-check for it.
     """
     t0 = time.perf_counter()
     sys_, gmm = system.sys, system.gmm
     N, n = gmm.n_steps, sys_.n
     tau = gmm.tau
-    R = sys_.to_modes(np.asarray(system.rhs).reshape(N, 2, n))
-    ab0, even, odd = _time_band_template(N, tau)
-    X = np.empty((N, 2, n), dtype=complex)
-    y = np.empty(2 * N, dtype=complex)
-    for j in range(n):
-        ab = ab0.copy()
-        ab[3, even] += -tau * sys_.p_hat[j]        # d=-1 on v-rows
-        ab[2, odd] += -tau * sys_.q_hat[j]         # diagonal of v-rows
-        y[0::2] = R[:, 0, j]
-        y[1::2] = R[:, 1, j]
-        sol = solve_banded((2, 2), ab, y)
-        X[:, 0, j] = sol[0::2]
-        X[:, 1, j] = sol[1::2]
-    x = sys_.from_modes(X).ravel()
-    if not np.iscomplexobj(system.rhs):
-        x = x.real.copy()
-    res = float(np.linalg.norm(system.apply(x) - system.rhs)
-                / max(np.linalg.norm(system.rhs), 1e-300))
+    rhs = np.asarray(system.rhs)
+    real = not any(map(np.iscomplexobj, (rhs, sys_.P, sys_.Q)))
+    half = real and sys_.is_circulant
+    R = (np.fft.rfft(rhs.reshape(N, 2, n)) if half
+         else sys_.to_modes(rhs.reshape(N, 2, n)).astype(complex, copy=False))
+    ab0 = _time_band_template(N, tau)
+    k = max(1, _CHUNK_BYTES // ab0.nbytes)                # modes per chunk
+    for lo in range(0, R.shape[-1], k):
+        j = slice(lo, min(lo + k, R.shape[-1]))
+        ab = np.repeat(ab0[:, None], j.stop - lo, axis=1)
+        ab[3, :, 0::2] += -tau * sys_.p_hat[j, None]      # d=-1 on v-rows
+        ab[2, :, 1::2] += -tau * sys_.q_hat[j, None]      # diagonal of v-rows
+        y = R[:, :, j].transpose(2, 0, 1).reshape(-1)     # mode-major, (u, v)
+        sol = solve_banded((2, 2), ab.reshape(5, -1), y,
+                           overwrite_ab=True, overwrite_b=True)
+        R[:, :, j] = sol.reshape(-1, N, 2).transpose(1, 2, 0)
+    x = (np.fft.irfft(R, n=n) if half else sys_.from_modes(R)).ravel()
+    if real:
+        x = np.ascontiguousarray(x.real)
+    res = _true_residual(system.apply, rhs, x)
     return SolveReport(solution=x, iterations=1, residual_history=[res],
-                       converged=res < 1e-8, wall_time=time.perf_counter() - t0)
+                       converged=res < TRUE_RESIDUAL_MAX,
+                       wall_time=time.perf_counter() - t0, true_residual=res,
+                       path="direct", half_spectrum=half)

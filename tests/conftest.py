@@ -1,7 +1,13 @@
 import numpy as np
+from hypothesis import settings
 
 import halfbvm as hb
 from halfbvm.krylov import build_preconditioner, direct_solve
+
+# same examples on every run, no time limit: property tests cannot flake
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 class ToySystem:

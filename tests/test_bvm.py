@@ -13,7 +13,6 @@ def test_gmm_matrices_frozen():
     assert np.allclose(gmm.A_dense(), [[0, 0.5, 0], [-0.5, 0, 0.5], [0, -1, 1]])
     assert np.allclose(gmm.a0, [-0.5, 0, 0])
     assert np.allclose(gmm.B_dense(), np.eye(3))
-    assert np.all(gmm.b0 == 0)
     with pytest.raises(ValueError):
         bvm.build_gmm(1, 1.0)
     with pytest.raises(ValueError):
@@ -121,22 +120,6 @@ def test_zero_data_gives_zero_solution():
     assert np.all(system.rhs == 0)
     rep = hb.gmres_solve(system, None, tol=1e-12, max_iter=10)
     assert rep.iterations == 0 and np.all(rep.solution == 0)
-
-
-def test_b0_term_kept_for_generality():
-    pb = hb.build_problem("half_diffusion_manufactured")
-    run = hb.setup_run(pb, m=10)
-    b0 = (0.3, 0.0, 0.1, 0.0)
-    gmm = bvm.GmmMatrices(n_steps=4, tau=0.25, b0_override=b0)
-    system = bvm.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
-    base = bvm.assemble_all_at_once(bvm.build_gmm(4, 1.0), run.sys, run.source,
-                                    run.u0v0)
-    from halfbvm.doubling import doubled_source
-    U0 = run.u0v0.stack()
-    corr = run.sys.apply_D(U0) + doubled_source(run.source, run.sys, 0.0)
-    R = (system.rhs - base.rhs).reshape(4, run.sys.dim)
-    for j in range(4):
-        assert np.abs(R[j] - 0.25 * b0[j] * corr).max() < 1e-14
 
 
 def test_trajectory_round_trip():

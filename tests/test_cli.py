@@ -56,6 +56,30 @@ def test_direct_solver_method(tmp_path):
             cli.load_config(_write_config(tmp_path, **dict(_base_solve_config(), solver=bad)))
 
 
+def test_report_records_discretisation_and_path(tmp_path):
+    # tau = 0.27 does not divide T = 1: the run uses N = 4, tau = 0.25
+    cfg = _base_solve_config(problem="advection_manufactured", h=0.25, tau=0.27)
+    for key in ("m", "n_steps"):
+        cfg.pop(key)
+    runs = (({"method": "direct"}, "direct", True),
+            ({"tol": 1e-10}, "gmres+omega", False),
+            ({"tol": 1e-10, "precondition": False}, "gmres", False))
+    for solver, path, half in runs:
+        out = tmp_path / path
+        path_cfg = _write_config(tmp_path, **dict(cfg, solver=solver))
+        rc = cli.main(["solve", "--config", path_cfg, "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_steps"] == 4
+        assert report["tau_effective"] == 0.25
+        assert report["config"]["tau"] == 0.27
+        assert report["n"] == 160 and report["h_effective"] == 0.25   # torus [0, 2L)
+        assert report["unknowns"] == 4 * 2 * 160
+        assert report["boundary"] == "periodic"
+        assert report["path"] == path and report["half_spectrum"] is half
+        assert 0.0 <= report["true_residual"] < 1e-8
+
+
 def test_missing_config_is_config_error(tmp_path):
     rc = cli.main(["solve", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "o")])

@@ -202,7 +202,28 @@ def test_double_application_equals_minus_laplacian():
     assert np.abs(outer - lap).max() < 1e-5
 
 
-def test_weideman_transform_wrapper():
-    f = ht.CatalogFunction("quartic")
-    H = ht.weideman_transform(f, N=128)
-    assert np.abs(H(XS) - f.hilbert(XS)).max() < 1e-10
+def _weideman_eval_dense(e, x):
+    """The series as one len(x) x 2N matrix of exp(i n phi) times the
+    signed coefficients: the reference for the Horner evaluation."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    ns = np.arange(-e.order, e.order)
+    sig = np.where(ns >= 0, -1j, 1j)
+    phi = 2.0 * np.arctan(x)
+    return (np.exp(1j * np.outer(phi, ns)) @ (sig * e.coefficients)) / (1.0 - 1j * x)
+
+
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("f", [ht.CatalogFunction("quartic", shift=0.3),
+                               ht.CatalogFunction("gaussian", alpha=2.0),
+                               ht.CatalogFunction("odd_lorentzian", alpha=0.5)])
+def test_weideman_eval_matches_dense_series(N, f):
+    e = ht.weideman_fit(f, N, tail=f.function_tail())
+    rng = np.random.default_rng(N)
+    far = 10.0 ** rng.uniform(-3, 6, 500) * rng.choice([-1.0, 1.0], 500)
+    xs = np.concatenate([XS, far, [1e6, -1e6, 0.0]])
+    ref = _weideman_eval_dense(e, xs)
+    assert np.abs(ht.weideman_eval(e, xs) - ref).max() <= 1e-12 * np.abs(ref).max()
+    for x in (0.7, -1e6):
+        val = ht.weideman_eval(e, x)
+        assert isinstance(val, complex)
+        assert abs(val - _weideman_eval_dense(e, x)[0]) <= 1e-12 * np.abs(ref).max()

@@ -178,18 +178,79 @@ def test_preconditioner_inverts_materialized_property(m, N, periodic, theta, dat
     assert np.linalg.norm(P @ z - r) <= 1e-13 * np.linalg.norm(P) * np.linalg.norm(z)
 
 
+def _with_complex_epsilon(sys, eps):
+    """The same system with eps^2 (-Laplacian) for a complex eps: P complex."""
+    K = spatial.laplacian_matrix(sys.grid)
+    P = (sys.P + (eps ** 2 - sys.epsilon.real ** 2) * K).tocsr()
+    return spatial.DiscreteSystem(grid=sys.grid, epsilon=eps, op=sys.op,
+                                  P=P, Q=sys.Q)
+
+
+def _check_direct_against_dense(system):
+    M = system.materialize()
+    xd = np.linalg.solve(M, system.rhs)
+    rep = krylov.direct_solve(system)
+    scale = np.linalg.cond(M) * np.linalg.norm(xd)
+    assert np.linalg.norm(rep.solution - xd) <= 1e-13 * scale
+    return rep
+
+
 @settings(max_examples=25, deadline=None)
 @given(m=st.integers(3, 8), N=st.integers(2, 8), periodic=st.booleans(),
        data=st.data())
 def test_direct_solve_matches_dense_property(m, N, periodic, data):
+    # real data on a periodic grid takes the half spectrum (odd and even n);
+    # a complex rhs or a complex P takes the full transform
     sys = _random_system(data, m, periodic)
+    kind = data.draw(st.sampled_from(["real", "complex_rhs", "complex_eps"]))
+    if kind == "complex_eps":
+        sys = _with_complex_epsilon(sys, sys.epsilon.real * np.exp(0.4j))
     gmm = build_gmm(N, data.draw(st.floats(0.5, 4.0)))
-    rhs = np.random.default_rng(m * 10 + N).normal(size=N * sys.dim)
-    system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs)
-    M = system.materialize()
-    xd = np.linalg.solve(M, rhs)
-    x = krylov.direct_solve(system).solution
-    assert np.linalg.norm(x - xd) <= 1e-13 * np.linalg.cond(M) * np.linalg.norm(xd)
+    rng = np.random.default_rng(m * 10 + N)
+    rhs = rng.normal(size=N * sys.dim)
+    if kind == "complex_rhs":
+        rhs = rhs + 1j * rng.normal(size=N * sys.dim)
+    rep = _check_direct_against_dense(AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs))
+    assert rep.half_spectrum == (periodic and kind == "real")
+    assert np.iscomplexobj(rep.solution) == (kind != "real")
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("budget", [1, 2])
+def test_direct_solve_chunks_match_dense(monkeypatch, n, budget):
+    # a budget of b mode bands per LAPACK call spreads one solve over chunks,
+    # the last one short; stacked chunks give the bits of one call per mode
+    for boundary, model, m in ((spatial.PERIODIC, "advection", n),
+                               (spatial.DIRICHLET, "scalar", n + 1)):
+        grid = spatial.Grid(length=4.0, m=m, boundary=boundary)
+        sys = spatial.assemble_discrete_system(grid, 0.3,
+                                               spatial.OperatorKind(model, 0.4))
+        gmm = build_gmm(5, 1.5)
+        rhs = np.random.default_rng(n).normal(size=5 * sys.dim)
+        system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs)
+        whole = _check_direct_against_dense(system).solution
+        monkeypatch.setattr(krylov, "_CHUNK_BYTES",
+                            budget * 5 * 2 * gmm.n_steps * 16)
+        rep = _check_direct_against_dense(system)
+        assert np.array_equal(rep.solution, whole)
+        assert rep.half_spectrum == (boundary == spatial.PERIODIC)
+        monkeypatch.undo()
+
+
+def test_reports_carry_true_residual_and_path():
+    pb, run, gmm, system = _setup(m=9, N=8)
+    pre = krylov.build_preconditioner(gmm, run.sys)
+    b = system.rhs
+    for rep, path in ((krylov.gmres_solve(system, pre), "gmres+omega"),
+                      (krylov.gmres_solve(system, None), "gmres"),
+                      (krylov.direct_solve(system), "direct")):
+        res = np.linalg.norm(b - system.apply(rep.solution)) / np.linalg.norm(b)
+        assert rep.path == path
+        assert rep.true_residual == pytest.approx(res, rel=1e-6)
+        assert rep.true_residual < krylov.TRUE_RESIDUAL_MAX
+    assert krylov.gmres(lambda x: x, np.zeros(3)).true_residual == 0.0
+    stalled = krylov.gmres(lambda x: 2.0 * x, np.ones(4), max_iter=0)
+    assert stalled.true_residual == 1.0 and not stalled.converged
 
 
 def test_singular_frequency_block_perturbed_with_warning():
