@@ -13,7 +13,7 @@ from .bvm import AllAtOnceSystem, GmmMatrices, assemble_all_at_once, build_gmm, 
     extract_trajectory
 from .doubling import (DoubledState, LineProfile, SourceSpec, SourceTerm,
                        ZERO_SOURCE, doubled_initial_state, doubled_source,
-                       odd_reflection, profile_from_catalog, rhs)
+                       odd_reflection, profile_from_catalog)
 from .hilbert import (CatalogFunction, InvalidSampleError,
                       UnsupportedFunctionError, WeidemanExpansion,
                       half_laplacian_of, hilbert_exact, hilbert_exact_twice,

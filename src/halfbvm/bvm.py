@@ -55,9 +55,6 @@ class GmmMatrices:
         A[N - 1, N - 1] = 1.0
         return A
 
-    def B_dense(self) -> np.ndarray:
-        return np.eye(self.n_steps)
-
     def apply_A(self, X: np.ndarray) -> np.ndarray:
         """A acting across the time axis of X with shape (N, dim)."""
         N = self.n_steps
@@ -102,9 +99,8 @@ class AllAtOnceSystem:
     def materialize(self) -> np.ndarray:
         """Dense M for small instances (tests and eigenvalue studies)."""
         N, dim = self.gmm.n_steps, self.sys.dim
-        A = self.gmm.A_dense()
-        D = self.sys.dense_D() if hasattr(self.sys, "dense_D") else np.asarray(self.sys.D)
-        return np.kron(A, np.eye(dim)) - self.gmm.tau * np.kron(np.eye(N), D)
+        return (np.kron(self.gmm.A_dense(), np.eye(dim))
+                - self.gmm.tau * np.kron(np.eye(N), self.sys.dense_D()))
 
 
 def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,

@@ -236,7 +236,7 @@ def _sweep_point(cfg, pb, h=None, tau=None):
         report, run, gmm, traj = _solve_once(cfg, pb, h=h,
                                              precondition=precondition)
         err, _ = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
-        rows[label] = (report, err, h, gmm.tau)
+        rows[label] = (report, err, run.grid.h, gmm.tau)   # h, tau as solved
         if not report.converged:
             break
     return rows
@@ -248,11 +248,8 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     pb = cfg.build_problem()
     if cfg.h_sweep:
         points = [{"h": h} for h in cfg.h_sweep]
-        log_axis = cfg.h_sweep
     else:
         points = [{"tau": tau} for tau in cfg.tau_sweep]
-        log_axis = cfg.tau_sweep
-    results = []
     workers = min(max(1, cfg.solver.workers), os.cpu_count() or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_sweep_point, cfg, pb, **pt) for pt in points]
@@ -272,8 +269,9 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         rows.append((h, tau, pre_err, pre_rep.iterations, no_iters))
     slope = None
     if len(rows) > 1:
-        errs = np.array([r[2] for r in rows])
-        slope = float(np.polyfit(np.log(np.asarray(log_axis)), np.log(errs), 1)[0])
+        swept = [r[0] if cfg.h_sweep else r[1] for r in rows]
+        errs = [r[2] for r in rows]
+        slope = float(np.polyfit(np.log(swept), np.log(errs), 1)[0])
     _write_csv(out_dir / "convergence.csv",
                ["h", "tau", "rel_l2_error", "iterations_pre", "iterations_nopre"],
                rows, cfg)

@@ -31,7 +31,6 @@ __all__ = [
     "DoubledState",
     "doubled_initial_state",
     "doubled_source",
-    "rhs",
 ]
 
 HILBERT_METHODS = ("exact", "weideman", "quadrature")
@@ -238,10 +237,3 @@ def doubled_source(src: SourceSpec, sys: DiscreteSystem, t: float,
     vblock = sum(time_fn(t) * Fv for time_fn, _, Fv in cached)
     return np.concatenate([ublock, vblock])
 
-
-def rhs(sys: DiscreteSystem, state: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Right-hand side D @ state + g of the doubled evolution."""
-    state = np.asarray(state)
-    if state.shape != (sys.dim,) or np.shape(g) != (sys.dim,):
-        raise ValueError(f"state and source must have size {sys.dim}")
-    return sys.apply_D(state) + g

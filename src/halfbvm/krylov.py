@@ -37,10 +37,18 @@ from .bvm import AllAtOnceSystem, GmmMatrices
 from .spectrum import eigenvalues_of_D
 
 TRUE_RESIDUAL_MAX = 1e-8   # ||b - Mx|| / ||b|| above which a direct solve failed
+# GMRES has converged when the preconditioned residual reaches tol and the
+# true residual is at most max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol).  Measured
+# true residual / tol at convergence: 2.7 (half_diffusion_manufactured,
+# h = 0.05, T = 4), 1.6 (mass_transfer_manufactured, h = 0.125), 1.2
+# (acceptance criterion 6, tol 1e-8); above 1e17 where a nudged singular
+# frequency block let the preconditioned test pass on a wrong solution.
+GMRES_SLACK = 1e3
 _CHUNK_BYTES = 4 << 20     # band of one banded LAPACK call in direct_solve
 
 __all__ = [
     "TRUE_RESIDUAL_MAX",
+    "GMRES_SLACK",
     "OmegaPreconditioner",
     "SolveReport",
     "build_omega_circulant",
@@ -214,19 +222,22 @@ def _true_residual(apply_op, b, x) -> float:
 def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None):
     """Left-preconditioned GMRES with CGS2 orthogonalisation and Givens updates.
 
-    Preconditioned residuals, relative to the preconditioned rhs, decide
-    convergence; the true residual is computed once, at exit.  Returns a
-    SolveReport; non-convergence is reported, not raised.
+    Iterations stop when the preconditioned residual, relative to the
+    preconditioned rhs, reaches tol.  The true residual ||b - Ax|| / ||b|| is
+    computed once, at exit, and the solve has converged only if it is at most
+    max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol) too.  Returns a SolveReport;
+    non-convergence is reported, not raised.
     """
     t0 = time.perf_counter()
     b = np.asarray(b)
+    true_max = max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol)
     mb = precond(b) if precond is not None else b
     beta0 = np.linalg.norm(mb)
     if beta0 == 0.0:                   # x = 0: the true residual is ||b|| / ||b||
+        res = float(np.any(b))
         return SolveReport(solution=np.zeros_like(b), iterations=0,
-                           residual_history=[0.0], converged=True,
-                           true_residual=float(np.any(b)),
-                           wall_time=time.perf_counter() - t0)
+                           residual_history=[0.0], converged=res <= true_max,
+                           true_residual=res, wall_time=time.perf_counter() - t0)
     m = b.size
     if restart is None or restart > max_iter:
         restart = max_iter
@@ -301,8 +312,9 @@ def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None):
             converged = True
         elif breakdown:
             break
+    res = _true_residual(apply_op, b, x)
     return SolveReport(solution=x, iterations=total, residual_history=history,
-                       converged=converged, true_residual=_true_residual(apply_op, b, x),
+                       converged=converged and res <= true_max, true_residual=res,
                        wall_time=time.perf_counter() - t0)
 
 
@@ -346,8 +358,9 @@ def direct_solve(system: AllAtOnceSystem) -> SolveReport:
     P and Q act diagonally in the system's spatial eigenbasis (DFT columns
     when periodic, DST-I sine modes between walls), so one spatial transform
     decouples the all-at-once system into independent 2N x 2N banded
-    problems, one per spatial mode; real rhs, P and Q on a periodic grid
-    need only the n//2+1 modes of ``rfft`` (mode n-k conjugates mode k).
+    problems, one per spatial mode; P and Q are real, so a real rhs on a
+    periodic grid needs only the n//2+1 modes of ``rfft`` (mode n-k
+    conjugates mode k).
     A chunk of modes is one block-diagonal band of at most ``_CHUNK_BYTES``
     for one LAPACK call; pivoting stays in each block, so the bits match one
     call per mode.  Complements the iterative path when the drift-dominated
@@ -359,7 +372,7 @@ def direct_solve(system: AllAtOnceSystem) -> SolveReport:
     N, n = gmm.n_steps, sys_.n
     tau = gmm.tau
     rhs = np.asarray(system.rhs)
-    real = not any(map(np.iscomplexobj, (rhs, sys_.P, sys_.Q)))
+    real = not np.iscomplexobj(rhs)      # P and Q are real by construction
     half = real and sys_.is_circulant
     R = (np.fft.rfft(rhs.reshape(N, 2, n)) if half
          else sys_.to_modes(rhs.reshape(N, 2, n)).astype(complex, copy=False))

@@ -24,7 +24,6 @@ __all__ = [
     "half_diffusion_exact",
     "mass_transfer_exact",
     "advection_exact",
-    "green_kernel",
     "schrodinger_dalembert",
     "schrodinger_series",
     "relative_l2_error",
@@ -159,17 +158,6 @@ def mass_transfer_exact(u0, f, eps, delta, L, n_max=400, **kw) -> FourierSeriesS
 def advection_exact(u0, f, eps, delta, L, n_max=400, **kw) -> FourierSeriesSolution:
     return FourierSeriesSolution(u0=u0, source=f, eps=eps, L=L, delta=delta,
                                  model=ADVECTION, n_max=n_max, **kw)
-
-
-def green_kernel(x, xi, t, eps, L, n_max=400, delta=0.0, model=HALF_DIFFUSION):
-    """Pointwise kernel value; advection shift is applied by the caller."""
-    n = np.arange(1, n_max + 1)
-    k = n * np.pi / L
-    terms = np.exp(-eps * k * t) * np.sin(k * x) * np.sin(k * xi)
-    g = (2.0 / L) * np.sum(terms)
-    if model == MASS_TRANSFER:
-        g *= np.exp(delta * t)
-    return g
 
 
 def schrodinger_dalembert(u0_value, u0_hilbert, gamma, V=0.0, L=None):

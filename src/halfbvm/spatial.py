@@ -14,6 +14,11 @@ where Lop is 0, delta*I or delta*d/dx.  With the sign conventions above that
 means P = eps^2 * laplacian_matrix - Lop_h^2, which for Lop = 0, eps = 1
 reduces to (1/h^2) tridiag(-1, 2, -1); the round-trip test against the exact
 single-mode decay pins this convention.
+
+A ``DiscreteSystem`` is built from (grid, eps, operator) alone.  -Lap_h and
+Lop_h share one eigenbasis, DST-I sine modes between walls and DFT columns on
+a torus, so P and Q do too, and their symbols follow in closed form from the
+stencil coefficients; no matrix is inspected to recover them.
 """
 
 from dataclasses import dataclass, field
@@ -93,8 +98,8 @@ class OperatorKind:
     def __post_init__(self):
         if self.variant not in (ZERO, SCALAR, ADVECTION):
             raise ConfigurationError(f"unknown operator variant {self.variant!r}")
-        if not np.isfinite(self.delta):
-            raise ConfigurationError("delta must be finite")
+        if np.iscomplexobj(self.delta) or not np.isfinite(self.delta):
+            raise ConfigurationError("delta must be a finite real number")
 
 
 def laplacian_matrix(grid: Grid):
@@ -122,71 +127,76 @@ def derivative_matrix(grid: Grid):
     return Dh.tocsr()
 
 
-def _symbol(M, grid: Grid, scalar: bool = False) -> np.ndarray:
-    """Eigenvalues of M in the grid's eigenbasis, ordered like its transform.
+def _stencils(grid: Grid, eps_sq: float, op: OperatorKind):
+    """P, Q and the symbols of -Lap_h, P and Q, from the stencil coefficients.
 
-    Periodic grids need M circulant: its DFT symbol is the FFT of the first
-    column.  Wall grids need M symmetric Toeplitz tridiagonal, (p1, p0, p1),
-    whose discrete sine modes sin(j k pi/(n+1)) carry p0 + 2 p1 cos(k pi/(n+1)),
-    k = 1..n; ``scalar`` narrows that to M = p0 I.  Anything else has no
-    shared eigenbasis with the assembled operators and is rejected.
+    A symmetric stencil (c1, c0, c1) carries c0 + 2 c1 cos(theta_k) on mode k,
+    theta_k = k pi/(n+1) for the sine modes between walls and 2 pi k/n for
+    the DFT columns of a torus.  Between walls Lop_h = delta I, so P is the
+    stencil (p1, p0, p1) and Q = 2 delta I.  On a torus Lop_h = delta Dh has
+    the symbol i l_k, l_k = delta sin(theta_k)/h, so p_hat = eps^2 k_hat + l^2
+    and q_hat = 2 i l.  Either way q_hat^2 + 4 p_hat = 4 eps^2 k_hat, exactly
+    before rounding.
     """
-    n = grid.n
-    periodic = grid.boundary == PERIODIC
-    kind = ("a multiple of the identity" if scalar else
-            "circulant" if periodic else "symmetric Toeplitz tridiagonal")
-    error = ConfigurationError(
-        f"spatial operator must be {kind} of size {n} on a {grid.boundary} grid")
-    M = M.tocsr()
-    if M.shape != (n, n):
-        raise error
-    if not M.has_canonical_format:     # sum duplicates in a copy, not in place
-        M = M.copy()
-        M.sum_duplicates()
-    row = np.repeat(np.arange(n), np.diff(M.indptr))
-    col = np.zeros(n, dtype=M.dtype)
-    first = M.indices == 0
-    col[row[first]] = M.data[first]
-    # every stored entry must equal the first-column entry on its diagonal,
-    # and every diagonal with a nonzero entry must be complete
-    diag = (row - M.indices) % n if periodic else np.abs(row - M.indices)
-    full = np.full(n, n) if periodic else 2 * (n - np.arange(n))
-    full[0] = n
-    tol = 1e-12 * max(float(np.abs(col).max()), 1e-300)
-    used = np.abs(col) > tol
-    width = 1 if scalar else (n if periodic else 2)
-    if (used[width:].any() or (np.abs(M.data - col[diag]) > tol).any()
-            or (np.bincount(diag, minlength=n)[used] != full[used]).any()):
-        raise error
-    if periodic:
-        return np.fft.fft(col)
-    k = np.arange(1, n + 1)
-    return col[0] + 2.0 * col[1] * np.cos(k * np.pi / (n + 1))
+    n, h = grid.n, grid.h
+    w = 1.0 / (h * h)
+    delta = 0.0 if op.variant == ZERO else op.delta
+    walls = grid.boundary == DIRICHLET
+    theta = (np.arange(1, n + 1) * np.pi / (n + 1) if walls
+             else np.arange(n) * (2.0 * np.pi / n))
+    cos = np.cos(theta)
+    k_hat = 2.0 * w + 2.0 * (-w) * cos
+    if walls:
+        p0, p1 = eps_sq * (2.0 * w) - delta ** 2, eps_sq * (-w)
+        P = sp.diags([p1, p0, p1], [-1, 0, 1], shape=(n, n), format="csr")
+        q_hat = np.full(n, 2.0 * delta)
+        return P, sp.diags(q_hat, format="csr"), k_hat, p0 + 2.0 * p1 * cos, q_hat
+    Dh = derivative_matrix(grid)
+    P = (eps_sq * laplacian_matrix(grid) - delta ** 2 * (Dh @ Dh)).tocsr()
+    Q = (2.0 * delta * Dh).tocsr()
+    l_hat = (delta / h) * np.sin(theta)
+    return P, Q, k_hat, eps_sq * k_hat + l_hat * l_hat, 2j * l_hat
 
 
 @dataclass(frozen=True)
 class DiscreteSystem:
     """Semi-discrete doubled system U' = D U + G, D = [[0, I], [P, Q]].
 
-    P and Q share one spatial eigenbasis, checked at construction: DFT
-    columns on periodic grids, discrete sine modes (DST-I) between walls,
-    where Q must be scalar.  ``to_modes``/``from_modes`` move the last axis of
-    an array into and out of that basis, where P and Q act as the diagonals
-    ``p_hat`` and ``q_hat``.
+    Built from (grid, epsilon, op) alone: P = eps^2 (-Lap_h) - Lop_h^2 and
+    Q = 2 Lop_h follow from the stencils, together with their closed-form
+    symbols ``p_hat``, ``q_hat`` and the symbol ``k_hat`` of -Lap_h in the
+    grid's eigenbasis: discrete sine modes (DST-I) between walls, DFT columns
+    on a periodic grid.  ``to_modes``/``from_modes`` move the last axis of an
+    array into and out of that basis, where P and Q act as those diagonals.
+
+    eps may be real or purely imaginary (Schrodinger form); eps^2 is real in
+    both cases, and delta is real, so P and Q are real.  The advection
+    operator needs periodic wrap-around; the zero and scalar operators pair
+    with Dirichlet walls.
     """
 
     grid: Grid
     epsilon: complex
     op: OperatorKind
-    P: sp.spmatrix = field(repr=False)
-    Q: sp.spmatrix = field(repr=False)
+    P: sp.spmatrix = field(init=False, repr=False, compare=False)
+    Q: sp.spmatrix = field(init=False, repr=False, compare=False)
+    k_hat: np.ndarray = field(init=False, repr=False, compare=False)
     p_hat: np.ndarray = field(init=False, repr=False, compare=False)
     q_hat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "p_hat", _symbol(self.P, self.grid))
-        object.__setattr__(self, "q_hat", _symbol(self.Q, self.grid,
-                                                  scalar=not self.is_circulant))
+        epsilon = complex(self.epsilon)
+        if abs(epsilon.real) * abs(epsilon.imag) > 1e-300:
+            raise ConfigurationError("epsilon must be real or purely imaginary")
+        if self.op.variant == ADVECTION and not self.is_circulant:
+            raise ConfigurationError("advection operator requires a periodic grid")
+        if self.op.variant in (ZERO, SCALAR) and self.is_circulant:
+            raise ConfigurationError(
+                f"operator {self.op.variant!r} pairs with Dirichlet boundaries")
+        object.__setattr__(self, "epsilon", epsilon)
+        derived = _stencils(self.grid, (epsilon ** 2).real, self.op)
+        for name, value in zip(("P", "Q", "k_hat", "p_hat", "q_hat"), derived):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -224,7 +234,7 @@ class DiscreteSystem:
 
     def dense_D(self):
         n = self.n
-        D = np.zeros((2 * n, 2 * n), dtype=np.result_type(self.P.dtype, float))
+        D = np.zeros((2 * n, 2 * n))
         D[:n, n:] = np.eye(n)
         D[n:, :n] = self.P.toarray()
         D[n:, n:] = self.Q.toarray()
@@ -232,33 +242,5 @@ class DiscreteSystem:
 
 
 def assemble_discrete_system(grid: Grid, epsilon, op: OperatorKind) -> DiscreteSystem:
-    """Build P = eps^2*(-Lap_h) - Lop_h^2 and Q = 2*Lop_h on the grid.
-
-    eps may be real or purely imaginary (Schrodinger form); eps^2 is real in
-    both cases so P and Q stay real.  The advection operator needs periodic
-    wrap-around; the zero and scalar operators pair with Dirichlet walls.
-    """
-    epsilon = complex(epsilon)
-    if abs(epsilon.real) * abs(epsilon.imag) > 1e-300:
-        raise ConfigurationError("epsilon must be real or purely imaginary")
-    if op.variant == ADVECTION and grid.boundary != PERIODIC:
-        raise ConfigurationError("advection operator requires a periodic grid")
-    if op.variant in (ZERO, SCALAR) and grid.boundary != DIRICHLET:
-        raise ConfigurationError(
-            f"operator {op.variant!r} pairs with Dirichlet boundaries")
-
-    K = laplacian_matrix(grid)
-    eps_sq = (epsilon ** 2).real
-    n = grid.n
-    eye = sp.identity(n, format="csr")
-    if op.variant == ZERO or (op.variant == SCALAR and op.delta == 0.0):
-        P = (eps_sq * K).tocsr()
-        Q = sp.csr_matrix((n, n))
-    elif op.variant == SCALAR:
-        P = (eps_sq * K - op.delta ** 2 * eye).tocsr()
-        Q = (2.0 * op.delta * eye).tocsr()
-    else:
-        Dh = derivative_matrix(grid)
-        P = (eps_sq * K - op.delta ** 2 * (Dh @ Dh)).tocsr()
-        Q = (2.0 * op.delta * Dh).tocsr()
-    return DiscreteSystem(grid=grid, epsilon=epsilon, op=op, P=P, Q=Q)
+    """The doubled system of eps*(-Delta)^{1/2} and the operator op on the grid."""
+    return DiscreteSystem(grid=grid, epsilon=epsilon, op=op)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import ADVECTION, DiscreteSystem, laplacian_matrix
+from .spatial import DiscreteSystem
 
 __all__ = [
     "MethodPolynomials",
@@ -199,22 +199,13 @@ def eigenvalues_of_D(sys: DiscreteSystem) -> np.ndarray:
     P and Q act as the diagonals p_hat, q_hat in the system's spatial
     eigenbasis (DST-I sine modes between walls, DFT columns when periodic),
     so each mode contributes the two roots of lam^2 - q_hat lam - p_hat = 0.
+    With l_hat = q_hat/2 the symbol of Lop_h, q_hat^2 + 4 p_hat = 4 eps^2 k_hat
+    exactly, so the pair is l_hat +- sqrt(eps^2 k_hat); that form does not
+    cancel the +-(delta d)^2 parts of P in floating point.
     """
-    lam_p, lam_q = sys.p_hat.astype(complex), sys.q_hat.astype(complex)
-    disc_sq = lam_q ** 2 + 4.0 * lam_p
-    if sys.op.variant == ADVECTION:
-        # (lam_Q)^2 + 4 lam_P = 4 eps^2 lam_{-Lap} exactly for the
-        # assembled central-difference pair; the summed form cancels the
-        # +-(delta d)^2 parts in floating point, so prefer the clean one
-        # whenever it is consistent with the stored matrices
-        K = laplacian_matrix(sys.grid)
-        k_hat = np.fft.fft(K[:, [0]].toarray().ravel())
-        eps_sq = (complex(sys.epsilon) ** 2).real
-        clean = 4.0 * eps_sq * k_hat.astype(complex)
-        if np.abs(clean - disc_sq).max() <= 1e-8 * (1.0 + np.abs(clean).max()):
-            disc_sq = clean
-    disc = np.sqrt(disc_sq)
-    return np.concatenate([(lam_q + disc) / 2.0, (lam_q - disc) / 2.0])
+    l_hat = sys.q_hat / 2.0
+    root = np.sqrt((sys.epsilon ** 2).real * sys.k_hat.astype(complex))
+    return np.concatenate([l_hat + root, l_hat - root])
 
 
 def segment_distance(q) -> np.ndarray:

@@ -12,7 +12,6 @@ def test_gmm_matrices_frozen():
     assert gmm.tau == pytest.approx(1.0)
     assert np.allclose(gmm.A_dense(), [[0, 0.5, 0], [-0.5, 0, 0.5], [0, -1, 1]])
     assert np.allclose(gmm.a0, [-0.5, 0, 0])
-    assert np.allclose(gmm.B_dense(), np.eye(3))
     with pytest.raises(ValueError):
         bvm.build_gmm(1, 1.0)
     with pytest.raises(ValueError):

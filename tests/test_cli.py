@@ -80,6 +80,24 @@ def test_report_records_discretisation_and_path(tmp_path):
         assert 0.0 <= report["true_residual"] < 1e-8
 
 
+def test_gmres_with_nudged_singular_block_is_not_converged(tmp_path):
+    # tau/h = 1 puts an eigenvalue of tau*D on a frequency of the omega
+    # circulant: the nudged block passes the preconditioned test on a wrong
+    # solution, and only the true residual tells
+    for tau in (0.3, 0.27):
+        cfg = _base_solve_config(problem="transport_limit", h=0.25, tau=tau)
+        for key in ("m", "n_steps"):
+            cfg.pop(key)
+        out = tmp_path / str(tau)
+        with pytest.warns(UserWarning, match="perturbing"):
+            rc = cli.main(["solve", "--config", _write_config(tmp_path, **cfg),
+                           "--out", str(out)])
+        assert rc == cli.EXIT_NO_CONVERGENCE
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["true_residual"] > 1e-8
+
+
 def test_missing_config_is_config_error(tmp_path):
     rc = cli.main(["solve", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "o")])
@@ -131,6 +149,24 @@ def test_converge_sweep(tmp_path):
     assert len(lines) == 4
     manifest = json.loads((tmp_path / "sweep" / "convergence.json").read_text())
     assert manifest["fitted_slope"] == pytest.approx(2.0, abs=0.5)
+
+
+def test_converge_records_and_fits_the_solved_discretisation(tmp_path):
+    # h = 0.3 and 0.15 do not divide L = 20: the runs use m = 67 and 133 cells,
+    # and tau = h/4 rounds to T/N; the csv and the slope use what was solved
+    cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
+                        h_sweep=[0.3, 0.15], tau_over_h=0.25,
+                        solver={"tol": 1e-10, "max_iter": 300})
+    rc = cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "s")])
+    assert rc == cli.EXIT_OK
+    lines = (tmp_path / "s" / "convergence.csv").read_text().splitlines()
+    rows = np.array([[float(v) for v in line.split(",")[:3]] for line in lines[2:]])
+    # the csv keeps 16 significant digits
+    assert rows[:, 0] == pytest.approx([20.0 / 67, 20.0 / 133], rel=1e-15)
+    assert rows[:, 1] == pytest.approx([1.0 / 13, 1.0 / 27], rel=1e-15)
+    manifest = json.loads((tmp_path / "s" / "convergence.json").read_text())
+    slope = np.polyfit(np.log(rows[:, 0]), np.log(rows[:, 2]), 1)[0]
+    assert manifest["fitted_slope"] == pytest.approx(slope, rel=1e-12)
 
 
 def test_sweep_threads_capped_at_cpu_count(tmp_path, monkeypatch):

@@ -77,19 +77,6 @@ def test_source_cache_matches_direct():
         assert np.abs(direct - cached).max() == 0.0
 
 
-def test_rhs_trivial_and_eigenvector():
-    sys = _system(m=24)
-    z = np.zeros(sys.dim)
-    assert np.all(doubling.rhs(sys, z, z) == 0)
-    lam, vecs = np.linalg.eigh(sys.P.toarray())
-    u = vecs[:, 3]
-    state = np.concatenate([u, np.zeros_like(u)])
-    out = doubling.rhs(sys, state, np.zeros(sys.dim))
-    assert np.abs(out[sys.n:] - lam[3] * u).max() < 1e-10
-    with pytest.raises(ValueError):
-        doubling.rhs(sys, z[:-1], z)
-
-
 def test_round_trip_reproduces_manufactured_solution():
     # reference integrator on the semi-discrete system, two mesh widths
     pb = hb.build_problem("half_diffusion_manufactured")

@@ -97,13 +97,12 @@ def test_preconditioner_round_trip_random_rhs():
 
 
 def test_frequency_block_with_zero_operators_divides_by_lambda():
-    # P = Q = 0 leaves the v rows decoupled: v2_v = r_v / lambda_j; the whole
-    # apply still inverts the materialized preconditioner exactly
-    import scipy.sparse as sp
+    # eps = 0 and no operator make P = Q = 0, leaving the v rows decoupled:
+    # v2_v = r_v / lambda_j; the whole apply still inverts the materialized
+    # preconditioner exactly
     g = spatial.Grid(length=4.0, m=5, boundary=spatial.DIRICHLET)
-    sys = spatial.DiscreteSystem(grid=g, epsilon=complex(0.0),
-                                 op=spatial.OperatorKind("zero"),
-                                 P=sp.csr_matrix((4, 4)), Q=sp.csr_matrix((4, 4)))
+    sys = spatial.assemble_discrete_system(g, 0.0, spatial.OperatorKind("zero"))
+    assert sys.P.nnz == sys.Q.nnz == 0
     gmm = build_gmm(4, 1.0)
     pre = krylov.build_preconditioner(gmm, sys)
     rng = np.random.default_rng(3)
@@ -178,14 +177,6 @@ def test_preconditioner_inverts_materialized_property(m, N, periodic, theta, dat
     assert np.linalg.norm(P @ z - r) <= 1e-13 * np.linalg.norm(P) * np.linalg.norm(z)
 
 
-def _with_complex_epsilon(sys, eps):
-    """The same system with eps^2 (-Laplacian) for a complex eps: P complex."""
-    K = spatial.laplacian_matrix(sys.grid)
-    P = (sys.P + (eps ** 2 - sys.epsilon.real ** 2) * K).tocsr()
-    return spatial.DiscreteSystem(grid=sys.grid, epsilon=eps, op=sys.op,
-                                  P=P, Q=sys.Q)
-
-
 def _check_direct_against_dense(system):
     M = system.materialize()
     xd = np.linalg.solve(M, system.rhs)
@@ -200,11 +191,9 @@ def _check_direct_against_dense(system):
        data=st.data())
 def test_direct_solve_matches_dense_property(m, N, periodic, data):
     # real data on a periodic grid takes the half spectrum (odd and even n);
-    # a complex rhs or a complex P takes the full transform
+    # a complex rhs takes the full transform
     sys = _random_system(data, m, periodic)
-    kind = data.draw(st.sampled_from(["real", "complex_rhs", "complex_eps"]))
-    if kind == "complex_eps":
-        sys = _with_complex_epsilon(sys, sys.epsilon.real * np.exp(0.4j))
+    kind = data.draw(st.sampled_from(["real", "complex_rhs"]))
     gmm = build_gmm(N, data.draw(st.floats(0.5, 4.0)))
     rng = np.random.default_rng(m * 10 + N)
     rhs = rng.normal(size=N * sys.dim)
@@ -255,12 +244,9 @@ def test_reports_carry_true_residual_and_path():
 
 def test_singular_frequency_block_perturbed_with_warning():
     # theta = pi with odd N makes one eigenvalue of omega(A) vanish; with
-    # D = 0 that block is exactly singular until nudged
-    import scipy.sparse as sp
+    # D = 0 (eps = 0, no operator) that block is exactly singular until nudged
     g = spatial.Grid(length=4.0, m=4, boundary=spatial.DIRICHLET)
-    sys = spatial.DiscreteSystem(grid=g, epsilon=complex(0.0),
-                                 op=spatial.OperatorKind("zero"),
-                                 P=sp.csr_matrix((3, 3)), Q=sp.csr_matrix((3, 3)))
+    sys = spatial.assemble_discrete_system(g, 0.0, spatial.OperatorKind("zero"))
     gmm = build_gmm(5, 1.0)
     lam, _ = krylov.build_omega_circulant(gmm, np.exp(1j * np.pi))
     assert np.abs(lam).min() < 1e-15

@@ -86,29 +86,6 @@ def test_advection_transport_limit():
     assert np.abs(u(x, t) - pb.u0.value(x + t)).max() < 1e-3
 
 
-def test_kernel_symmetry():
-    for model, delta in ((oracles.HALF_DIFFUSION, 0.0), (oracles.MASS_TRANSFER, 0.3)):
-        for (x, xi) in ((3.0, 11.0), (5.5, 6.5)):
-            a = oracles.green_kernel(x, xi, 0.7, 0.1, 20.0, 200, delta, model)
-            b = oracles.green_kernel(xi, x, 0.7, 0.1, 20.0, 200, delta, model)
-            assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_kernel_semigroup_property():
-    # propagating t1 then t2 equals propagating t1 + t2
-    L, eps, n_max = 20.0, 0.1, 60
-    t1, t2 = 0.6, 0.9
-    xi, w = np.polynomial.legendre.leggauss(400)
-    xi = 0.5 * L * (xi + 1.0)
-    w = 0.5 * L * w
-    for (x, y) in ((7.0, 9.0), (4.0, 15.0)):
-        g1 = np.array([oracles.green_kernel(x, z, t1, eps, L, n_max) for z in xi])
-        g2 = np.array([oracles.green_kernel(z, y, t2, eps, L, n_max) for z in xi])
-        composed = float(np.sum(w * g1 * g2))
-        direct = oracles.green_kernel(x, y, t1 + t2, eps, L, n_max)
-        assert abs(composed - direct) < 1e-8
-
-
 def test_homogeneous_decay_is_monotone():
     pb = build_problem("half_diffusion_homogeneous")
     u = pb.oracle(n_max=300)

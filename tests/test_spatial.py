@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from conftest import assert_multiset_close
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from halfbvm import spatial
+from halfbvm import spatial, spectrum
 
 
 def test_grid_invariants():
@@ -126,6 +129,10 @@ def test_boundary_operator_pairing_enforced():
         spatial.assemble_discrete_system(gp, 0.1, spatial.OperatorKind("zero"))
     with pytest.raises(spatial.ConfigurationError):
         spatial.assemble_discrete_system(gd, 1.0 + 1.0j, spatial.OperatorKind("zero"))
+    # the checks run on every construction, not only in the factory
+    with pytest.raises(spatial.ConfigurationError):
+        spatial.DiscreteSystem(grid=gd, epsilon=0.1,
+                               op=spatial.OperatorKind("advection", 0.2))
 
 
 def test_apply_D_matches_dense():
@@ -164,30 +171,41 @@ def test_symbols_match_dense_eigenvalues():
         assert np.abs(sys.from_modes(sys.to_modes(X)) - X).max() < 1e-13
 
 
-def test_operators_without_shared_eigenbasis_rejected():
-    import scipy.sparse as sp
-    gd = spatial.Grid(length=4.0, m=6)
-    gp = spatial.Grid(length=4.0, m=6, boundary=spatial.PERIODIC)
-    K = spatial.laplacian_matrix(gd)
-    Kp = spatial.laplacian_matrix(gp)
-    zero = sp.csr_matrix((5, 5))
-    holed = K.tolil()
-    holed[2, 3] = holed[3, 2] = 0.0
-    holed = holed.tocsr()
-    holed.eliminate_zeros()
-    bad = [
-        (gd, holed, zero),                                # incomplete diagonal
-        (gd, sp.diags(np.arange(1.0, 6.0)), zero),        # not Toeplitz
-        (gd, sp.diags([1.0, 2.0], [0, 1], (5, 5)), zero),   # not symmetric
-        (gd, K, 0.1 * K),                                 # Q not scalar
-        (gd, sp.eye(6), sp.eye(6)),                       # wrong size
-        (gp, spatial.laplacian_matrix(spatial.Grid(length=4.0, m=7)),
-         sp.csr_matrix((6, 6))),                          # no wrap-around
-    ]
-    for g, P, Q in bad:
-        with pytest.raises(spatial.ConfigurationError):
-            spatial.DiscreteSystem(grid=g, epsilon=1.0, op=spatial.OperatorKind(),
-                                   P=P, Q=Q)
-    ok = spatial.DiscreteSystem(grid=gp, epsilon=1.0, op=spatial.OperatorKind(),
-                                P=Kp, Q=0.3 * spatial.derivative_matrix(gp))
-    assert ok.p_hat.shape == ok.q_hat.shape == (6,)
+@settings(max_examples=25)
+@given(m=st.integers(3, 10), periodic=st.booleans(), imaginary=st.booleans(),
+       data=st.data())
+def test_closed_form_symbols_diagonalise_materialised_operators(m, periodic,
+                                                               imaginary, data):
+    # odd and even n, every operator a boundary accepts, real or imaginary
+    # eps: the closed-form symbols are the eigenvalues of the assembled P and
+    # Q on the transform's basis, and they give the spectrum of D
+    if periodic:
+        boundary, model = spatial.PERIODIC, "advection"
+    else:
+        boundary = spatial.DIRICHLET
+        model = data.draw(st.sampled_from(["zero", "scalar"]))
+    eps = data.draw(st.floats(0.05, 1.0)) * (1j if imaginary else 1.0)
+    delta = data.draw(st.floats(-1.0, 1.0))
+    g = spatial.Grid(length=data.draw(st.floats(1.0, 10.0)), m=m, boundary=boundary)
+    sys = spatial.assemble_discrete_system(g, eps, spatial.OperatorKind(model, delta))
+    B = sys.from_modes(np.eye(sys.n)).T
+    P, Q = sys.P.toarray(), sys.Q.toarray()
+    # P = eps^2 (-Lap_h) - Lop_h^2 can cancel: its two terms set the round-off
+    eps_k = (eps ** 2).real * spatial.laplacian_matrix(g).toarray()
+    for M, lam, size in ((P, sys.p_hat, np.abs(eps_k) + np.abs(eps_k - P)),
+                         (Q, sys.q_hat, np.abs(Q))):
+        scale = size.sum(axis=1).max() * np.abs(B).max()
+        assert np.abs(M @ B - B * lam[None, :]).max() <= 1e-13 * max(scale, 1e-300)
+    D = sys.dense_D()
+    # the constant mode of a torus is a Jordan block of D: eigvals resolves it
+    # only to sqrt(machine epsilon)
+    assert_multiset_close(spectrum.eigenvalues_of_D(sys), np.linalg.eigvals(D),
+                          1e-6 * max(1.0, np.abs(D).max()))
+
+
+def test_operator_rejects_complex_delta():
+    for delta in (0.2j, 0.1 + 0.2j, np.complex128(0.3j)):
+        with pytest.raises(spatial.ConfigurationError, match="real"):
+            spatial.OperatorKind("scalar", delta)
+    with pytest.raises(spatial.ConfigurationError):
+        spatial.OperatorKind("advection", np.nan)

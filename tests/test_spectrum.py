@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,20 +94,6 @@ def test_eigenvalues_drift_formula():
     expected = np.concatenate([0.2 * d_hat + 0.01 * np.sqrt(k_hat),
                                0.2 * d_hat - 0.01 * np.sqrt(k_hat)])
     assert_multiset_close(spectrum.eigenvalues_of_D(sys), expected, 1e-10)
-
-
-def test_random_commuting_circulant_pair_vs_dense():
-    rng = np.random.default_rng(3)
-    g = spatial.Grid(length=8.0, m=8, boundary=spatial.PERIODIC)
-    c = rng.normal(size=8)
-    C = np.array([np.roll(c, k) for k in range(8)]).T
-    P = C @ C + 0.3 * C
-    Q = 0.5 * C - 0.1 * np.eye(8)
-    sys = spatial.DiscreteSystem(grid=g, epsilon=complex(1.0),
-                                 op=spatial.OperatorKind("advection", 0.5),
-                                 P=sp.csr_matrix(P), Q=sp.csr_matrix(Q))
-    assert_multiset_close(spectrum.eigenvalues_of_D(sys),
-                          np.linalg.eigvals(sys.dense_D()), 1e-10)
 
 
 def test_verdict_half_diffusion_always_stable():
