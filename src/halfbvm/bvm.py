@@ -8,6 +8,10 @@ ODE U' = D U + G into one vector gives
     (A (x) I - tau B (x) D) u = tau (B (x) I) g - a0 (x) U0,
 
 with B = I for this scheme.
+The coefficient table below is the only place the scheme is written down:
+A, a0, the rhs, the omega-circulant preconditioner (``krylov``), the banded
+time systems of the direct solve and the stability polynomials
+(``spectrum.gmm_polynomials``) all read it.
 The operator is applied matrix free: block row j touches only slices j-1, j,
 j+1.
 """
@@ -19,12 +23,24 @@ import numpy as np
 from .doubling import DoubledState, SourceSpec, doubled_source, source_block_values
 
 __all__ = [
+    "INTERIOR",
+    "INTERIOR_B",
+    "FINAL",
     "GmmMatrices",
     "AllAtOnceSystem",
     "build_gmm",
     "assemble_all_at_once",
     "extract_trajectory",
 ]
+
+# The scheme's coefficient table.  Rows 0..N-2 of A carry INTERIOR at the
+# offsets -1, 0, +1 from the diagonal (offset -1 of row 0 is the initial
+# state, moved to the rhs as -a0 (x) U0); the last row carries FINAL at the
+# offsets -1, 0.  INTERIOR_B is the interior row of B: B = I, so the system
+# couples tau*D only within a time slice.
+INTERIOR = (-0.5, 0.0, 0.5)
+INTERIOR_B = (0.0, 1.0, 0.0)
+FINAL = (-1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -37,7 +53,7 @@ class GmmMatrices:
     @property
     def a0(self) -> np.ndarray:
         a = np.zeros(self.n_steps)
-        a[0] = -0.5
+        a[0] = INTERIOR[0]
         return a
 
     @property
@@ -45,23 +61,25 @@ class GmmMatrices:
         return self.tau * np.arange(1, self.n_steps + 1)
 
     def A_dense(self) -> np.ndarray:
+        return self.apply_A(np.eye(self.n_steps))
+
+    def A_band(self) -> np.ndarray:
+        """A in LAPACK (1, 1) band storage: A[i, j] at row 1 + i - j, column j."""
         N = self.n_steps
-        A = np.zeros((N, N))
-        idx = np.arange(N - 1)
-        A[idx[:-1], idx[:-1] + 1] = 0.5
-        A[N - 2, N - 1] = 0.5
-        A[idx[1:], idx[1:] - 1] = -0.5
-        A[N - 1, N - 2] = -1.0
-        A[N - 1, N - 1] = 1.0
-        return A
+        ab = np.zeros((3, N))
+        ab[2, : N - 2], ab[1, : N - 1], ab[0, 1:] = INTERIOR
+        ab[2, N - 2], ab[1, N - 1] = FINAL
+        return ab
 
     def apply_A(self, X: np.ndarray) -> np.ndarray:
         """A acting across the time axis of X with shape (N, dim)."""
         N = self.n_steps
         out = np.zeros_like(X)
-        out[: N - 1] = 0.5 * X[1:N]
-        out[1: N - 1] -= 0.5 * X[: N - 2]
-        out[N - 1] = X[N - 1] - X[N - 2]
+        for d, a in zip((-1, 0, 1), INTERIOR):
+            if a:
+                lo = max(0, -d)            # row 0 has no slice before it
+                out[lo: N - 1] += a * X[lo + d: N - 1 + d]
+        out[N - 1] = FINAL[0] * X[N - 2] + FINAL[1] * X[N - 1]
         return out
 
 
@@ -111,23 +129,14 @@ def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,
     Every Hilbert-transformed spatial profile in the source is evaluated once
     and reused at all N time nodes.
     """
-    N, dim = gmm.n_steps, sys.dim
     U0 = u0v0.stack()
-    if U0.size != dim:
-        raise ValueError(f"initial state has size {U0.size}, expected {dim}")
-    tau = gmm.tau
-    if src.is_zero:
-        cache, g0 = None, np.zeros(dim)
-    else:
-        cache = source_block_values(src, sys, hmode, weideman_n)
-        g0 = doubled_source(src, sys, 0.0, hmode, _cache=cache)   # for the dtype
-    dtype = np.result_type(U0.dtype, g0.dtype, float)
-    rhs = np.zeros((N, dim), dtype=dtype)
-    if not src.is_zero:
-        for j, t in enumerate(gmm.times):
-            rhs[j] = tau * doubled_source(src, sys, t, hmode, _cache=cache)
-    # -a0 (x) U0 with a0 = (-1/2, 0, ..., 0)
-    rhs[0] += 0.5 * U0
+    if U0.size != sys.dim:
+        raise ValueError(f"initial state has size {U0.size}, expected {sys.dim}")
+    cache = None if src.is_zero else source_block_values(src, sys, hmode, weideman_n)
+    rhs = doubled_source(src, sys, gmm.times, hmode, _cache=cache)   # a new array
+    rhs *= gmm.tau
+    rhs = rhs.astype(np.result_type(rhs, U0), copy=False)
+    rhs[0] -= gmm.a0[0] * U0               # -a0 (x) U0: a0 is zero past row 0
     return AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs.ravel(), initial=u0v0)
 
 

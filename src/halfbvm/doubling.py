@@ -15,11 +15,12 @@ spatial profile here and cached by the all-at-once assembly.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import hilbert as ht
-from .spatial import ADVECTION, SCALAR, ZERO, DiscreteSystem
+from .spatial import SCALAR, ZERO, DiscreteSystem
 
 __all__ = [
     "LineProfile",
@@ -123,7 +124,7 @@ def odd_reflection(p: LineProfile, center: float) -> LineProfile:
 
 @dataclass(frozen=True)
 class SourceTerm:
-    """One separable source contribution T(t) * F(x)."""
+    """One separable source contribution T(t) * F(x); T is vectorized."""
 
     time: object
     space: LineProfile
@@ -143,9 +144,6 @@ class SourceSpec:
         if self.is_zero:
             return np.zeros(np.shape(x))
         return sum(term.time(t) * term.space.value(x) for term in self.terms)
-
-    def dx(self, x, t):
-        return sum(term.time(t) * term.space.dx(x) for term in self.terms)
 
 
 ZERO_SOURCE = SourceSpec()
@@ -171,21 +169,26 @@ class DoubledState:
         return cls(u=x[:n], v=x[n:])
 
 
-def _hilbert_dx_values(profile: LineProfile, x, method: str, weideman_n: int = 256):
-    """H[f'] of a profile at points x, by the requested route."""
-    return np.asarray(profile.hilbert_dx_evaluator(method, weideman_n)(x))
-
-
 def _real_if_real(eps: complex):
     return eps.real if eps.imag == 0.0 else eps
 
 
-def _apply_lop(sys: DiscreteSystem, values, dx_values):
+def _doubled_pair(profile: LineProfile, sys: DiscreteSystem, hmode: str,
+                  weideman_n: int):
+    """(F, Lop(F) - eps*H[F']) of one profile on the grid nodes."""
+    x = sys.grid.nodes
+    F = np.asarray(profile.value(x))
+    hdx = np.asarray(profile.hilbert_dx_evaluator(hmode, weideman_n)(x))
     if sys.op.variant == ZERO:
-        return np.zeros_like(np.asarray(values))
-    if sys.op.variant == SCALAR:
-        return sys.op.delta * np.asarray(values)
-    return sys.op.delta * np.asarray(dx_values)
+        lop = np.zeros_like(F)
+    elif sys.op.variant == SCALAR:
+        lop = sys.op.delta * F
+    elif profile.dx is None:
+        raise ht.UnsupportedFunctionError(
+            "the drift operator needs the profile's derivative dx")
+    else:
+        lop = sys.op.delta * np.asarray(profile.dx(x))
+    return F, lop - _real_if_real(sys.epsilon) * hdx
 
 
 def doubled_initial_state(u0, sys: DiscreteSystem, hmode: str = "exact",
@@ -193,47 +196,32 @@ def doubled_initial_state(u0, sys: DiscreteSystem, hmode: str = "exact",
     """Sample u0 and build v0 = -eps*H[u0'] + Lop(u0) on the grid nodes."""
     if isinstance(u0, ht.CatalogFunction):
         u0 = profile_from_catalog(u0)
-    x = sys.grid.nodes
-    u = np.asarray(u0.value(x))
-    hdu = _hilbert_dx_values(u0, x, hmode, weideman_n)
-    if sys.op.variant == ADVECTION and u0.dx is None:
-        lop_u = 0.5 * (sys.Q @ u)   # matrix-applied fallback, Q = 2*Lop_h
-    else:
-        dxv = u0.dx(x) if u0.dx is not None else None
-        lop_u = _apply_lop(sys, u, dxv)
-    v = -_real_if_real(sys.epsilon) * hdu + lop_u
+    u, v = _doubled_pair(u0, sys, hmode, weideman_n)
     dtype = complex if np.iscomplexobj(v) or np.iscomplexobj(u) else float
-    return DoubledState(u=u.astype(dtype), v=np.asarray(v).astype(dtype))
+    return DoubledState(u=u.astype(dtype), v=v.astype(dtype))
 
 
 def source_block_values(src: SourceSpec, sys: DiscreteSystem, hmode: str = "exact",
                         weideman_n: int = 256):
-    """Per-term spatial vectors (F, Lop(F) - eps*H[F']) cached on the nodes.
+    """Per-term stacked spatial vectors [F, Lop(F) - eps*H[F']] on the nodes.
 
     Time stepping only rescales these by T(t); no singular integral is
     evaluated after this point.
     """
-    x = sys.grid.nodes
-    eps = _real_if_real(sys.epsilon)
-    cached = []
-    for term in src.terms:
-        F = np.asarray(term.space.value(x))
-        hdx = _hilbert_dx_values(term.space, x, hmode, weideman_n)
-        dxv = term.space.dx(x) if term.space.dx is not None else None
-        vblock = _apply_lop(sys, F, dxv) - eps * hdx
-        cached.append((term.time, F, np.asarray(vblock)))
-    return cached
+    return [(term.time, np.concatenate(_doubled_pair(term.space, sys, hmode,
+                                                     weideman_n)))
+            for term in src.terms]
 
 
-def doubled_source(src: SourceSpec, sys: DiscreteSystem, t: float,
+def doubled_source(src: SourceSpec, sys: DiscreteSystem, t,
                    hmode: str = "exact", _cache=None) -> np.ndarray:
-    """Stacked source G(t) = [f(.,t), Lop(f) - eps*H[f_x]](t) of size 2n."""
-    n = sys.n
-    dtype = complex if sys.epsilon.imag != 0 else float
-    if src.is_zero:
-        return np.zeros(2 * n, dtype=dtype)
-    cached = source_block_values(src, sys, hmode) if _cache is None else _cache
-    ublock = sum(time_fn(t) * F for time_fn, F, _ in cached)
-    vblock = sum(time_fn(t) * Fv for time_fn, _, Fv in cached)
-    return np.concatenate([ublock, vblock])
+    """Stacked source G(t) = [f(.,t), Lop(f) - eps*H[f_x]](t) of size 2n.
 
+    For an array of times the rows of the result are G at each time.
+    """
+    if src.is_zero:
+        return np.zeros(np.shape(t) + (2 * sys.n,),
+                        dtype=complex if sys.epsilon.imag != 0 else float)
+    cached = source_block_values(src, sys, hmode) if _cache is None else _cache
+    # a single term's product is returned as is, for the caller to scale in place
+    return reduce(np.add, (np.multiply.outer(time_fn(t), G) for time_fn, G in cached))

@@ -33,7 +33,7 @@ import numpy as np
 from scipy.fft import fft, ifft
 from scipy.linalg import solve_banded, solve_triangular
 
-from .bvm import AllAtOnceSystem, GmmMatrices
+from .bvm import INTERIOR, AllAtOnceSystem, GmmMatrices
 from .spectrum import eigenvalues_of_D
 
 TRUE_RESIDUAL_MAX = 1e-8   # ||b - Mx|| / ||b|| above which a direct solve failed
@@ -52,7 +52,6 @@ __all__ = [
     "OmegaPreconditioner",
     "SolveReport",
     "build_omega_circulant",
-    "materialize_omega_circulant",
     "build_preconditioner",
     "apply_preconditioner",
     "solve_frequency_block",
@@ -63,10 +62,13 @@ __all__ = [
 
 
 def _generating_column(N: int, omega: complex) -> np.ndarray:
-    """First column of omega(A): interior midpoint diagonals, omega-wrapped."""
+    """First column of omega(A): the interior row of A on the diagonals, the
+    superdiagonal omega-wrapped into the last entry."""
+    below, diag, above = INTERIOR
     c = np.zeros(N, dtype=complex)
-    c[1] = -0.5
-    c[N - 1] += 0.5 / omega
+    c[0] = diag
+    c[1] = below
+    c[N - 1] += above / omega
     return c
 
 
@@ -84,18 +86,6 @@ def build_omega_circulant(gmm: GmmMatrices, omega: complex):
     scaling = np.exp(-1j * theta * s / N)          # Theta diagonal, omega^{-s/N}
     lam = np.fft.fft(_generating_column(N, omega) * np.conj(scaling))
     return lam, scaling
-
-
-def materialize_omega_circulant(gmm: GmmMatrices, omega: complex) -> np.ndarray:
-    """Dense omega(A) for validation: column shifts carry the omega wrap."""
-    N = gmm.n_steps
-    c = _generating_column(N, omega)
-    W = np.zeros((N, N), dtype=complex)
-    for j in range(N):
-        for k in range(N):
-            s = (j - k) % N
-            W[j, k] = c[s] * (omega if j < k and s else 1.0)
-    return W
 
 
 @dataclass(frozen=True)
@@ -335,20 +325,13 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     return report
 
 
-def _time_band_template(N, tau):
-    """Banded (l=2, u=2) template of A (x) I2 - tau I (x) D_k, interleaved;
-    zero wherever the band reaches outside the 2N block, so copies stack."""
-    M = 2 * N
-    ab = np.zeros((5, M), dtype=complex)
-    # d=+2: u_{j+1}, v_{j+1} couplings for steps 0..N-2
-    ab[0, 2:] = 0.5
-    # d=+1: u-row couples -tau * v_j
-    ab[1, 1::2] = -tau
-    # d=-2: -1/2 interior, -1 on the final backward-Euler rows
-    ab[4, : M - 2] = -0.5
-    ab[4, M - 4: M - 2] = -1.0
-    # diagonal: zero except the final rows carry +1 (filled per k for v-rows)
-    ab[2, M - 2:] += 1.0
+def _time_band_template(gmm: GmmMatrices):
+    """Banded (l=2, u=2) template of A (x) I2 - tau I (x) D_k, interleaved
+    (u_j, v_j); the mode's P and Q entries are added per mode.  It is zero
+    wherever the band reaches outside the 2N block, so copies stack."""
+    ab = np.zeros((5, 2 * gmm.n_steps), dtype=complex)
+    ab[::2] = np.repeat(gmm.A_band(), 2, axis=1)   # A on the u and the v rows
+    ab[1, 1::2] = -gmm.tau                         # the u-row's -tau * v_j
     return ab
 
 
@@ -376,7 +359,7 @@ def direct_solve(system: AllAtOnceSystem) -> SolveReport:
     half = real and sys_.is_circulant
     R = (np.fft.rfft(rhs.reshape(N, 2, n)) if half
          else sys_.to_modes(rhs.reshape(N, 2, n)).astype(complex, copy=False))
-    ab0 = _time_band_template(N, tau)
+    ab0 = _time_band_template(gmm)
     k = max(1, _CHUNK_BYTES // ab0.nbytes)                # modes per chunk
     for lo in range(0, R.shape[-1], k):
         j = slice(lo, min(lo + k, R.shape[-1]))

@@ -61,15 +61,6 @@ def _sine_coefficients(fn, L, n_max, n_quad):
     return out
 
 
-def _source_terms(f):
-    """Normalize a source to [(time_fn, space_fn), ...]; None means no source."""
-    if f is None:
-        return []
-    if hasattr(f, "terms"):   # doubling.SourceSpec
-        return [(t.time, t.space.value) for t in f.terms]
-    return [(None, f)]        # plain callable f(x, t)
-
-
 @dataclass(frozen=True)
 class FourierSeriesSolution:
     """Truncated eigenfunction-series solution, callable as u(x, t).
@@ -94,24 +85,17 @@ class FourierSeriesSolution:
         object.__setattr__(self, "_rates", self.eps * n * np.pi / self.L)
         object.__setattr__(self, "_u0n", _sine_coefficients(
             self.u0, self.L, self.n_max, self.n_quad))
-        terms = []
-        for time_fn, space_fn in _source_terms(self.source):
-            if time_fn is not None:
-                coeffs = _sine_coefficients(space_fn, self.L, self.n_max, self.n_quad)
-            else:
-                coeffs = None
-            terms.append((time_fn, space_fn, coeffs))
-        object.__setattr__(self, "_terms", terms)
+        terms = [] if self.source is None else self.source.terms
+        object.__setattr__(self, "_terms", [
+            (term.time, _sine_coefficients(term.space.value, self.L, self.n_max,
+                                           self.n_quad))
+            for term in terms])
 
     def _fn_at(self, s: float):
         """Mode coefficients of f(., s)."""
         total = np.zeros(self.n_max)
-        for time_fn, space_fn, coeffs in self._terms:
-            if time_fn is not None:
-                total = total + time_fn(s) * coeffs
-            else:
-                total = total + _sine_coefficients(
-                    lambda x: space_fn(x, s), self.L, self.n_max, self.n_quad)
+        for time_fn, coeffs in self._terms:
+            total = total + time_fn(s) * coeffs
         return total
 
     def mode_amplitudes(self, t: float):

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bvm import INTERIOR, INTERIOR_B
 from .spatial import DiscreteSystem
 
 __all__ = [
@@ -80,9 +81,9 @@ class MethodPolynomials:
 
 
 def gmm_polynomials() -> MethodPolynomials:
-    """Midpoint main formula: rho = (z^2 - 1)/2, sigma = z, (k1, k2) = (1, 1)."""
-    return MethodPolynomials(rho=(-0.5, 0.0, 0.5), sigma=(0.0, 1.0, 0.0),
-                             k1=1, k2=1, name="gmm")
+    """Midpoint main formula: rho = (z^2 - 1)/2, sigma = z, (k1, k2) = (1, 1),
+    read from the interior rows of A and B in ``bvm``."""
+    return MethodPolynomials(rho=INTERIOR, sigma=INTERIOR_B, k1=1, k2=1, name="gmm")
 
 
 def lmm_catalog():

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import settings
 
 import halfbvm as hb
-from halfbvm.krylov import build_preconditioner, direct_solve
+from halfbvm.krylov import _generating_column, build_preconditioner, direct_solve
 
 # same examples on every run, no time limit: property tests cannot flake
 settings.register_profile("deterministic", derandomize=True, deadline=None,
@@ -25,6 +25,18 @@ class ToySystem:
 
     def dense_D(self):
         return self.D
+
+
+def materialize_omega_circulant(gmm, omega: complex) -> np.ndarray:
+    """Dense omega(A) for validation: column shifts carry the omega wrap."""
+    N = gmm.n_steps
+    c = _generating_column(N, omega)
+    W = np.zeros((N, N), dtype=complex)
+    for j in range(N):
+        for k in range(N):
+            s = (j - k) % N
+            W[j, k] = c[s] * (omega if j < k and s else 1.0)
+    return W
 
 
 def solve_problem(pb, h=None, m=None, n_steps=16, T=2.0, method="gmres",

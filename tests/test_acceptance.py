@@ -6,13 +6,12 @@ suite doubles as a report; tolerances are fixed here, not tuned per run.
 
 import numpy as np
 import pytest
-from conftest import assert_multiset_close, fitted_slope
+from conftest import assert_multiset_close, fitted_slope, materialize_omega_circulant
 
 import halfbvm as hb
 from halfbvm import hilbert as ht
 from halfbvm import oracles, spatial, spectrum
-from halfbvm.krylov import (build_preconditioner, direct_solve,
-                            materialize_omega_circulant)
+from halfbvm.krylov import build_preconditioner, direct_solve
 
 
 def _report(num, ok, detail):

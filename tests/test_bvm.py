@@ -4,7 +4,7 @@ from conftest import ToySystem
 
 import halfbvm as hb
 from halfbvm import bvm
-from halfbvm.doubling import DoubledState, ZERO_SOURCE
+from halfbvm.doubling import DoubledState, ZERO_SOURCE, doubled_source
 
 
 def test_gmm_matrices_frozen():
@@ -96,18 +96,28 @@ def test_two_step_toy_matches_hand_solution():
 
 
 def test_assembled_rhs_structure():
-    pb = hb.build_problem("half_diffusion_manufactured")
-    run = hb.setup_run(pb, m=12)
+    # diffusion with closed forms; drift with a spectral fit on the odd-doubled
+    # torus; the complex dispersive model
     gmm = bvm.build_gmm(4, 1.0)
-    system = bvm.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
-    from halfbvm.doubling import doubled_source
-    U0 = run.u0v0.stack()
-    R = system.rhs.reshape(4, run.sys.dim)
-    for j, t in enumerate(gmm.times):
-        expect = gmm.tau * doubled_source(run.source, run.sys, t)
-        if j == 0:
-            expect = expect + 0.5 * U0
-        assert np.abs(R[j] - expect).max() < 1e-15
+    for name in ("half_diffusion_manufactured", "advection_gaussian_quartic",
+                 "schrodinger_two_lorentzian"):
+        pb = hb.build_problem(name)
+        run = hb.setup_run(pb, m=12)
+        system = bvm.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0,
+                                          hmode=pb.hilbert)
+        U0 = run.u0v0.stack()
+        R = system.rhs.reshape(4, run.sys.dim)
+        for j, t in enumerate(gmm.times):
+            expect = gmm.tau * doubled_source(run.source, run.sys, t, pb.hilbert)
+            if j == 0:
+                expect = expect + 0.5 * U0
+            assert np.array_equal(R[j], expect), name
+    # the stability polynomials are the interior rows of A and of B
+    mp = hb.gmm_polynomials()
+    B = (gmm.A_dense() - bvm.AllAtOnceSystem(gmm=gmm, sys=ToySystem([[1.0]]),
+                                             rhs=None).materialize()) / gmm.tau
+    assert np.array_equal(gmm.A_dense()[1, :3], mp.rho)
+    assert np.array_equal(B[1, :3], mp.sigma)
 
 
 def test_zero_data_gives_zero_solution():

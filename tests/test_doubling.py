@@ -65,16 +65,33 @@ def test_zero_source():
     g = doubled_source(doubling.ZERO_SOURCE, sys, 1.0)
     assert g.shape == (sys.dim,)
     assert np.all(g == 0)
+    assert doubled_source(doubling.ZERO_SOURCE, sys, np.ones(3)).shape == (3, sys.dim)
 
 
 def test_source_cache_matches_direct():
     pb = hb.build_problem("mass_transfer_manufactured")
     sys = _system(m=16, op=spatial.OperatorKind("scalar", 0.02))
     cache = source_block_values(pb.source, sys)
-    for t in (0.0, 0.4, 1.9):
+    times = np.array([0.0, 0.4, 1.9])
+    rows = doubled_source(pb.source, sys, times, _cache=cache)
+    assert rows.shape == (3, sys.dim)
+    for t, row in zip(times, rows):
         direct = doubled_source(pb.source, sys, t)
         cached = doubled_source(pb.source, sys, t, _cache=cache)
-        assert np.abs(direct - cached).max() == 0.0
+        assert np.array_equal(direct, cached) and np.array_equal(direct, row)
+
+
+def test_drift_needs_the_profile_derivative():
+    # Lop = delta*d/dx needs dx; the initial state and the source both raise
+    sys = _system(m=16, op=spatial.OperatorKind("advection", 0.2),
+                  boundary=spatial.PERIODIC)
+    f = ht.CatalogFunction("squared_lorentzian", shift=10.0)
+    no_dx = doubling.LineProfile(value=f, hilbert_dx=f.hilbert_derivative)
+    with pytest.raises(ht.UnsupportedFunctionError, match="derivative dx"):
+        doubling.doubled_initial_state(no_dx, sys)
+    src = doubling.SourceSpec(terms=(doubling.SourceTerm(time=np.cos, space=no_dx),))
+    with pytest.raises(ht.UnsupportedFunctionError, match="derivative dx"):
+        doubled_source(src, sys, 0.5)
 
 
 def test_round_trip_reproduces_manufactured_solution():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import ToySystem, assert_multiset_close
+from conftest import ToySystem, assert_multiset_close, materialize_omega_circulant
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,7 @@ def _setup(name="half_diffusion_manufactured", m=9, N=8, T=2.0, **kw):
 
 
 def _materialized_preconditioner(gmm, sys, theta=np.pi):
-    W = krylov.materialize_omega_circulant(gmm, np.exp(1j * theta))
+    W = materialize_omega_circulant(gmm, np.exp(1j * theta))
     D = sys.dense_D()
     return (np.kron(W, np.eye(sys.dim))
             - gmm.tau * np.kron(np.eye(gmm.n_steps), D))
@@ -32,7 +32,7 @@ def test_omega_circulant_reconstruction(N, theta):
     gmm = build_gmm(N, 1.0)
     omega = np.exp(1j * theta)
     lam, scaling = krylov.build_omega_circulant(gmm, omega)
-    W = krylov.materialize_omega_circulant(gmm, omega)
+    W = materialize_omega_circulant(gmm, omega)
     s = np.arange(N)
     F = np.exp(-2j * np.pi * np.outer(s, s) / N) / np.sqrt(N)
     Theta = np.diag(scaling)
@@ -44,7 +44,7 @@ def test_omega_circulant_reconstruction(N, theta):
 
 def test_omega_circulant_frozen_two_by_two():
     gmm = build_gmm(2, 1.0)
-    W = krylov.materialize_omega_circulant(gmm, -1.0 + 0j)
+    W = materialize_omega_circulant(gmm, -1.0 + 0j)
     assert np.abs(W - np.array([[0.0, 1.0], [-1.0, 0.0]])).max() < 1e-15
     lam, _ = krylov.build_omega_circulant(gmm, -1.0 + 0j)
     assert_multiset_close(lam, [1j, -1j], 1e-14)
@@ -62,7 +62,7 @@ def test_omega_one_reduces_to_plain_circulant():
 
 def test_omega_circulant_difference_rank_two():
     gmm = build_gmm(8, 1.0)
-    W = krylov.materialize_omega_circulant(gmm, np.exp(1j * np.pi))
+    W = materialize_omega_circulant(gmm, np.exp(1j * np.pi))
     diff = W - gmm.A_dense()
     rows = sorted(set(np.nonzero(np.abs(diff) > 1e-14)[0].tolist()))
     assert rows == [0, 7]
@@ -202,6 +202,28 @@ def test_direct_solve_matches_dense_property(m, N, periodic, data):
     rep = _check_direct_against_dense(AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs))
     assert rep.half_spectrum == (periodic and kind == "real")
     assert np.iscomplexobj(rep.solution) == (kind != "real")
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(3, 8), N=st.integers(2, 8), periodic=st.booleans(),
+       theta=st.one_of(st.just(np.pi), st.floats(0.1, 2 * np.pi - 0.1)),
+       data=st.data())
+def test_gmres_matches_direct_solve_property(m, N, periodic, theta, data):
+    # the two consumers of the time table, the omega-circulant preconditioner
+    # and the banded direct solve, solve the same system; nudged blocks (odd N
+    # at theta = pi on a torus) are kept out.  M - P has rank <= 2*dim, so
+    # GMRES under a correct P ends within 2*dim + 1 iterations
+    assume(not (periodic and theta == np.pi and N % 2))
+    sys = _random_system(data, m, periodic)
+    gmm = build_gmm(N, data.draw(st.floats(0.5, 4.0)))
+    rhs = np.random.default_rng(m * 10 + N).normal(size=N * sys.dim)
+    system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs)
+    pre = krylov.build_preconditioner(gmm, sys, theta=theta)
+    it = krylov.gmres_solve(system, pre, tol=1e-12, max_iter=2 * sys.dim + 1)
+    direct = krylov.direct_solve(system)
+    assert it.true_residual <= 1e-8 and direct.true_residual <= 1e-8
+    gap = np.linalg.norm(it.solution - direct.solution)
+    assert gap <= 1e-6 * np.linalg.norm(direct.solution)
 
 
 @pytest.mark.parametrize("n", [5, 6])
