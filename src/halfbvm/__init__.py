@@ -19,16 +19,14 @@ from .hilbert import (CatalogFunction, InvalidSampleError,
                       half_laplacian_of, hilbert_exact, hilbert_exact_twice,
                       hilbert_quadrature_oracle, weideman_eval, weideman_fit)
 from .krylov import (OmegaPreconditioner, SolveReport, build_omega_circulant,
-                     build_preconditioner, direct_solve, gmres,
-                     gmres_solve, solve_frequency_block)
+                     build_preconditioner, direct_solve, gmres, gmres_solve)
 from .oracles import (advection_exact, half_diffusion_exact,
                       mass_transfer_exact, rel_l2, relative_l2_error,
                       schrodinger_dalembert, schrodinger_series)
 from .problems import Problem, build_problem, catalog, setup_run
 from .spatial import (DIRICHLET, PERIODIC, ConfigurationError, DiscreteSystem,
                       Grid, GridTooSmallError, OperatorKind,
-                      assemble_discrete_system, derivative_matrix,
-                      laplacian_matrix)
+                      assemble_discrete_system)
 from .spectrum import (MethodPolynomials, StabilityVerdict, boundary_locus,
                        classify_stability, eigenvalues_of_D, gmm_polynomials,
                        gmm_stability_verdict, lmm_catalog, rk_boundary_points)

@@ -13,7 +13,7 @@ A, a0, the rhs, the omega-circulant preconditioner (``krylov``), the banded
 time systems of the direct solve and the stability polynomials
 (``spectrum.gmm_polynomials``) all read it.
 The operator is applied matrix free: block row j touches only slices j-1, j,
-j+1.
+j+1, and D acts within a slice from its spatial stencils.
 """
 
 from dataclasses import dataclass, field
@@ -61,7 +61,7 @@ class GmmMatrices:
         return self.tau * np.arange(1, self.n_steps + 1)
 
     def A_dense(self) -> np.ndarray:
-        return self.apply_A(np.eye(self.n_steps))
+        return self.apply_A(np.eye(self.n_steps), np.zeros((self.n_steps,) * 2))
 
     def A_band(self) -> np.ndarray:
         """A in LAPACK (1, 1) band storage: A[i, j] at row 1 + i - j, column j."""
@@ -71,15 +71,20 @@ class GmmMatrices:
         ab[2, N - 2], ab[1, N - 1] = FINAL
         return ab
 
-    def apply_A(self, X: np.ndarray) -> np.ndarray:
-        """A acting across the time axis of X with shape (N, dim)."""
-        N = self.n_steps
-        out = np.zeros_like(X)
-        for d, a in zip((-1, 0, 1), INTERIOR):
-            if a:
-                lo = max(0, -d)            # row 0 has no slice before it
-                out[lo: N - 1] += a * X[lo + d: N - 1 + d]
-        out[N - 1] = FINAL[0] * X[N - 2] + FINAL[1] * X[N - 1]
+    def apply_A(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Add A X to ``out``, A acting across the time axis of X with shape
+        (N, dim).  Each interior band passes through one scratch half as wide
+        as X: no temporary of X's size is made."""
+        N, dim = X.shape
+        tmp = np.empty((N, dim - dim // 2), out.dtype)
+        for cols in (slice(0, dim // 2), slice(dim // 2, dim)):
+            for d, a in zip((-1, 0, 1), INTERIOR):
+                if a:
+                    lo = max(0, -d)            # row 0 has no slice before it
+                    t = np.multiply(X[lo + d: N - 1 + d, cols], a,
+                                    out=tmp[lo: N - 1, : cols.stop - cols.start])
+                    out[lo: N - 1, cols] += t
+        out[N - 1] += FINAL[0] * X[N - 2] + FINAL[1] * X[N - 1]
         return out
 
 
@@ -107,12 +112,9 @@ class AllAtOnceSystem:
         return (n, n)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """M @ x without materializing M."""
-        N, dim = self.gmm.n_steps, self.sys.dim
-        X = np.asarray(x).reshape(N, dim)
-        out = self.gmm.apply_A(X)
-        out -= self.gmm.tau * self.sys.apply_D(X)
-        return out.ravel()
+        """M @ x without materializing M: A's table added to -tau D X."""
+        X = np.asarray(x).reshape(self.gmm.n_steps, self.sys.dim)
+        return self.gmm.apply_A(X, self.sys.apply_D(X, -self.gmm.tau)).ravel()
 
     def materialize(self) -> np.ndarray:
         """Dense M for small instances (tests and eigenvalue studies)."""

@@ -83,13 +83,18 @@ class ExperimentConfig:
             raise ConfigError(f"problem: unknown name {self.problem!r}")
         if self.h_sweep is not None and self.tau_sweep is not None:
             raise ConfigError("sweep: give at most one of h_sweep, tau_sweep")
-        for name, sweep in (("h_sweep", self.h_sweep),
-                            ("tau_sweep", self.tau_sweep)):
-            if sweep is not None:
-                if len(sweep) == 0:
-                    raise ConfigError(f"{name}: empty sweep")
-                if any(b >= a for a, b in zip(sweep, sweep[1:])):
-                    raise ConfigError(f"{name}: must be strictly decreasing")
+        for name in ("T", "tau", "h", "tau_over_h", "h_sweep", "tau_sweep"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            values = value if isinstance(value, list) else [value]
+            if not values:
+                raise ConfigError(f"{name}: empty sweep")
+            if not all(isinstance(v, (int, float)) and math.isfinite(v) and v > 0
+                       for v in values):
+                raise ConfigError(f"{name}: must be positive finite numbers")
+            if any(b >= a for a, b in zip(values, values[1:])):
+                raise ConfigError(f"{name}: must be strictly decreasing")
         if self.tau_sweep is not None and (self.m is None) == (self.h is None):
             raise ConfigError("tau_sweep: fix the space grid with one of m, h")
         if self.h_sweep is None and self.tau_sweep is None:
@@ -97,8 +102,13 @@ class ExperimentConfig:
                 raise ConfigError("time grid: give exactly one of n_steps, tau")
             if (self.m is None) == (self.h is None):
                 raise ConfigError("space grid: give exactly one of m, h")
-        if not self.T > 0:
-            raise ConfigError("T: must be positive")
+        for name, value, least in (("n_steps", self.n_steps, 2), ("m", self.m, 3),
+                                   ("solver.restart", self.solver.restart, 1)):
+            if value is not None and not (isinstance(value, int) and value >= least):
+                raise ConfigError(f"{name}: must be an integer of at least {least}")
+        if not (isinstance(self.solver.theta, (int, float))
+                and math.isfinite(self.solver.theta)):
+            raise ConfigError("solver.theta: must be a finite number")
         return self
 
     def build_problem(self) -> problems.Problem:

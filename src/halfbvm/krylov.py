@@ -45,6 +45,7 @@ TRUE_RESIDUAL_MAX = 1e-8   # ||b - Mx|| / ||b|| above which a direct solve faile
 # frequency block let the preconditioned test pass on a wrong solution.
 GMRES_SLACK = 1e3
 _CHUNK_BYTES = 4 << 20     # band of one banded LAPACK call in direct_solve
+SINGULAR_TOL = 1e-13       # frequency blocks this close to singular are nudged
 
 __all__ = [
     "TRUE_RESIDUAL_MAX",
@@ -105,7 +106,7 @@ class OmegaPreconditioner:
     shift: np.ndarray = field(repr=False)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        return apply_preconditioner(self, self.sys, self.tau, r)
+        return apply_preconditioner(self, r)
 
 
 def _blocks_near(lam, z, tol):
@@ -121,12 +122,12 @@ def _blocks_near(lam, z, tol):
     return np.unique(near[hit])
 
 
-def build_preconditioner(gmm: GmmMatrices, sys, theta: float = np.pi,
-                         singular_tol: float = 1e-13) -> OmegaPreconditioner:
+def build_preconditioner(gmm: GmmMatrices, sys,
+                         theta: float = np.pi) -> OmegaPreconditioner:
     """Assemble Lambda and the reduced block data in the spatial eigenbasis.
 
     Block j is singular where lam_j is an eigenvalue of tau*D.  Blocks within
-    singular_tol of one are nudged once here, by 1e-14*(1+|lam_j|), with one
+    SINGULAR_TOL of one are nudged once here, by 1e-14*(1+|lam_j|), with one
     warning; exact hits occur only on a measure zero set of parameters.
     Nothing N x n is formed here: the reduced symbol is rebuilt on each
     apply, which costs less than the page faults of building and holding it
@@ -135,7 +136,7 @@ def build_preconditioner(gmm: GmmMatrices, sys, theta: float = np.pi,
     omega = np.exp(1j * theta)
     lam, scaling = build_omega_circulant(gmm, omega)
     tau = gmm.tau
-    rows = _blocks_near(lam, tau * eigenvalues_of_D(sys), singular_tol)
+    rows = _blocks_near(lam, tau * eigenvalues_of_D(sys), SINGULAR_TOL)
     if rows.size:
         warnings.warn(f"perturbing near-singular frequency blocks {rows.tolist()}")
         lam[rows] += 1e-14 * (1.0 + np.abs(lam[rows]))
@@ -176,12 +177,11 @@ def solve_frequency_block(p: OmegaPreconditioner, j: int, v1: np.ndarray) -> np.
     return _solve_blocks(p, np.array(v1, dtype=complex)[None, :], slice(j, j + 1))[0]
 
 
-def apply_preconditioner(p: OmegaPreconditioner, sys, tau: float,
-                         r: np.ndarray) -> np.ndarray:
+def apply_preconditioner(p: OmegaPreconditioner, r: np.ndarray) -> np.ndarray:
     """z = P^{-1} r via Theta scaling, time FFT, block solves, inverse FFT."""
     N = p.n_steps
     real_in = not np.iscomplexobj(r)
-    V = np.asarray(r).reshape(N, sys.dim) * np.conj(p.theta_scaling)[:, None]
+    V = np.asarray(r).reshape(N, p.sys.dim) * np.conj(p.theta_scaling)[:, None]
     V = fft(V, axis=0, overwrite_x=True)
     V = ifft(_solve_blocks(p, V), axis=0, overwrite_x=True)
     V *= p.theta_scaling[:, None]
@@ -218,6 +218,8 @@ def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None):
     max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol) too.  Returns a SolveReport;
     non-convergence is reported, not raised.
     """
+    if restart is not None and restart < 1:
+        raise ValueError(f"restart must be at least 1, got {restart}")
     t0 = time.perf_counter()
     b = np.asarray(b)
     true_max = max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol)

@@ -2,30 +2,32 @@
 
 Second-order central differences on a uniform mesh over (0, L).  Dirichlet
 grids keep the m-1 interior nodes (both endpoints excluded); periodic grids
-keep m nodes with x_m identified with x_0.  ``laplacian_matrix`` returns the
-positive (semi)definite approximation of -Laplacian, i.e. the stencil
-(-1, 2, -1)/h^2.
+keep m nodes with x_m identified with x_0.  -Lap_h is the positive
+(semi)definite approximation of -Laplacian, the stencil (-1, 2, -1)/h^2, and
+the central difference Dh is (-1, 0, 1)/(2h).
 
 The evolution after wave-form doubling is U' = D U + G with
 
     D = [[0, I], [P, Q]],   P ~ -eps^2 Laplacian - Lop^2,   Q ~ 2 Lop,
 
 where Lop is 0, delta*I or delta*d/dx.  With the sign conventions above that
-means P = eps^2 * laplacian_matrix - Lop_h^2, which for Lop = 0, eps = 1
-reduces to (1/h^2) tridiag(-1, 2, -1); the round-trip test against the exact
+means P = eps^2 (-Lap_h) - Lop_h^2, which for Lop = 0, eps = 1 reduces to
+(1/h^2) tridiag(-1, 2, -1); the round-trip test against the exact
 single-mode decay pins this convention.
 
-A ``DiscreteSystem`` is built from (grid, eps, operator) alone.  -Lap_h and
-Lop_h share one eigenbasis, DST-I sine modes between walls and DFT columns on
-a torus, so P and Q do too, and their symbols follow in closed form from the
-stencil coefficients; no matrix is inspected to recover them.
+A ``DiscreteSystem`` is built from (grid, eps, operator) alone.  P and Q
+exist only as stencils, applied matrix-free: zero past the walls, wrapped on
+a torus.  -Lap_h and Lop_h share one eigenbasis, DST-I sine modes between
+walls and DFT columns on a torus, so P and Q do too, and their symbols follow
+in closed form from the stencil coefficients.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.fft import dst, idst
+from scipy.ndimage import correlate1d
 
 __all__ = [
     "DIRICHLET",
@@ -35,8 +37,6 @@ __all__ = [
     "DiscreteSystem",
     "GridTooSmallError",
     "ConfigurationError",
-    "laplacian_matrix",
-    "derivative_matrix",
     "assemble_discrete_system",
 ]
 
@@ -102,38 +102,25 @@ class OperatorKind:
             raise ConfigurationError("delta must be a finite real number")
 
 
-def laplacian_matrix(grid: Grid):
-    """Sparse approximation of -Laplacian (positive (semi)definite)."""
-    n, h = grid.n, grid.h
-    w = 1.0 / (h * h)
-    main = np.full(n, 2.0 * w)
-    off = np.full(n - 1, -w)
-    K = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    if grid.boundary == PERIODIC:
-        K[0, n - 1] = -w
-        K[n - 1, 0] = -w
-    return K.tocsr()
-
-
-def derivative_matrix(grid: Grid):
-    """Sparse central difference (u_{j+1} - u_{j-1}) / (2h), skew-symmetric."""
-    n, h = grid.n, grid.h
-    w = 1.0 / (2.0 * h)
-    off = np.full(n - 1, w)
-    Dh = sp.diags([-off, off], [-1, 1], format="lil")
-    if grid.boundary == PERIODIC:
-        Dh[0, n - 1] = -w
-        Dh[n - 1, 0] = w
-    return Dh.tocsr()
+def _apply_stencil(stencil, x, periodic: bool, out, scale: float):
+    """out = scale * sum_d stencil[d] x[j + d] along the last axis of x, for
+    offsets d = -r..r: zero past the walls, wrapped on a torus.  correlate1d
+    treats a stencil within DBL_EPSILON (absolute) of symmetric as symmetric,
+    so it gets one scaled by a power of two to unit size, rounding unchanged."""
+    size = 2.0 ** math.frexp(max(abs(c) for c in stencil))[1]
+    correlate1d(x, np.divide(stencil, size), axis=-1, output=out,
+                mode="wrap" if periodic else "constant")
+    out *= scale * size
 
 
 def _stencils(grid: Grid, eps_sq: float, op: OperatorKind):
-    """P, Q and the symbols of -Lap_h, P and Q, from the stencil coefficients.
+    """Stencils of P and Q and the symbols of -Lap_h, P and Q.
 
     A symmetric stencil (c1, c0, c1) carries c0 + 2 c1 cos(theta_k) on mode k,
     theta_k = k pi/(n+1) for the sine modes between walls and 2 pi k/n for
     the DFT columns of a torus.  Between walls Lop_h = delta I, so P is the
-    stencil (p1, p0, p1) and Q = 2 delta I.  On a torus Lop_h = delta Dh has
+    stencil (p1, p0, p1) and Q = 2 delta at offset 0.  On a torus Lop_h =
+    delta Dh gives P = (c2, c1, c0, c1, c2), Q = (-delta/h, 0, delta/h) and
     the symbol i l_k, l_k = delta sin(theta_k)/h, so p_hat = eps^2 k_hat + l^2
     and q_hat = 2 i l.  Either way q_hat^2 + 4 p_hat = 4 eps^2 k_hat, exactly
     before rounding.
@@ -146,14 +133,15 @@ def _stencils(grid: Grid, eps_sq: float, op: OperatorKind):
              else np.arange(n) * (2.0 * np.pi / n))
     cos = np.cos(theta)
     k_hat = 2.0 * w + 2.0 * (-w) * cos
+    p1 = eps_sq * (-w)                      # offsets +-1 of P on either boundary
     if walls:
-        p0, p1 = eps_sq * (2.0 * w) - delta ** 2, eps_sq * (-w)
-        P = sp.diags([p1, p0, p1], [-1, 0, 1], shape=(n, n), format="csr")
+        p0 = eps_sq * (2.0 * w) - delta ** 2
         q_hat = np.full(n, 2.0 * delta)
-        return P, sp.diags(q_hat, format="csr"), k_hat, p0 + 2.0 * p1 * cos, q_hat
-    Dh = derivative_matrix(grid)
-    P = (eps_sq * laplacian_matrix(grid) - delta ** 2 * (Dh @ Dh)).tocsr()
-    Q = (2.0 * delta * Dh).tocsr()
+        return (p1, p0, p1), (2.0 * delta,), k_hat, p0 + 2.0 * p1 * cos, q_hat
+    wd = 1.0 / (2.0 * h)                    # Dh = (-wd, 0, wd)
+    dd = delta ** 2 * (wd * wd)             # delta^2 Dh^2 = dd (1, 0, -2, 0, 1)
+    P = (-dd, p1, eps_sq * (2.0 * w) + 2.0 * dd, p1, -dd)
+    Q = (-2.0 * delta * wd, 0.0, 2.0 * delta * wd)
     l_hat = (delta / h) * np.sin(theta)
     return P, Q, k_hat, eps_sq * k_hat + l_hat * l_hat, 2j * l_hat
 
@@ -163,8 +151,8 @@ class DiscreteSystem:
     """Semi-discrete doubled system U' = D U + G, D = [[0, I], [P, Q]].
 
     Built from (grid, epsilon, op) alone: P = eps^2 (-Lap_h) - Lop_h^2 and
-    Q = 2 Lop_h follow from the stencils, together with their closed-form
-    symbols ``p_hat``, ``q_hat`` and the symbol ``k_hat`` of -Lap_h in the
+    Q = 2 Lop_h are their stencils ``p_stencil``, ``q_stencil``, with the
+    closed-form symbols ``p_hat``, ``q_hat`` and ``k_hat`` of -Lap_h in the
     grid's eigenbasis: discrete sine modes (DST-I) between walls, DFT columns
     on a periodic grid.  ``to_modes``/``from_modes`` move the last axis of an
     array into and out of that basis, where P and Q act as those diagonals.
@@ -178,8 +166,8 @@ class DiscreteSystem:
     grid: Grid
     epsilon: complex
     op: OperatorKind
-    P: sp.spmatrix = field(init=False, repr=False, compare=False)
-    Q: sp.spmatrix = field(init=False, repr=False, compare=False)
+    p_stencil: tuple = field(init=False, repr=False, compare=False)
+    q_stencil: tuple = field(init=False, repr=False, compare=False)
     k_hat: np.ndarray = field(init=False, repr=False, compare=False)
     p_hat: np.ndarray = field(init=False, repr=False, compare=False)
     q_hat: np.ndarray = field(init=False, repr=False, compare=False)
@@ -194,8 +182,8 @@ class DiscreteSystem:
             raise ConfigurationError(
                 f"operator {self.op.variant!r} pairs with Dirichlet boundaries")
         object.__setattr__(self, "epsilon", epsilon)
-        derived = _stencils(self.grid, (epsilon ** 2).real, self.op)
-        for name, value in zip(("P", "Q", "k_hat", "p_hat", "q_hat"), derived):
+        names = ("p_stencil", "q_stencil", "k_hat", "p_hat", "q_hat")
+        for name, value in zip(names, _stencils(self.grid, (epsilon ** 2).real, self.op)):
             object.__setattr__(self, name, value)
 
     @property
@@ -223,22 +211,21 @@ class DiscreteSystem:
             return np.fft.ifft(X, axis=-1)
         return idst(X, type=1, axis=-1)
 
-    def apply_D(self, x):
-        """D @ x for a state vector of size 2n (or a stack of rows (k, 2n))."""
+    def apply_D(self, x, scale=1.0):
+        """scale * D @ x for a state vector of size 2n, or for each row of a
+        stack (k, 2n), in one new array and no other of its size."""
         x = np.asarray(x)
-        if x.ndim == 1:
-            u, v = x[: self.n], x[self.n:]
-            return np.concatenate([v, self.P @ u + self.Q @ v])
-        u, v = x[:, : self.n], x[:, self.n:]
-        return np.hstack([v, (self.P @ u.T).T + (self.Q @ v.T).T])
+        X = x.reshape(x.shape[:-1] + (2, self.n))
+        out = np.empty(X.shape, np.result_type(x, float))
+        (u, v), (out_u, out_v) = X.swapaxes(0, -2), out.swapaxes(0, -2)
+        _apply_stencil(self.q_stencil, v, self.is_circulant, out_u, scale)
+        _apply_stencil(self.p_stencil, u, self.is_circulant, out_v, scale)
+        out_v += out_u                  # out_u held scale * Q v
+        np.multiply(v, scale, out=out_u)
+        return out.reshape(x.shape)
 
     def dense_D(self):
-        n = self.n
-        D = np.zeros((2 * n, 2 * n))
-        D[:n, n:] = np.eye(n)
-        D[n:, :n] = self.P.toarray()
-        D[n:, n:] = self.Q.toarray()
-        return D
+        return self.apply_D(np.eye(self.dim)).T
 
 
 def assemble_discrete_system(grid: Grid, epsilon, op: OperatorKind) -> DiscreteSystem:

@@ -1,4 +1,5 @@
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import settings
 
 import halfbvm as hb
@@ -17,14 +18,38 @@ class ToySystem:
         self.D = np.asarray(D, dtype=float)
         self.dim = self.D.shape[0]
 
-    def apply_D(self, x):
-        x = np.asarray(x)
-        if x.ndim == 1:
-            return self.D @ x
-        return x @ self.D.T
+    def apply_D(self, x, scale=1.0):
+        return scale * (np.asarray(x) @ self.D.T)
 
     def dense_D(self):
         return self.D
+
+
+def laplacian_matrix(grid):
+    """Sparse -Laplacian (-1, 2, -1)/h^2 on the grid: the reference that the
+    stencils and closed-form symbols of ``DiscreteSystem`` are checked
+    against."""
+    n, h = grid.n, grid.h
+    w = 1.0 / (h * h)
+    main = np.full(n, 2.0 * w)
+    off = np.full(n - 1, -w)
+    K = sp.diags([off, main, off], [-1, 0, 1], format="lil")
+    if grid.boundary == hb.PERIODIC:
+        K[0, n - 1] = -w
+        K[n - 1, 0] = -w
+    return K.tocsr()
+
+
+def derivative_matrix(grid):
+    """Sparse central difference (u_{j+1} - u_{j-1}) / (2h), skew-symmetric."""
+    n, h = grid.n, grid.h
+    w = 1.0 / (2.0 * h)
+    off = np.full(n - 1, w)
+    Dh = sp.diags([-off, off], [-1, 1], format="lil")
+    if grid.boundary == hb.PERIODIC:
+        Dh[0, n - 1] = -w
+        Dh[n - 1, 0] = w
+    return Dh.tocsr()
 
 
 def materialize_omega_circulant(gmm, omega: complex) -> np.ndarray:

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import ToySystem
 
 import halfbvm as hb
-from halfbvm import bvm
+from halfbvm import bvm, spatial
 from halfbvm.doubling import DoubledState, ZERO_SOURCE, doubled_source
 
 
@@ -23,7 +25,7 @@ def test_apply_A_matches_dense(N):
     gmm = bvm.build_gmm(N, 1.0)
     rng = np.random.default_rng(N)
     X = rng.normal(size=(N, 6))
-    assert np.allclose(gmm.apply_A(X), gmm.A_dense() @ X)
+    assert np.allclose(gmm.apply_A(X, np.zeros_like(X)), gmm.A_dense() @ X)
 
 
 @pytest.mark.parametrize("N,d", [(2, 2), (5, 4), (8, 8)])
@@ -34,6 +36,35 @@ def test_operator_matches_materialized(N, d):
     system = bvm.AllAtOnceSystem(gmm=gmm, sys=sys, rhs=np.zeros(N * d), initial=None)
     x = rng.normal(size=N * d)
     assert np.abs(system.apply(x) - system.materialize() @ x).max() < 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(hb.catalog()))
+def test_apply_matches_materialized_on_every_catalog_problem(name):
+    # the catalog spans walls and torus, eps = 0 (transport_limit) and
+    # imaginary eps (schrodinger_*)
+    run = hb.setup_run(hb.build_problem(name), m=6)
+    system = bvm.AllAtOnceSystem(gmm=bvm.build_gmm(5, 1.0), sys=run.sys, rhs=None)
+    M = system.materialize()
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=system.shape[0])
+    for v in (x, x + 1j * rng.normal(size=x.size)):
+        tol = 1e-14 * np.abs(M).sum(axis=1).max() * np.abs(v).max()
+        assert np.abs(system.apply(v) - M @ v).max() <= tol
+
+
+def test_apply_peak_memory_is_output_and_half_scratch():
+    # one output and a scratch half its size; the matrix route took 2.5x
+    g = spatial.Grid(length=10.0, m=1024, boundary=spatial.PERIODIC)
+    sys = spatial.assemble_discrete_system(g, 0.1, spatial.OperatorKind("advection", 0.3))
+    system = bvm.AllAtOnceSystem(gmm=bvm.build_gmm(128, 1.0), sys=sys, rhs=None)
+    x = np.random.default_rng(1).normal(size=system.shape[0])
+    tracemalloc.start()
+    try:
+        system.apply(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * x.nbytes
 
 
 def test_interior_stencil_truncation_order_three():
@@ -61,8 +92,8 @@ def test_scalar_toy_global_second_order(lam):
     class Complex1D:
         dim = 1
 
-        def apply_D(self, x):
-            return lam * x
+        def apply_D(self, x, scale=1.0):
+            return scale * lam * np.asarray(x)
 
         def dense_D(self):
             return np.array([[lam]])

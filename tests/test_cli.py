@@ -40,6 +40,31 @@ def test_config_validation_errors(tmp_path):
             cli.load_config(_write_config(tmp_path, **raw))
 
 
+@pytest.mark.parametrize("setting", [
+    {"solver": {"restart": 0}},          # the inner GMRES loop never ran
+    {"solver": {"restart": -1}},
+    {"solver": {"theta": float("nan")}},
+    {"tau": 0.0, "n_steps": None},
+    {"tau": -0.1, "n_steps": None},      # ran with N = 2
+    {"h": 0.0, "m": None},
+    {"n_steps": 1},
+])
+def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting):
+    cfg = _base_solve_config()
+    for key, value in setting.items():
+        if key == "solver":
+            cfg["solver"] = dict(cfg["solver"], **value)
+        elif value is None:
+            cfg.pop(key)
+        else:
+            cfg[key] = value
+    path = _write_config(tmp_path, **cfg)
+    with pytest.raises(cli.ConfigError):
+        cli.load_config(path)
+    assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "o")]) \
+        == cli.EXIT_CONFIG
+
+
 def test_direct_solver_method(tmp_path):
     cfg = _base_solve_config()
     cfg["problem"] = "transport_limit"
