@@ -21,6 +21,7 @@ from . import problems, spectrum
 from .bvm import assemble_all_at_once, build_gmm, extract_trajectory
 from .krylov import build_preconditioner, direct_solve, gmres_solve
 from .oracles import relative_l2_error
+from .spatial import ConfigurationError, GridTooSmallError
 from .spectrum import boundary_locus, eigenvalues_of_D, lmm_catalog, \
     rk_boundary_points
 
@@ -42,7 +43,6 @@ class SolverSettings:
     method: str = "gmres"      # "gmres" or "direct" (spatial eigenbasis solve)
     tol: float = 1e-10
     max_iter: int = 500
-    theta: float = math.pi
     restart: int = None
     precondition: bool = True
     workers: int = 0
@@ -83,7 +83,7 @@ class ExperimentConfig:
             raise ConfigError(f"problem: unknown name {self.problem!r}")
         if self.h_sweep is not None and self.tau_sweep is not None:
             raise ConfigError("sweep: give at most one of h_sweep, tau_sweep")
-        for name in ("T", "tau", "h", "tau_over_h", "h_sweep", "tau_sweep"):
+        for name in ("T", "L", "tau", "h", "tau_over_h", "h_sweep", "tau_sweep"):
             value = getattr(self, name)
             if value is None:
                 continue
@@ -103,12 +103,20 @@ class ExperimentConfig:
             if (self.m is None) == (self.h is None):
                 raise ConfigError("space grid: give exactly one of m, h")
         for name, value, least in (("n_steps", self.n_steps, 2), ("m", self.m, 3),
+                                   ("mode", self.mode, 1), ("n_max", self.n_max, 1),
+                                   ("weideman_n", self.weideman_n, 4),
+                                   ("solver.max_iter", self.solver.max_iter, 1),
                                    ("solver.restart", self.solver.restart, 1)):
             if value is not None and not (isinstance(value, int) and value >= least):
                 raise ConfigError(f"{name}: must be an integer of at least {least}")
-        if not (isinstance(self.solver.theta, (int, float))
-                and math.isfinite(self.solver.theta)):
-            raise ConfigError("solver.theta: must be a finite number")
+        for name in ("eps", "delta", "V"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (int, float))
+                                          and math.isfinite(value)):
+                raise ConfigError(f"{name}: must be a finite number")
+        tol = self.solver.tol
+        if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+            raise ConfigError("solver.tol: must be a positive finite number")
         return self
 
     def build_problem(self) -> problems.Problem:
@@ -177,8 +185,7 @@ def _solve_once(cfg, pb, h=None, m=None, precondition=None):
         report = direct_solve(system)
     else:
         use_pre = cfg.solver.precondition if precondition is None else precondition
-        pre = build_preconditioner(gmm, run.sys, theta=cfg.solver.theta) \
-            if use_pre else None
+        pre = build_preconditioner(gmm, run.sys) if use_pre else None
         report = gmres_solve(system, pre, tol=cfg.solver.tol,
                              max_iter=cfg.solver.max_iter,
                              restart=cfg.solver.restart)
@@ -223,6 +230,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         "n": run.grid.n, "h_effective": run.grid.h,
         "unknowns": gmm.n_steps * run.sys.dim, "boundary": run.grid.boundary,
         "path": report.path, "half_spectrum": report.half_spectrum,
+        "theta": report.theta, "gap": report.gap,
         "iterations": report.iterations,
         "converged": report.converged,
         "true_residual": report.true_residual,
@@ -246,7 +254,8 @@ def _sweep_point(cfg, pb, h=None, tau=None):
         report, run, gmm, traj = _solve_once(cfg, pb, h=h,
                                              precondition=precondition)
         err, _ = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
-        rows[label] = (report, err, run.grid.h, gmm.tau)   # h, tau as solved
+        # h, tau and N as solved
+        rows[label] = (report, err, run.grid.h, gmm.tau, gmm.n_steps)
         if not report.converged:
             break
     return rows
@@ -264,11 +273,11 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_sweep_point, cfg, pb, **pt) for pt in points]
         results = [fut.result() for fut in futures]
-    rows = []
+    rows, solved = [], []
     failed = False
     comparison_failed = False
     for res in results:
-        pre_rep, pre_err, h, tau = res["pre"]
+        pre_rep, pre_err, h, tau, n_steps = res["pre"]
         if "nopre" in res:
             no_rep = res["nopre"][0]
             no_iters = no_rep.iterations
@@ -277,6 +286,8 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
             no_iters = -1
         failed = failed or not pre_rep.converged
         rows.append((h, tau, pre_err, pre_rep.iterations, no_iters))
+        solved.append({"h": h, "tau": tau, "n_steps": n_steps,
+                       "theta": pre_rep.theta})
     slope = None
     if len(rows) > 1:
         swept = [r[0] if cfg.h_sweep else r[1] for r in rows]
@@ -285,8 +296,8 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     _write_csv(out_dir / "convergence.csv",
                ["h", "tau", "rel_l2_error", "iterations_pre", "iterations_nopre"],
                rows, cfg)
-    manifest = {"config": _resolved(cfg), "fitted_slope": slope,
-                "partial": failed,
+    manifest = {"config": _resolved(cfg), "points": solved,
+                "fitted_slope": slope, "partial": failed,
                 "unpreconditioned_hit_iteration_cap": comparison_failed}
     (out_dir / "convergence.json").write_text(json.dumps(manifest, indent=2))
     return EXIT_NO_CONVERGENCE if failed else EXIT_OK
@@ -349,7 +360,8 @@ def main(argv=None) -> int:
             "schrodinger": run_schrodinger,
         }[args.command]
         return runner(cfg, out_dir)
-    except ConfigError as exc:
+    # a grid the loader cannot check (h against the problem's L) fails here
+    except (ConfigError, ConfigurationError, GridTooSmallError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
 

@@ -23,10 +23,13 @@ the reduced symbol and one inverse transform.
 omega(A) differs from A only in the first-row corner entry and the final
 (backward Euler) row, a rank <= 2 perturbation; the preconditioned spectrum
 is therefore 1 except for a bounded number of outliers.
+
+Block j is singular where lam_j = i sin((2 pi j - theta)/N) meets tau*spec(D),
+as at theta = pi for odd N on a torus.  Both sets are closed forms: theta is pi
+while their gap is at least GAP_MIN, else the angle of THETA_GRID with most gap.
 """
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,24 +44,21 @@ TRUE_RESIDUAL_MAX = 1e-8   # ||b - Mx|| / ||b|| above which a direct solve faile
 # true residual is at most max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol).  Measured
 # true residual / tol at convergence: 2.7 (half_diffusion_manufactured,
 # h = 0.05, T = 4), 1.6 (mass_transfer_manufactured, h = 0.125), 1.2
-# (acceptance criterion 6, tol 1e-8); above 1e17 where a nudged singular
-# frequency block let the preconditioned test pass on a wrong solution.
+# (acceptance criterion 6, tol 1e-8); 2e3 to 7e5 at gaps below GAP_MIN.
 GMRES_SLACK = 1e3
 _CHUNK_BYTES = 4 << 20     # band of one banded LAPACK call in direct_solve
-SINGULAR_TOL = 1e-13       # frequency blocks this close to singular are nudged
+# Least gap from the lam_j to tau*spec(D).  A block inverse grows like 1/gap
+# (1/gap^2 on eps = 0 Jordan blocks): at tol 1e-10 GMRES misses the true
+# residual 1e-7 below gaps of 1e-5 (advection_mms) and 6e-5 (transport_limit,
+# N = 5).  Singular blocks: <= 5.6e-17; criterion 9 converges at 6.1e-5.
+GAP_MIN = 5e-5
+# pi * (1 + k/64), k = 0, -1, 1, ..., 63: nearest pi first, as argmax ties go
+THETA_GRID = np.pi * (1.0 + np.array(sorted(range(-63, 64), key=abs)) / 64.0)
 
 __all__ = [
-    "TRUE_RESIDUAL_MAX",
-    "GMRES_SLACK",
-    "OmegaPreconditioner",
-    "SolveReport",
-    "build_omega_circulant",
-    "build_preconditioner",
-    "apply_preconditioner",
-    "solve_frequency_block",
-    "gmres",
-    "gmres_solve",
-    "direct_solve",
+    "TRUE_RESIDUAL_MAX", "GMRES_SLACK", "OmegaPreconditioner", "SolveReport",
+    "build_omega_circulant", "build_preconditioner", "apply_preconditioner",
+    "solve_frequency_block", "gmres", "gmres_solve", "direct_solve",
 ]
 
 
@@ -97,7 +97,8 @@ class OmegaPreconditioner:
     column when Q is scalar.
     """
 
-    omega: complex
+    theta: float
+    gap: float                         # distance from the lam_j to tau*spec(D)
     n_steps: int
     tau: float
     theta_scaling: np.ndarray = field(repr=False)
@@ -109,43 +110,37 @@ class OmegaPreconditioner:
         return apply_preconditioner(self, r)
 
 
-def _blocks_near(lam, z, tol):
-    """Indices j with lam_j within tol*(1+|lam_j|) of some point of z.
-
-    The lam_j lie on the imaginary axis and take each value at most twice,
-    so the four of them around Im z in sorted order include the nearest.
-    """
-    order = np.argsort(lam.imag)
-    pos = np.searchsorted(lam.imag[order], z.imag)
-    near = order[np.clip(pos + np.arange(-2, 2)[:, None], 0, len(lam) - 1)]
-    hit = np.abs(lam[near] - z) < tol * (1.0 + np.abs(lam[near]))
-    return np.unique(near[hit])
+def _gap(lam, z) -> float:
+    """Distance between the sets {lam_j} and z: the lam_j lie on the imaginary
+    axis, so the nearest to a point of z is one of the two around its Im z."""
+    s = np.sort(lam.imag)
+    near = s[np.clip(np.searchsorted(s, z.imag) - [[1], [0]], 0, len(s) - 1)]
+    return float(np.abs(1j * near - z).min())
 
 
 def build_preconditioner(gmm: GmmMatrices, sys,
-                         theta: float = np.pi) -> OmegaPreconditioner:
-    """Assemble Lambda and the reduced block data in the spatial eigenbasis.
+                         theta: float = None) -> OmegaPreconditioner:
+    """Pick theta (module docstring) unless given, then assemble Lambda and the
+    reduced block data; ValueError if its gap is below GAP_MIN.  Nothing N x n
+    is formed: each apply rebuilds the reduced symbol, cheaper than holding it."""
+    N, tau = gmm.n_steps, gmm.tau
+    z, j = tau * eigenvalues_of_D(sys), np.arange(N)
 
-    Block j is singular where lam_j is an eigenvalue of tau*D.  Blocks within
-    SINGULAR_TOL of one are nudged once here, by 1e-14*(1+|lam_j|), with one
-    warning; exact hits occur only on a measure zero set of parameters.
-    Nothing N x n is formed here: the reduced symbol is rebuilt on each
-    apply, which costs less than the page faults of building and holding it
-    added to set-up.
-    """
-    omega = np.exp(1j * theta)
-    lam, scaling = build_omega_circulant(gmm, omega)
-    tau = gmm.tau
-    rows = _blocks_near(lam, tau * eigenvalues_of_D(sys), SINGULAR_TOL)
-    if rows.size:
-        warnings.warn(f"perturbing near-singular frequency blocks {rows.tolist()}")
-        lam[rows] += 1e-14 * (1.0 + np.abs(lam[rows]))
+    def gap(th):
+        return _gap(1j * np.sin((2.0 * np.pi * j - th) / N), z)
+    if theta is None and gap(np.pi) < GAP_MIN:
+        theta = THETA_GRID[np.argmax([gap(th) for th in THETA_GRID])]
+    theta = np.pi if theta is None else float(theta)
+    g = gap(theta)
+    if not g >= GAP_MIN:
+        raise ValueError(f"theta = {theta:.6g}: block gap {g:.3g} < GAP_MIN")
+    lam, scaling = build_omega_circulant(gmm, np.exp(1j * theta))
     q_hat = sys.q_hat
     if np.all(q_hat == q_hat[0]):      # scalar Q: one column, not N x n
         q_hat = q_hat[:1]
-    return OmegaPreconditioner(omega=omega, n_steps=gmm.n_steps, tau=tau,
-                               theta_scaling=scaling, lambda_omega=lam, sys=sys,
-                               shift=lam[:, None] - tau * q_hat)
+    return OmegaPreconditioner(theta=theta, gap=g, n_steps=N, tau=tau,
+                               theta_scaling=scaling, lambda_omega=lam,
+                               sys=sys, shift=lam[:, None] - tau * q_hat)
 
 
 def _solve_blocks(p: OmegaPreconditioner, V: np.ndarray, rows=slice(None)):
@@ -186,7 +181,7 @@ def apply_preconditioner(p: OmegaPreconditioner, r: np.ndarray) -> np.ndarray:
     V = ifft(_solve_blocks(p, V), axis=0, overwrite_x=True)
     V *= p.theta_scaling[:, None]
     z = V.ravel()
-    if real_in and abs(p.omega.imag) < 1e-12:
+    if real_in and abs(np.sin(p.theta)) < 1e-12:     # omega = +-1
         return z.real.copy()
     return z
 
@@ -203,6 +198,8 @@ class SolveReport:
     true_residual: float = None     # ||b - Mx|| / ||b||
     path: str = None                # "direct", "gmres+omega" or "gmres"
     half_spectrum: bool = False     # a direct solve of the rfft modes only
+    theta: float = None             # the preconditioner's theta and its gap,
+    gap: float = None               # None without one
 
 
 def _true_residual(apply_op, b, x) -> float:
@@ -324,6 +321,8 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     report = gmres(system.apply, system.rhs, precond=apply_p, tol=tol,
                    max_iter=max_iter, restart=restart)
     report.path = "gmres+omega" if precond is not None else "gmres"
+    if precond is not None:
+        report.theta, report.gap = precond.theta, precond.gap
     return report
 
 

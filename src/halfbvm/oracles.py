@@ -167,21 +167,15 @@ def schrodinger_dalembert(u0_value, u0_hilbert, gamma, V=0.0, L=None):
 
 
 def schrodinger_series(u0_value, gamma, V=0.0, L=50.0, n_max=1200, n_quad=8192):
-    """Sine-series form: (2/L) sum C_n sin(n pi x/L) e^{-i(gamma n pi/L + V) t}."""
-    x, w = _gauss_panels(0.0, L, n_quad)
-    vals = np.asarray(u0_value(x), dtype=complex) * w
-    n = np.arange(1, n_max + 1)
-    chunk = max(1, int(4e6 // max(len(x), 1)))
-    C = np.empty(n_max, dtype=complex)
-    for s in range(0, n_max, chunk):
-        block = n[s: s + chunk, None] * (np.pi / L) * x[None, :]
-        C[s: s + chunk] = np.sin(block) @ vals
-    k = n * np.pi / L
+    """Sine-series form: sum C_n sin(n pi x/L) e^{-i(gamma n pi/L + V) t}, with
+    C_n the sine coefficients of u0."""
+    C = _sine_coefficients(u0_value, L, n_max, n_quad)
+    k = np.arange(1, n_max + 1) * np.pi / L
 
     def u(xq, t):
         xq = np.asarray(xq, dtype=float)
         phases = np.exp(-1j * (gamma * k + V) * t)
-        return (2.0 / L) * (np.sin(np.outer(xq, k)) @ (C * phases))
+        return np.sin(np.outer(xq, k)) @ (C * phases)
 
     return u
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from halfbvm import cli
+from halfbvm.krylov import GAP_MIN
 
 
 def _write_config(tmp_path, **kw):
@@ -40,16 +41,29 @@ def test_config_validation_errors(tmp_path):
             cli.load_config(_write_config(tmp_path, **raw))
 
 
+# h above L/3 is a grid of fewer than 3 cells; only the grid can tell, since
+# L comes from the problem
+GRID_ONLY = ({"h": 100.0, "m": None},
+             {"h_sweep": [100.0, 0.5], "m": None, "n_steps": None})
+
+
 @pytest.mark.parametrize("setting", [
     {"solver": {"restart": 0}},          # the inner GMRES loop never ran
     {"solver": {"restart": -1}},
-    {"solver": {"theta": float("nan")}},
+    {"solver": {"theta": np.pi}},        # derived from the spectrum instead
     {"tau": 0.0, "n_steps": None},
     {"tau": -0.1, "n_steps": None},      # ran with N = 2
     {"h": 0.0, "m": None},
     {"n_steps": 1},
+    *GRID_ONLY,                          # raised GridTooSmallError
+    {"problem": "advection_gaussian_quartic", "weideman_n": 2},
+    {"L": -5.0},
+    {"eps": 1e400},                      # JSON Infinity
+    {"solver": {"max_iter": 0}},         # ran, then exit 3
+    {"solver": {"tol": -1.0}},
+    {"mode": 0},                         # a zero sine profile
 ])
-def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting):
+def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting, capsys):
     cfg = _base_solve_config()
     for key, value in setting.items():
         if key == "solver":
@@ -59,10 +73,13 @@ def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting):
         else:
             cfg[key] = value
     path = _write_config(tmp_path, **cfg)
-    with pytest.raises(cli.ConfigError):
-        cli.load_config(path)
-    assert cli.main(["solve", "--config", path, "--out", str(tmp_path / "o")]) \
+    if setting not in GRID_ONLY:
+        with pytest.raises(cli.ConfigError):
+            cli.load_config(path)
+    command = "converge" if "h_sweep" in setting else "solve"
+    assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) \
         == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_direct_solver_method(tmp_path):
@@ -103,24 +120,40 @@ def test_report_records_discretisation_and_path(tmp_path):
         assert report["boundary"] == "periodic"
         assert report["path"] == path and report["half_spectrum"] is half
         assert 0.0 <= report["true_residual"] < 1e-8
+        # only the preconditioned path has a theta and its gap
+        if path == "gmres+omega":
+            assert report["theta"] == np.pi and report["gap"] >= GAP_MIN
+        else:
+            assert report["theta"] is None and report["gap"] is None
 
 
-def test_gmres_with_nudged_singular_block_is_not_converged(tmp_path):
-    # tau/h = 1 puts an eigenvalue of tau*D on a frequency of the omega
-    # circulant: the nudged block passes the preconditioned test on a wrong
-    # solution, and only the true residual tells
-    for tau in (0.3, 0.27):
-        cfg = _base_solve_config(problem="transport_limit", h=0.25, tau=tau)
-        for key in ("m", "n_steps"):
-            cfg.pop(key)
-        out = tmp_path / str(tau)
-        with pytest.warns(UserWarning, match="perturbing"):
-            rc = cli.main(["solve", "--config", _write_config(tmp_path, **cfg),
-                           "--out", str(out)])
-        assert rc == cli.EXIT_NO_CONVERGENCE
+@pytest.mark.parametrize("problem,h,grid", [
+    ("advection_manufactured", 0.25, {"n_steps": 5}),
+    ("advection_mms", 0.2, {"n_steps": 7}),
+    ("advection_homogeneous", 0.25, {"n_steps": 9}),
+    ("transport_limit", 0.25, {"tau": 0.3}),       # N = 3
+    ("transport_limit", 0.25, {"tau": 0.27}),      # N = 4
+])
+def test_gmres_moves_theta_off_a_singular_pi(tmp_path, problem, h, grid):
+    # at theta = pi a frequency block of these runs is singular: odd N on a
+    # torus meets the constant mode, and tau/h ~ 1 puts an eigenvalue of
+    # tau*D on a frequency.  The derived theta solves them under gmres.
+    solutions = {}
+    for method in ("gmres", "direct"):
+        cfg = dict(problem=problem, T=1.0, h=h, solver={"method": method},
+                   **grid)
+        out = tmp_path / method
+        rc = cli.main(["solve", "--config", _write_config(tmp_path, **cfg),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
         report = json.loads((out / "report.json").read_text())
-        assert report["converged"] is False
-        assert report["true_residual"] > 1e-8
+        assert report["true_residual"] <= 1e-8
+        solutions[method] = np.loadtxt(out / "solution_t1.csv", delimiter=",",
+                                       skiprows=2)
+        if method == "gmres":
+            assert report["theta"] != np.pi and report["gap"] >= GAP_MIN
+    a, b = solutions["gmres"], solutions["direct"]
+    assert np.linalg.norm(a - b) <= 1e-6 * np.linalg.norm(b)
 
 
 def test_missing_config_is_config_error(tmp_path):
@@ -190,6 +223,10 @@ def test_converge_records_and_fits_the_solved_discretisation(tmp_path):
     assert rows[:, 0] == pytest.approx([20.0 / 67, 20.0 / 133], rel=1e-15)
     assert rows[:, 1] == pytest.approx([1.0 / 13, 1.0 / 27], rel=1e-15)
     manifest = json.loads((tmp_path / "s" / "convergence.json").read_text())
+    # the manifest keeps every bit of what each point solved
+    assert manifest["points"] == [
+        {"h": 20.0 / 67, "tau": 1.0 / 13, "n_steps": 13, "theta": np.pi},
+        {"h": 20.0 / 133, "tau": 1.0 / 27, "n_steps": 27, "theta": np.pi}]
     slope = np.polyfit(np.log(rows[:, 0]), np.log(rows[:, 2]), 1)[0]
     assert manifest["fitted_slope"] == pytest.approx(slope, rel=1e-12)
 

@@ -164,16 +164,35 @@ def _random_system(data, m, periodic):
        theta=st.one_of(st.just(np.pi), st.floats(0.1, 2 * np.pi - 0.1)),
        data=st.data())
 def test_preconditioner_inverts_materialized_property(m, N, periodic, theta, data):
-    # odd N puts lam_j = 0 at theta = pi, where it meets the constant mode
-    # of a periodic D: P is singular and only the nudged inverse exists
-    assume(not (periodic and theta == np.pi and N % 2))
     sys = _random_system(data, m, periodic)
     gmm = build_gmm(N, 1.0)
+    if periodic and theta == np.pi and N % 2:
+        # odd N puts lam_j = 0 at theta = pi, where it meets the constant
+        # mode of a periodic D: P is singular, and an explicit theta is refused
+        with pytest.raises(ValueError, match="GAP_MIN"):
+            krylov.build_preconditioner(gmm, sys, theta=theta)
+        return
     pre = krylov.build_preconditioner(gmm, sys, theta=theta)
     P = _materialized_preconditioner(gmm, sys, theta)
     r = np.random.default_rng(m * 10 + N).normal(size=N * sys.dim)
     z = pre.apply(r)
     # backward error at round-off, whatever the conditioning of P
+    assert np.linalg.norm(P @ z - r) <= 1e-13 * np.linalg.norm(P) * np.linalg.norm(z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(3, 8), N=st.integers(2, 9), periodic=st.booleans(),
+       data=st.data())
+def test_derived_theta_inverts_materialized_property(m, N, periodic, data):
+    # no theta given: the one chosen keeps every block at least GAP_MIN from
+    # singular, odd N on a torus included, and inverts its own materialized P
+    sys = _random_system(data, m, periodic)
+    gmm = build_gmm(N, data.draw(st.floats(0.5, 4.0)))
+    pre = krylov.build_preconditioner(gmm, sys)
+    assert pre.gap >= krylov.GAP_MIN
+    P = _materialized_preconditioner(gmm, sys, pre.theta)
+    r = np.random.default_rng(m * 10 + N).normal(size=N * sys.dim)
+    z = pre.apply(r)
     assert np.linalg.norm(P @ z - r) <= 1e-13 * np.linalg.norm(P) * np.linalg.norm(z)
 
 
@@ -210,9 +229,9 @@ def test_direct_solve_matches_dense_property(m, N, periodic, data):
        data=st.data())
 def test_gmres_matches_direct_solve_property(m, N, periodic, theta, data):
     # the two consumers of the time table, the omega-circulant preconditioner
-    # and the banded direct solve, solve the same system; nudged blocks (odd N
-    # at theta = pi on a torus) are kept out.  M - P has rank <= 2*dim, so
-    # GMRES under a correct P ends within 2*dim + 1 iterations
+    # and the banded direct solve, solve the same system; a singular P (odd N
+    # at theta = pi on a torus) is refused and kept out.  M - P has rank
+    # <= 2*dim, so GMRES under a correct P ends within 2*dim + 1 iterations
     assume(not (periodic and theta == np.pi and N % 2))
     sys = _random_system(data, m, periodic)
     gmm = build_gmm(N, data.draw(st.floats(0.5, 4.0)))
@@ -264,33 +283,42 @@ def test_reports_carry_true_residual_and_path():
     assert stalled.true_residual == 1.0 and not stalled.converged
 
 
-def test_singular_frequency_block_perturbed_with_warning():
+def test_singular_block_at_pi_moves_theta():
     # theta = pi with odd N makes one eigenvalue of omega(A) vanish; with
-    # D = 0 (eps = 0, no operator) that block is exactly singular until nudged
+    # D = 0 (eps = 0, no operator) that block is exactly singular, so the
+    # derived theta leaves pi and an explicit pi is refused
     g = spatial.Grid(length=4.0, m=4, boundary=spatial.DIRICHLET)
     sys = spatial.assemble_discrete_system(g, 0.0, spatial.OperatorKind("zero"))
     gmm = build_gmm(5, 1.0)
     lam, _ = krylov.build_omega_circulant(gmm, np.exp(1j * np.pi))
     assert np.abs(lam).min() < 1e-15
-    with pytest.warns(UserWarning, match="perturbing"):
-        pre = krylov.build_preconditioner(gmm, sys)
-    z = pre.apply(np.ones(5 * sys.dim))
-    assert np.all(np.isfinite(z))
+    with pytest.raises(ValueError, match="GAP_MIN"):
+        krylov.build_preconditioner(gmm, sys, theta=np.pi)
+    pre = krylov.build_preconditioner(gmm, sys)
+    # tau*spec(D) = {0}: the gap is min |sin((2 pi j - theta)/5)|, largest
+    # (sin(pi/10)) at the grid angles pi/2 and 3 pi/2, tied up to round-off
+    assert abs(abs(pre.theta - np.pi) - np.pi / 2) < 1e-15
+    assert pre.gap == pytest.approx(np.sin(np.pi / 10), rel=1e-12)
+    assert np.min(np.abs(pre.lambda_omega)) == pytest.approx(pre.gap, rel=1e-12)
+    P = _materialized_preconditioner(gmm, sys, pre.theta)
+    r = np.random.default_rng(6).normal(size=5 * sys.dim)
+    assert np.abs(P @ pre.apply(r) - r).max() < 1e-12
 
 
 @pytest.mark.parametrize("N,theta", [(8, np.pi), (7, np.pi), (6, 1.0), (2, np.pi)])
 def test_near_singular_blocks_match_brute_force(N, theta):
-    # sin is symmetric, so lam_j values come in equal pairs: a point planted
-    # on one of them must flag its twin too
+    # the sorted search for the gap between the lam_j and a point set agrees
+    # with all pairwise distances, points planted on a lam_j included (sin is
+    # symmetric, so lam_j values come in equal pairs)
     lam, _ = krylov.build_omega_circulant(build_gmm(N, 1.0), np.exp(1j * theta))
     rng = np.random.default_rng(N)
     noise = np.concatenate([rng.normal(size=20) + 1j * rng.uniform(-1, 1, 20),
                             [2j, -2j, 0.0]])
-    cases = [lam[j:j + 1] + 1e-15 for j in range(N)] + [noise, np.r_[lam, noise]]
+    cases = ([lam[j:j + 1] + 1e-15 for j in range(N)] + [noise, np.r_[lam, noise]]
+             + [noise[k:k + 1] for k in range(len(noise))])
     for pts in cases:
-        brute = np.abs(lam[:, None] - pts).min(axis=1) < 1e-13 * (1 + np.abs(lam))
-        assert (krylov._blocks_near(lam, pts, 1e-13).tolist()
-                == np.flatnonzero(brute).tolist())
+        brute = np.abs(1j * lam.imag[:, None] - pts).min()
+        assert krylov._gap(lam, pts) == brute
 
 
 def test_gmres_zero_rhs():
