@@ -9,9 +9,9 @@ ODE U' = D U + G into one vector gives
 
 with B = I for this scheme.
 The coefficient table below is the only place the scheme is written down:
-A, a0, the rhs, the omega-circulant preconditioner (``krylov``), the banded
-time systems of the direct solve and the stability polynomials
-(``spectrum.gmm_polynomials``) all read it.
+A, a0, the rhs, the omega-circulant preconditioner (``krylov``), the
+stability polynomials (``spectrum.gmm_polynomials``) and, through their
+roots, the sweeps of the direct solve all read it.
 The operator is applied matrix free: block row j touches only slices j-1, j,
 j+1, and D acts within a slice from its spatial stencils.
 """
@@ -62,14 +62,6 @@ class GmmMatrices:
 
     def A_dense(self) -> np.ndarray:
         return self.apply_A(np.eye(self.n_steps), np.zeros((self.n_steps,) * 2))
-
-    def A_band(self) -> np.ndarray:
-        """A in LAPACK (1, 1) band storage: A[i, j] at row 1 + i - j, column j."""
-        N = self.n_steps
-        ab = np.zeros((3, N))
-        ab[2, : N - 2], ab[1, : N - 1], ab[0, 1:] = INTERIOR
-        ab[2, N - 2], ab[1, N - 1] = FINAL
-        return ab
 
     def apply_A(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Add A X to ``out``, A acting across the time axis of X with shape

@@ -11,6 +11,7 @@ import json
 import math
 import os
 import sys as _sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -106,9 +107,14 @@ class ExperimentConfig:
                                    ("mode", self.mode, 1), ("n_max", self.n_max, 1),
                                    ("weideman_n", self.weideman_n, 4),
                                    ("solver.max_iter", self.solver.max_iter, 1),
-                                   ("solver.restart", self.solver.restart, 1)):
+                                   ("solver.restart", self.solver.restart, 1),
+                                   ("solver.workers", self.solver.workers, 0)):
             if value is not None and not (isinstance(value, int) and value >= least):
                 raise ConfigError(f"{name}: must be an integer of at least {least}")
+        if self.solver.method not in ("gmres", "direct"):
+            raise ConfigError(f"solver.method: unknown method {self.solver.method!r}")
+        if not isinstance(self.solver.precondition, bool):
+            raise ConfigError("solver.precondition: must be true or false")
         for name in ("eps", "delta", "V"):
             value = getattr(self, name)
             if value is not None and not (isinstance(value, (int, float))
@@ -152,8 +158,6 @@ def load_config(path) -> ExperimentConfig:
         solver = SolverSettings(**raw.pop("solver", {}))
     except TypeError as exc:
         raise ConfigError(f"solver: {exc}")
-    if solver.method not in ("gmres", "direct"):
-        raise ConfigError(f"solver.method: unknown method {solver.method!r}")
     known = {f for f in ExperimentConfig.__dataclass_fields__ if f != "solver"}
     unknown = set(raw) - known
     if unknown:
@@ -235,6 +239,8 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         "converged": report.converged,
         "true_residual": report.true_residual,
         "wall_time": report.wall_time,
+        "timings": report.timings,
+        "marginal_modes": report.marginal_modes,
         "residual_history": report.residual_history,
         "rel_l2_error_at_T": err,
         "error_norm_flagged_absolute": flagged,
@@ -244,6 +250,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _sweep_point(cfg, pb, h=None, tau=None):
+    t0 = time.perf_counter()
     if tau is not None:
         cfg = replace(cfg, tau=tau, n_steps=None)
         h = cfg.h if cfg.h is not None else pb.L / cfg.m
@@ -258,7 +265,7 @@ def _sweep_point(cfg, pb, h=None, tau=None):
         rows[label] = (report, err, run.grid.h, gmm.tau, gmm.n_steps)
         if not report.converged:
             break
-    return rows
+    return rows, time.perf_counter() - t0
 
 
 def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -276,7 +283,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows, solved = [], []
     failed = False
     comparison_failed = False
-    for res in results:
+    for res, wall_time in results:
         pre_rep, pre_err, h, tau, n_steps = res["pre"]
         if "nopre" in res:
             no_rep = res["nopre"][0]
@@ -287,7 +294,9 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         failed = failed or not pre_rep.converged
         rows.append((h, tau, pre_err, pre_rep.iterations, no_iters))
         solved.append({"h": h, "tau": tau, "n_steps": n_steps,
-                       "theta": pre_rep.theta})
+                       "theta": pre_rep.theta, "wall_time": wall_time,
+                       "iterations_pre": pre_rep.iterations,
+                       "iterations_nopre": no_iters})
     slope = None
     if len(rows) > 1:
         swept = [r[0] if cfg.h_sweep else r[1] for r in rows]
@@ -350,6 +359,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.workers is not None:
             cfg.solver.workers = args.workers
+            cfg.validate()
         out_dir = Path(args.out or cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         runner = {
@@ -360,7 +370,8 @@ def main(argv=None) -> int:
             "schrodinger": run_schrodinger,
         }[args.command]
         return runner(cfg, out_dir)
-    # a grid the loader cannot check (h against the problem's L) fails here
+    # grids the loader cannot check fail here: h against the problem's L, and
+    # a sweep-only config (a sweep lifts the loader's grid check) outside converge
     except (ConfigError, ConfigurationError, GridTooSmallError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

@@ -34,10 +34,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.fft import fft, ifft
-from scipy.linalg import solve_banded, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .bvm import INTERIOR, AllAtOnceSystem, GmmMatrices
-from .spectrum import eigenvalues_of_D
+from .bvm import FINAL, INTERIOR, AllAtOnceSystem, GmmMatrices
+from .spectrum import eigenvalues_of_D, gmm_polynomials
 
 TRUE_RESIDUAL_MAX = 1e-8   # ||b - Mx|| / ||b|| above which a direct solve failed
 # GMRES has converged when the preconditioned residual reaches tol and the
@@ -46,7 +46,6 @@ TRUE_RESIDUAL_MAX = 1e-8   # ||b - Mx|| / ||b|| above which a direct solve faile
 # h = 0.05, T = 4), 1.6 (mass_transfer_manufactured, h = 0.125), 1.2
 # (acceptance criterion 6, tol 1e-8); 2e3 to 7e5 at gaps below GAP_MIN.
 GMRES_SLACK = 1e3
-_CHUNK_BYTES = 4 << 20     # band of one banded LAPACK call in direct_solve
 # Least gap from the lam_j to tau*spec(D).  A block inverse grows like 1/gap
 # (1/gap^2 on eps = 0 Jordan blocks): at tol 1e-10 GMRES misses the true
 # residual 1e-7 below gaps of 1e-5 (advection_mms) and 6e-5 (transport_limit,
@@ -200,10 +199,16 @@ class SolveReport:
     half_spectrum: bool = False     # a direct solve of the rfft modes only
     theta: float = None             # the preconditioner's theta and its gap,
     gap: float = None               # None without one
+    timings: dict = field(default_factory=dict)   # stage -> seconds
+    marginal_modes: int = None      # direct: mode components with tau*mu on [-i, i]
 
 
 def _true_residual(apply_op, b, x) -> float:
-    return float(np.linalg.norm(b - apply_op(x)) / max(np.linalg.norm(b), 1e-300))
+    """||b - Mx|| / ||b||, formed in the output of the apply when it can hold b."""
+    r = apply_op(x)
+    own = np.can_cast(b.dtype, r.dtype) and not np.may_share_memory(r, x)
+    r = np.subtract(b, r, out=r if own else None)
+    return float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
 
 
 def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None):
@@ -321,61 +326,96 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     report = gmres(system.apply, system.rhs, precond=apply_p, tol=tol,
                    max_iter=max_iter, restart=restart)
     report.path = "gmres+omega" if precond is not None else "gmres"
+    report.timings = {"total": report.wall_time}
     if precond is not None:
         report.theta, report.gap = precond.theta, precond.gap
     return report
 
 
-def _time_band_template(gmm: GmmMatrices):
-    """Banded (l=2, u=2) template of A (x) I2 - tau I (x) D_k, interleaved
-    (u_j, v_j); the mode's P and Q entries are added per mode.  It is zero
-    wherever the band reaches outside the 2N block, so copies stack."""
-    ab = np.zeros((5, 2 * gmm.n_steps), dtype=complex)
-    ab[::2] = np.repeat(gmm.A_band(), 2, axis=1)   # A on the u and the v rows
-    ab[1, 1::2] = -gmm.tau                         # the u-row's -tau * v_j
-    return ab
+def _scalar_sweeps(y, c) -> int:
+    """Solve (A - cI) y = r in place on y (N, M), one c per column, and count
+    the c on [-i, i] (|z1| = 1).  rho(z) - c sigma(z) = a (z - z1)(z - z2),
+    |z1| <= 1 <= |z2|, so row j < N-1 is a (w_{j+1} - z2 w_j) = r_j for
+    w_j = y_j - z1 y_{j-1}: w by a backward sweep in 1/z2 from w_{N-1}, then
+    y by a forward sweep in z1.  Run with w_{N-1} = 0, they leave the FINAL
+    row to fix w_{N-1}; its part of y_{N-2} is u_{N-1}/z2, u_j = 1 +
+    (z1/z2) u_{j-1}, which needs no powers of z1."""
+    mp = gmm_polynomials()
+    k, b, a = (r - c * s for r, s in zip(mp.rho, mp.sigma))
+    d = np.sqrt(b * b - 4.0 * a * k)
+    q = -0.5 * np.where(np.abs(b + d) >= np.abs(b - d), b + d, b - d)
+    N, z1, iz2 = len(y), k / q, a / q           # the larger q: z2 = q/a
+    beta, zeta, f1 = -iz2 / a, z1 * iz2, FINAL[1] - c
+    r_last, u, acc = y[N - 1].copy(), np.zeros_like(c), np.zeros_like(y[0])
+    t, y[N - 1] = np.empty_like(r_last), 0.0
+    for j in range(N - 2, -1, -1):              # w_j = beta r_j + w_{j+1}/z2
+        y[j] *= beta
+        y[j] += np.multiply(iz2, y[j + 1], out=t)
+        u *= zeta
+        u += 1.0
+    for j in range(N - 1):                      # y_{N-2} of these sweeps
+        acc *= z1
+        acc += y[j]
+    g = FINAL[0] + f1 * z1                      # FINAL, y_{N-1} = w + z1 y_{N-2}
+    w = (r_last - g * acc) / (f1 + g * iz2 * u)
+    for j in range(N - 1, -1, -1):              # w_j += w_{N-1}/z2^(N-1-j)
+        y[j] += w
+        w *= iz2
+    for j in range(1, N):
+        y[j] += np.multiply(z1, y[j - 1], out=t)
+    return int(np.count_nonzero(np.abs(np.abs(z1) - 1.0) <= 1e-12))
+
+
+def _rotate(R, C):
+    """R[j] = C R[j] for every time row j; C (2, 2, M) is one 2x2 per mode."""
+    T = np.empty(C.shape, R.dtype)
+    for row in R:
+        np.add(*np.multiply(C, row, out=T).swapaxes(0, 1), out=row)
 
 
 def direct_solve(system: AllAtOnceSystem) -> SolveReport:
-    """Exact solve by diagonalizing space, then banded solves in time.
+    """Exact solve by diagonalizing space, then two scalar sweeps per mode.
 
-    P and Q act diagonally in the system's spatial eigenbasis (DFT columns
-    when periodic, DST-I sine modes between walls), so one spatial transform
-    decouples the all-at-once system into independent 2N x 2N banded
-    problems, one per spatial mode; P and Q are real, so a real rhs on a
-    periodic grid needs only the n//2+1 modes of ``rfft`` (mode n-k
-    conjugates mode k).
-    A chunk of modes is one block-diagonal band of at most ``_CHUNK_BYTES``
-    for one LAPACK call; pivoting stays in each block, so the bits match one
-    call per mode.  Complements the iterative path when the drift-dominated
-    spectrum hugs the scheme's marginal segment and Krylov convergence
-    degrades; also serves as a same-discretization cross-check for it.
+    One spatial transform (DFT on a torus, only the n//2+1 ``rfft`` modes
+    for real data; DST-I between walls) leaves a 2N system per mode.  The
+    Schur form of its D_k by U = s [[1, -conj(mu1)], [mu1, 1]], s = 1/sqrt(1
+    + |mu1|^2), unitary at a Jordan block too, has diagonal mu and t12 = 1 +
+    conj(mu1) mu2: scalar systems (A - qI) y = r, q = tau*mu, the first with
+    tau t12 y2 added.  Their sweeps contract when q is off [-i, i], the
+    scheme's (k1, k2) = (1, 1) condition; on it (``marginal_modes``) the
+    true residual is the check.  All in place on the mode array.
     """
     t0 = time.perf_counter()
     sys_, gmm = system.sys, system.gmm
-    N, n = gmm.n_steps, sys_.n
-    tau = gmm.tau
+    N, n, tau = gmm.n_steps, sys_.n, gmm.tau
     rhs = np.asarray(system.rhs)
     real = not np.iscomplexobj(rhs)      # P and Q are real by construction
     half = real and sys_.is_circulant
-    R = (np.fft.rfft(rhs.reshape(N, 2, n)) if half
-         else sys_.to_modes(rhs.reshape(N, 2, n)).astype(complex, copy=False))
-    ab0 = _time_band_template(gmm)
-    k = max(1, _CHUNK_BYTES // ab0.nbytes)                # modes per chunk
-    for lo in range(0, R.shape[-1], k):
-        j = slice(lo, min(lo + k, R.shape[-1]))
-        ab = np.repeat(ab0[:, None], j.stop - lo, axis=1)
-        ab[3, :, 0::2] += -tau * sys_.p_hat[j, None]      # d=-1 on v-rows
-        ab[2, :, 1::2] += -tau * sys_.q_hat[j, None]      # diagonal of v-rows
-        y = R[:, :, j].transpose(2, 0, 1).reshape(-1)     # mode-major, (u, v)
-        sol = solve_banded((2, 2), ab.reshape(5, -1), y,
-                           overwrite_ab=True, overwrite_b=True)
-        R[:, :, j] = sol.reshape(-1, N, 2).transpose(1, 2, 0)
+    mu = eigenvalues_of_D(sys_).reshape(2, n)
+    mu = mu if mu.imag.any() else mu.real       # real D_k: real sweeps
+    R = (np.fft.rfft if half else sys_.to_modes)(rhs.reshape(N, 2, n))
+    R = R.astype(np.result_type(R, mu), copy=False)
+    m1, m2 = mu[:, : R.shape[-1]]
+    t1 = time.perf_counter()
+    s = 1.0 / np.sqrt(1.0 + abs(m1) ** 2)
+    _rotate(R, np.array([[s, s * m1.conj()], [-s * m1, s]]))    # U^H R
+    marginal = _scalar_sweeps(R[:, 1], tau * m2)
+    coupling = tau * (1.0 + m1.conj() * m2)
+    for j in range(N):
+        R[j, 0] += coupling * R[j, 1]
+    marginal += _scalar_sweeps(R[:, 0], tau * m1)
+    _rotate(R, np.array([[s, -s * m1.conj()], [s * m1, s]]))    # U Y
+    t2 = time.perf_counter()
     x = (np.fft.irfft(R, n=n) if half else sys_.from_modes(R)).ravel()
+    del R                                # room for the residual's apply
     if real:
         x = np.ascontiguousarray(x.real)
+    t3 = time.perf_counter()
     res = _true_residual(system.apply, rhs, x)
+    t4 = time.perf_counter()
+    timings = {"transform": t1 - t0, "sweeps": t2 - t1,
+               "inverse_transform": t3 - t2, "true_residual": t4 - t3}
     return SolveReport(solution=x, iterations=1, residual_history=[res],
-                       converged=res < TRUE_RESIDUAL_MAX,
-                       wall_time=time.perf_counter() - t0, true_residual=res,
-                       path="direct", half_spectrum=half)
+                       converged=res < TRUE_RESIDUAL_MAX, wall_time=t4 - t0,
+                       true_residual=res, path="direct", half_spectrum=half,
+                       timings=timings, marginal_modes=marginal)

@@ -24,8 +24,9 @@ from .doubling import (LineProfile, SourceSpec, SourceTerm, ZERO_SOURCE,
                        doubled_initial_state, odd_reflection,
                        profile_from_catalog)
 from .hilbert import LORENTZIAN, SINE, SQUARED_LORENTZIAN, CatalogFunction
-from .spatial import (ADVECTION, DIRICHLET, PERIODIC, SCALAR, ZERO, Grid,
-                      OperatorKind, assemble_discrete_system)
+from .spatial import (ADVECTION, DIRICHLET, PERIODIC, SCALAR, ZERO,
+                      ConfigurationError, Grid, OperatorKind,
+                      assemble_discrete_system)
 
 __all__ = ["Problem", "catalog", "build_problem", "setup_run"]
 
@@ -363,7 +364,7 @@ def setup_run(problem: Problem, h: float = None, m: int = None,
     The mesh width h refers to the physical domain (0, L) in either case.
     """
     if (h is None) == (m is None):
-        raise ValueError("give exactly one of h, m")
+        raise ConfigurationError("space grid: give exactly one of h, m")
     if m is None:
         m = int(round(problem.L / h))
     if problem.boundary == PERIODIC and problem.periodization == "odd_doubled":

@@ -62,6 +62,12 @@ GRID_ONLY = ({"h": 100.0, "m": None},
     {"solver": {"max_iter": 0}},         # ran, then exit 3
     {"solver": {"tol": -1.0}},
     {"mode": 0},                         # a zero sine profile
+    {"solver": {"precondition": "no"}},  # truthy: ran preconditioned
+    {"solver": {"precondition": 0}},
+    {"solver": {"workers": -1}},         # silently raised to 1
+    {"solver": {"workers": 1.5}},
+    {"solver": {"method": 1}},
+    {"solver": {"method": ["direct"]}},
 ])
 def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting, capsys):
     cfg = _base_solve_config()
@@ -120,6 +126,16 @@ def test_report_records_discretisation_and_path(tmp_path):
         assert report["boundary"] == "periodic"
         assert report["path"] == path and report["half_spectrum"] is half
         assert 0.0 <= report["true_residual"] < 1e-8
+        # the direct path times its four stages and counts the mode components
+        # with tau*mu on [-i, i]: here the constant mode, twice (Jordan block)
+        if path == "direct":
+            assert set(report["timings"]) == {"transform", "sweeps",
+                                              "inverse_transform", "true_residual"}
+            assert sum(report["timings"].values()) == pytest.approx(report["wall_time"])
+            assert report["marginal_modes"] == 2
+        else:
+            assert report["timings"] == {"total": report["wall_time"]}
+            assert report["marginal_modes"] is None
         # only the preconditioned path has a theta and its gap
         if path == "gmres+omega":
             assert report["theta"] == np.pi and report["gap"] >= GAP_MIN
@@ -223,10 +239,16 @@ def test_converge_records_and_fits_the_solved_discretisation(tmp_path):
     assert rows[:, 0] == pytest.approx([20.0 / 67, 20.0 / 133], rel=1e-15)
     assert rows[:, 1] == pytest.approx([1.0 / 13, 1.0 / 27], rel=1e-15)
     manifest = json.loads((tmp_path / "s" / "convergence.json").read_text())
-    # the manifest keeps every bit of what each point solved
+    # the manifest keeps every bit of what each point solved, and what it cost
+    iterations = [[int(v) for v in line.split(",")[3:]] for line in lines[2:]]
+    times = [p.pop("wall_time") for p in manifest["points"]]
+    assert all(t > 0 for t in times)
     assert manifest["points"] == [
-        {"h": 20.0 / 67, "tau": 1.0 / 13, "n_steps": 13, "theta": np.pi},
-        {"h": 20.0 / 133, "tau": 1.0 / 27, "n_steps": 27, "theta": np.pi}]
+        {"h": 20.0 / 67, "tau": 1.0 / 13, "n_steps": 13, "theta": np.pi,
+         "iterations_pre": iterations[0][0], "iterations_nopre": iterations[0][1]},
+        {"h": 20.0 / 133, "tau": 1.0 / 27, "n_steps": 27, "theta": np.pi,
+         "iterations_pre": iterations[1][0], "iterations_nopre": iterations[1][1]}]
+    assert min(min(it) for it in iterations) > 0
     slope = np.polyfit(np.log(rows[:, 0]), np.log(rows[:, 2]), 1)[0]
     assert manifest["fitted_slope"] == pytest.approx(slope, rel=1e-12)
 
@@ -249,6 +271,29 @@ def test_sweep_threads_capped_at_cpu_count(tmp_path, monkeypatch):
                        "--workers", asked])
         assert rc == cli.EXIT_OK
         assert seen.pop() == used
+
+
+@pytest.mark.parametrize("command", ["solve", "spectrum", "schrodinger"])
+def test_single_runs_need_one_space_grid(tmp_path, command, capsys):
+    # a sweep lifts the loader's grid check, so a sweep-only config loads;
+    # the single-run commands then have no grid and exit 2, not a traceback
+    problem = "schrodinger_single_mode" if command == "schrodinger" else "single_mode"
+    for grid in ({}, {"m": 8, "h": 0.5}):
+        path = _write_config(tmp_path, problem=problem, T=1.0,
+                             h_sweep=[0.5, 0.25], **grid)
+        cli.load_config(path)
+        rc = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: space grid")
+
+
+def test_negative_workers_flag_exits_config(tmp_path, capsys):
+    cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
+                        h_sweep=[1.0, 0.5], tau_over_h=0.25)
+    rc = cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "s"),
+                   "--workers", "-1"])
+    assert rc == cli.EXIT_CONFIG
+    assert "solver.workers" in capsys.readouterr().err
 
 
 def test_converge_tau_sweep(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import ToySystem, assert_multiset_close, materialize_omega_circulant
@@ -245,26 +247,49 @@ def test_gmres_matches_direct_solve_property(m, N, periodic, theta, data):
     assert gap <= 1e-6 * np.linalg.norm(direct.solution)
 
 
-@pytest.mark.parametrize("n", [5, 6])
-@pytest.mark.parametrize("budget", [1, 2])
-def test_direct_solve_chunks_match_dense(monkeypatch, n, budget):
-    # a budget of b mode bands per LAPACK call spreads one solve over chunks,
-    # the last one short; stacked chunks give the bits of one call per mode
-    for boundary, model, m in ((spatial.PERIODIC, "advection", n),
-                               (spatial.DIRICHLET, "scalar", n + 1)):
-        grid = spatial.Grid(length=4.0, m=m, boundary=boundary)
-        sys = spatial.assemble_discrete_system(grid, 0.3,
-                                               spatial.OperatorKind(model, 0.4))
-        gmm = build_gmm(5, 1.5)
-        rhs = np.random.default_rng(n).normal(size=5 * sys.dim)
-        system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs)
-        whole = _check_direct_against_dense(system).solution
-        monkeypatch.setattr(krylov, "_CHUNK_BYTES",
-                            budget * 5 * 2 * gmm.n_steps * 16)
-        rep = _check_direct_against_dense(system)
-        assert np.array_equal(rep.solution, whole)
-        assert rep.half_spectrum == (boundary == spatial.PERIODIC)
-        monkeypatch.undo()
+@pytest.mark.parametrize("N", [2, 3, 4, 16])
+def test_direct_solve_root_split_matches_dense(N):
+    # the scalar systems (A - cI) y = r against dense solves: c = 0, the
+    # double root c = +-i (z1 = z2, u_j = j), c on the marginal segment and
+    # off it; then whole systems whose modes are all Jordan blocks on the
+    # segment: D = 0 between walls (c = 0) and transport_limit (eps = 0)
+    gmm = build_gmm(N, 1.0)
+    c = np.array([0.0, 1j, -1j, 0.5j, -0.99j, 2j, 1e-3, -0.7, 0.3 + 0.5j, 5 - 40j])
+    rng = np.random.default_rng(N)
+    r = rng.normal(size=(N, c.size)) + 1j * rng.normal(size=(N, c.size))
+    y = r.copy()
+    assert krylov._scalar_sweeps(y, c) == 5            # |z1| = 1 for c on [-i, i]
+    for k in range(c.size):
+        ref = np.linalg.solve(gmm.A_dense() - c[k] * np.eye(N), r[:, k])
+        assert np.linalg.norm(y[:, k] - ref) <= 1e-13 * np.linalg.norm(ref)
+    g = spatial.Grid(length=4.0, m=6, boundary=spatial.DIRICHLET)
+    sys = spatial.assemble_discrete_system(g, 0.0, spatial.OperatorKind("zero"))
+    rhs = rng.normal(size=N * sys.dim)
+    rep = _check_direct_against_dense(AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs))
+    assert rep.marginal_modes == sys.dim
+    pb, run, gmm, system = _setup("transport_limit", m=8, N=N, T=1.0)
+    rep = _check_direct_against_dense(system)
+    assert rep.half_spectrum and rep.marginal_modes == 2 * (run.sys.n // 2 + 1)
+
+
+@pytest.mark.parametrize("boundary,model,m", [(spatial.PERIODIC, "advection", 1024),
+                                              (spatial.DIRICHLET, "scalar", 1025)])
+def test_direct_solve_peak_memory_in_rhs_vectors(boundary, model, m):
+    # at most the mode array (rfft half spectrum, or the real DST modes) and
+    # the solution, then the solution, the residual's apply output and its
+    # half scratch: 2.58 rhs sizes measured on both grids
+    g = spatial.Grid(length=10.0, m=m, boundary=boundary)
+    sys = spatial.assemble_discrete_system(g, 0.1, spatial.OperatorKind(model, 0.3))
+    rhs = np.random.default_rng(1).normal(size=128 * sys.dim)
+    system = AllAtOnceSystem(gmm=build_gmm(128, 1.0), sys=sys, rhs=rhs)
+    tracemalloc.start()
+    try:
+        rep = krylov.direct_solve(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged
+    assert peak <= 2.75 * rhs.nbytes
 
 
 def test_reports_carry_true_residual_and_path():
