@@ -1,9 +1,9 @@
 """Solvers for 1-D evolution equations driven by the half-Laplacian.
 
 The pipeline: evaluate the half-Laplacian through the Hilbert transform of
-the derivative (closed forms, a rational spectral fit, or a quadrature
-oracle), double the problem into a first-order system in time so that time
-stepping never touches a singular integral, integrate with the
+the derivative (the data's closed form when it has one, else a rational
+spectral fit), double the problem into a first-order system in time so that
+time stepping never touches a singular integral, integrate with the
 generalized-midpoint boundary value scheme as one all-at-once linear system,
 and solve that system with GMRES under an omega-circulant preconditioner
 whose frequency blocks decouple and reduce to half-size solves.
@@ -20,8 +20,7 @@ from .hilbert import (CatalogFunction, InvalidSampleError,
                       hilbert_quadrature_oracle, weideman_eval, weideman_fit)
 from .krylov import (OmegaPreconditioner, SolveReport, build_omega_circulant,
                      build_preconditioner, direct_solve, gmres, gmres_solve)
-from .oracles import (advection_exact, half_diffusion_exact,
-                      mass_transfer_exact, rel_l2, relative_l2_error,
+from .oracles import (FourierSeriesSolution, rel_l2, relative_l2_error,
                       schrodinger_dalembert, schrodinger_series)
 from .problems import Problem, build_problem, catalog, setup_run
 from .spatial import (DIRICHLET, PERIODIC, ConfigurationError, DiscreteSystem,

@@ -9,9 +9,10 @@ ODE U' = D U + G into one vector gives
 
 with B = I for this scheme.
 The coefficient table below is the only place the scheme is written down:
-A, a0, the rhs, the omega-circulant preconditioner (``krylov``), the
-stability polynomials (``spectrum.gmm_polynomials``) and, through their
-roots, the sweeps of the direct solve all read it.
+A, a0, the rhs, the stability polynomials (``spectrum.gmm_polynomials``)
+and, through their roots, the sweeps of the direct solve all read it; the
+omega-circulant preconditioner (``krylov``) takes its interior row's symbol
+in closed form.
 The operator is applied matrix free: block row j touches only slices j-1, j,
 j+1, and D acts within a slice from its spatial stencils.
 """
@@ -116,8 +117,7 @@ class AllAtOnceSystem:
 
 
 def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,
-                         u0v0: DoubledState, hmode: str = "exact",
-                         weideman_n: int = 256) -> AllAtOnceSystem:
+                         u0v0: DoubledState, weideman_n: int = 256) -> AllAtOnceSystem:
     """Build the right-hand side for initial state (u0, v0) and source spec.
 
     Every Hilbert-transformed spatial profile in the source is evaluated once
@@ -126,8 +126,8 @@ def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,
     U0 = u0v0.stack()
     if U0.size != sys.dim:
         raise ValueError(f"initial state has size {U0.size}, expected {sys.dim}")
-    cache = None if src.is_zero else source_block_values(src, sys, hmode, weideman_n)
-    rhs = doubled_source(src, sys, gmm.times, hmode, _cache=cache)   # a new array
+    cache = None if src.is_zero else source_block_values(src, sys, weideman_n)
+    rhs = doubled_source(src, sys, gmm.times, _cache=cache)   # a new array
     rhs *= gmm.tau
     rhs = rhs.astype(np.result_type(rhs, U0), copy=False)
     rhs[0] -= gmm.a0[0] * U0               # -a0 (x) U0: a0 is zero past row 0

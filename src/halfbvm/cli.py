@@ -184,7 +184,7 @@ def _solve_once(cfg, pb, h=None, m=None, precondition=None):
     N = cfg.time_steps(h=h if h is not None else pb.L / m)
     gmm = build_gmm(N, cfg.T)
     system = assemble_all_at_once(gmm, run.sys, run.source, run.u0v0,
-                                  hmode=pb.hilbert, weideman_n=cfg.weideman_n)
+                                  weideman_n=cfg.weideman_n)
     if cfg.solver.method == "direct":
         report = direct_solve(system)
     else:

@@ -34,15 +34,12 @@ __all__ = [
     "doubled_source",
 ]
 
-HILBERT_METHODS = ("exact", "weideman", "quadrature")
-
-
 @dataclass(frozen=True)
 class LineProfile:
     """A spatial profile on the real line with its transform data.
 
     ``value``/``dx`` are vectorized callables; ``hilbert_dx`` evaluates
-    H[f'] = (H f)' and may be None when only approximate transforms exist.
+    H[f'] = (H f)' in closed form, or is None and ``dx`` is fit instead.
     ``hilbert`` (H of the profile itself) is optional, used by oracles.
     ``center`` marks where the profile's structure lives: the spectral fit
     works in coordinates centered there, since its tangent nodes only
@@ -59,20 +56,14 @@ class LineProfile:
     def __call__(self, x):
         return self.value(x)
 
-    def hilbert_dx_evaluator(self, method: str, weideman_n: int = 256):
-        """Vectorized H[f'] evaluator obtained by the requested route."""
-        if method not in HILBERT_METHODS:
-            raise ValueError(f"unknown hilbert method {method!r}")
-        if method == "exact":
-            if self.hilbert_dx is None:
-                raise ht.UnsupportedFunctionError(
-                    "profile has no closed-form transform; use method='weideman'")
+    def hilbert_dx_evaluator(self, weideman_n: int = 256):
+        """Vectorized H[f']: ``hilbert_dx`` when the profile has a closed
+        form, else the spectral fit of ``dx`` at order ``weideman_n``."""
+        if self.hilbert_dx is not None:
             return self.hilbert_dx
         if self.dx is None:
-            raise ht.UnsupportedFunctionError("profile needs a derivative evaluator")
-        if method == "quadrature":
-            return lambda x: np.array(
-                [ht.hilbert_quadrature_oracle(self.dx, xi) for xi in np.atleast_1d(x)])
+            raise ht.UnsupportedFunctionError(
+                "profile has neither a closed-form H[f'] nor a derivative to fit")
         c = self.center
         centered = lambda t: np.asarray(self.dx(t + c))
         if np.iscomplexobj(centered(np.zeros(1))):
@@ -104,8 +95,8 @@ class _OddReflection(LineProfile):
     base: LineProfile = None
     fold: float = 0.0
 
-    def hilbert_dx_evaluator(self, method: str, weideman_n: int = 256):
-        ev = self.base.hilbert_dx_evaluator(method, weideman_n)
+    def hilbert_dx_evaluator(self, weideman_n: int = 256):
+        ev = self.base.hilbert_dx_evaluator(weideman_n)
         c2 = 2.0 * self.fold
         return lambda x: ev(np.asarray(x)) - ev(c2 - np.asarray(x))
 
@@ -173,12 +164,11 @@ def _real_if_real(eps: complex):
     return eps.real if eps.imag == 0.0 else eps
 
 
-def _doubled_pair(profile: LineProfile, sys: DiscreteSystem, hmode: str,
-                  weideman_n: int):
+def _doubled_pair(profile: LineProfile, sys: DiscreteSystem, weideman_n: int):
     """(F, Lop(F) - eps*H[F']) of one profile on the grid nodes."""
     x = sys.grid.nodes
     F = np.asarray(profile.value(x))
-    hdx = np.asarray(profile.hilbert_dx_evaluator(hmode, weideman_n)(x))
+    hdx = np.asarray(profile.hilbert_dx_evaluator(weideman_n)(x))
     if sys.op.variant == ZERO:
         lop = np.zeros_like(F)
     elif sys.op.variant == SCALAR:
@@ -191,30 +181,29 @@ def _doubled_pair(profile: LineProfile, sys: DiscreteSystem, hmode: str,
     return F, lop - _real_if_real(sys.epsilon) * hdx
 
 
-def doubled_initial_state(u0, sys: DiscreteSystem, hmode: str = "exact",
+def doubled_initial_state(u0, sys: DiscreteSystem,
                           weideman_n: int = 256) -> DoubledState:
     """Sample u0 and build v0 = -eps*H[u0'] + Lop(u0) on the grid nodes."""
     if isinstance(u0, ht.CatalogFunction):
         u0 = profile_from_catalog(u0)
-    u, v = _doubled_pair(u0, sys, hmode, weideman_n)
+    u, v = _doubled_pair(u0, sys, weideman_n)
     dtype = complex if np.iscomplexobj(v) or np.iscomplexobj(u) else float
     return DoubledState(u=u.astype(dtype), v=v.astype(dtype))
 
 
-def source_block_values(src: SourceSpec, sys: DiscreteSystem, hmode: str = "exact",
+def source_block_values(src: SourceSpec, sys: DiscreteSystem,
                         weideman_n: int = 256):
     """Per-term stacked spatial vectors [F, Lop(F) - eps*H[F']] on the nodes.
 
     Time stepping only rescales these by T(t); no singular integral is
     evaluated after this point.
     """
-    return [(term.time, np.concatenate(_doubled_pair(term.space, sys, hmode,
-                                                     weideman_n)))
+    return [(term.time, np.concatenate(_doubled_pair(term.space, sys, weideman_n)))
             for term in src.terms]
 
 
 def doubled_source(src: SourceSpec, sys: DiscreteSystem, t,
-                   hmode: str = "exact", _cache=None) -> np.ndarray:
+                   weideman_n: int = 256, _cache=None) -> np.ndarray:
     """Stacked source G(t) = [f(.,t), Lop(f) - eps*H[f_x]](t) of size 2n.
 
     For an array of times the rows of the result are G at each time.
@@ -222,6 +211,6 @@ def doubled_source(src: SourceSpec, sys: DiscreteSystem, t,
     if src.is_zero:
         return np.zeros(np.shape(t) + (2 * sys.n,),
                         dtype=complex if sys.epsilon.imag != 0 else float)
-    cached = source_block_values(src, sys, hmode) if _cache is None else _cache
+    cached = source_block_values(src, sys, weideman_n) if _cache is None else _cache
     # a single term's product is returned as is, for the caller to scale in place
     return reduce(np.add, (np.multiply.outer(time_fn(t), G) for time_fn, G in cached))

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.fft import fft, ifft
 from scipy.linalg import solve_triangular
 
-from .bvm import FINAL, INTERIOR, AllAtOnceSystem, GmmMatrices
+from .bvm import FINAL, AllAtOnceSystem, GmmMatrices
 from .spectrum import eigenvalues_of_D, gmm_polynomials
 
 TRUE_RESIDUAL_MAX = 1e-8   # ||b - Mx|| / ||b|| above which a direct solve failed
@@ -61,31 +61,21 @@ __all__ = [
 ]
 
 
-def _generating_column(N: int, omega: complex) -> np.ndarray:
-    """First column of omega(A): the interior row of A on the diagonals, the
-    superdiagonal omega-wrapped into the last entry."""
-    below, diag, above = INTERIOR
-    c = np.zeros(N, dtype=complex)
-    c[0] = diag
-    c[1] = below
-    c[N - 1] += above / omega
-    return c
+def _frequencies(N: int, theta: float) -> np.ndarray:
+    """lam_j = i sin((2 pi j - theta)/N), j = 0..N-1: the symbol of A's
+    interior row (-1/2, 0, 1/2) at the omega-shifted Fourier frequencies."""
+    return 1j * np.sin((2.0 * np.pi * np.arange(N) - theta) / N)
 
 
 def build_omega_circulant(gmm: GmmMatrices, omega: complex):
-    """Eigenvalues Lambda of omega(A) plus the Theta scaling diagonal.
-
-    Lambda = FFT(c_s omega^{s/N}); in closed form lam_j = i sin((2 pi j -
-    theta)/N), purely imaginary.
-    """
+    """Eigenvalues Lambda of omega(A), in closed form, plus the Theta
+    scaling diagonal."""
     if abs(abs(omega) - 1.0) > 1e-12:
         raise ValueError("omega must be unimodular")
     N = gmm.n_steps
-    s = np.arange(N)
     theta = np.angle(omega)
-    scaling = np.exp(-1j * theta * s / N)          # Theta diagonal, omega^{-s/N}
-    lam = np.fft.fft(_generating_column(N, omega) * np.conj(scaling))
-    return lam, scaling
+    scaling = np.exp(-1j * theta * np.arange(N) / N)   # Theta diagonal, omega^{-s/N}
+    return _frequencies(N, theta), scaling
 
 
 @dataclass(frozen=True)
@@ -123,10 +113,10 @@ def build_preconditioner(gmm: GmmMatrices, sys,
     reduced block data; ValueError if its gap is below GAP_MIN.  Nothing N x n
     is formed: each apply rebuilds the reduced symbol, cheaper than holding it."""
     N, tau = gmm.n_steps, gmm.tau
-    z, j = tau * eigenvalues_of_D(sys), np.arange(N)
+    z = tau * eigenvalues_of_D(sys)
 
     def gap(th):
-        return _gap(1j * np.sin((2.0 * np.pi * j - th) / N), z)
+        return _gap(_frequencies(N, th), z)
     if theta is None and gap(np.pi) < GAP_MIN:
         theta = THETA_GRID[np.argmax([gap(th) for th in THETA_GRID])]
     theta = np.pi if theta is None else float(theta)

@@ -21,9 +21,6 @@ import numpy as np
 
 __all__ = [
     "FourierSeriesSolution",
-    "half_diffusion_exact",
-    "mass_transfer_exact",
-    "advection_exact",
     "schrodinger_dalembert",
     "schrodinger_series",
     "relative_l2_error",
@@ -127,21 +124,6 @@ class FourierSeriesSolution:
         if self.model == ADVECTION:
             out = out + np.cos(arg) @ B
         return out
-
-
-def half_diffusion_exact(u0, f, eps, L, n_max=400, **kw) -> FourierSeriesSolution:
-    return FourierSeriesSolution(u0=u0, source=f, eps=eps, L=L,
-                                 model=HALF_DIFFUSION, n_max=n_max, **kw)
-
-
-def mass_transfer_exact(u0, f, eps, delta, L, n_max=400, **kw) -> FourierSeriesSolution:
-    return FourierSeriesSolution(u0=u0, source=f, eps=eps, L=L, delta=delta,
-                                 model=MASS_TRANSFER, n_max=n_max, **kw)
-
-
-def advection_exact(u0, f, eps, delta, L, n_max=400, **kw) -> FourierSeriesSolution:
-    return FourierSeriesSolution(u0=u0, source=f, eps=eps, L=L, delta=delta,
-                                 model=ADVECTION, n_max=n_max, **kw)
 
 
 def schrodinger_dalembert(u0_value, u0_hilbert, gamma, V=0.0, L=None):

@@ -15,6 +15,7 @@ The drift model is posed on the doubled torus [0, 2L) carrying the odd
 reflection of the data, matching the sine-series reference kernel.
 """
 
+import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +138,6 @@ class Problem:
     u0: LineProfile = None
     source: SourceSpec = ZERO_SOURCE
     exact: object = None              # callable (x, t) or None (series oracle)
-    hilbert: str = "exact"
     measure_window: tuple = None
     scalar_field: str = "real"
     # periodic runs either double the torus with the odd reflection (matches
@@ -173,17 +173,10 @@ class Problem:
         """Reference u(x, t): the stated closed form, else the series solution."""
         if self.exact is not None:
             return self.exact
-        if self.model == "half_diffusion":
-            return oracles.half_diffusion_exact(self.u0.value, self.source,
-                                                abs(self.eps), self.L, n_max, **kw)
-        if self.model == "mass_transfer":
-            return oracles.mass_transfer_exact(self.u0.value, self.source,
-                                               abs(self.eps), self.delta, self.L,
-                                               n_max, **kw)
-        if self.model == "advection":
-            return oracles.advection_exact(self.u0.value, self.source,
-                                           abs(self.eps), self.delta, self.L,
-                                           n_max, **kw)
+        if self.model != "schrodinger":
+            return oracles.FourierSeriesSolution(
+                u0=self.u0.value, source=self.source, eps=abs(self.eps), L=self.L,
+                model=self.model, delta=self.delta, n_max=n_max, **kw)
         gamma = complex(self.eps).imag
         return oracles.schrodinger_dalembert(self.u0.value, self.u0.hilbert,
                                              gamma, self.V, self.L)
@@ -212,6 +205,11 @@ def build_problem(name: str, **kw) -> Problem:
         factory = catalog()[name]
     except KeyError:
         raise KeyError(f"unknown problem {name!r}; known: {sorted(catalog())}")
+    takes = inspect.signature(factory).parameters
+    for key in kw:
+        if key not in takes:
+            raise ConfigurationError(f"problem {name!r} takes no parameter {key!r}; "
+                                     f"it takes {list(takes)}")
     return factory(**kw)
 
 
@@ -285,7 +283,7 @@ def _advection_gaussian_quartic(L=20.0, eps=0.01, delta=0.2):
         space=LineProfile(value=_add(g_p, g_m), dx=_add(gd_p, gd_m), center=0.0)),))
     return Problem(name="advection_gaussian_quartic", model="advection",
                    L=L, eps=eps, delta=delta, u0=u0, source=src,
-                   hilbert="weideman", measure_window=(0.0, L))
+                   measure_window=(0.0, L))
 
 
 def _transport_limit(L=20.0, delta=1.0):
@@ -381,6 +379,5 @@ def setup_run(problem: Problem, h: float = None, m: int = None,
         u0, src = problem.u0, problem.source
 
     sys = assemble_discrete_system(grid, problem.eps, problem.operator())
-    u0v0 = doubled_initial_state(u0, sys, hmode=problem.hilbert,
-                                 weideman_n=weideman_n)
+    u0v0 = doubled_initial_state(u0, sys, weideman_n=weideman_n)
     return RunSetup(problem=problem, grid=grid, sys=sys, u0v0=u0v0, source=src)

@@ -221,7 +221,6 @@ class StabilityVerdict:
 
     stable: bool
     offending: np.ndarray = field(repr=False)
-    locus_samples: np.ndarray = field(repr=False)
 
     def offending_are_marginal(self, tol: float = 1e-10) -> bool:
         """True when every flagged mode is the (conserved) constant mode q ~ 0."""
@@ -240,6 +239,4 @@ def gmm_stability_verdict(sys: DiscreteSystem, tau: float,
         raise ValueError("tau must be positive")
     q = tau * eigenvalues_of_D(sys)
     bad = q[segment_distance(q) <= tol]
-    locus = boundary_locus(gmm_polynomials(), 361)
-    return StabilityVerdict(stable=bad.size == 0, offending=bad,
-                            locus_samples=locus)
+    return StabilityVerdict(stable=bad.size == 0, offending=bad)

@@ -3,7 +3,8 @@ import scipy.sparse as sp
 from hypothesis import settings
 
 import halfbvm as hb
-from halfbvm.krylov import _generating_column, build_preconditioner, direct_solve
+from halfbvm.bvm import INTERIOR
+from halfbvm.krylov import build_preconditioner, direct_solve
 
 # same examples on every run, no time limit: property tests cannot flake
 settings.register_profile("deterministic", derandomize=True, deadline=None,
@@ -53,9 +54,15 @@ def derivative_matrix(grid):
 
 
 def materialize_omega_circulant(gmm, omega: complex) -> np.ndarray:
-    """Dense omega(A) for validation: column shifts carry the omega wrap."""
+    """Dense omega(A) for validation: column shifts carry the omega wrap.
+
+    Its first column holds the interior row of A on the diagonals, the
+    superdiagonal omega-wrapped into the last entry."""
     N = gmm.n_steps
-    c = _generating_column(N, omega)
+    below, diag, above = INTERIOR
+    c = np.zeros(N, dtype=complex)
+    c[0], c[1] = diag, below
+    c[N - 1] += above / omega
     W = np.zeros((N, N), dtype=complex)
     for j in range(N):
         for k in range(N):
@@ -69,8 +76,7 @@ def solve_problem(pb, h=None, m=None, n_steps=16, T=2.0, method="gmres",
     """Discretize, assemble and solve one named problem; returns run data."""
     run = hb.setup_run(pb, h=h, m=m)
     gmm = hb.build_gmm(n_steps, T)
-    system = hb.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0,
-                                     hmode=pb.hilbert)
+    system = hb.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
     if method == "direct":
         report = direct_solve(system)
     else:

@@ -23,8 +23,7 @@ def _report(num, ok, detail):
 def _solve(pb, h, N, T, method, tol=1e-10, max_iter=800, restart=None):
     run = hb.setup_run(pb, h=h)
     gmm = hb.build_gmm(N, T)
-    system = hb.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0,
-                                     hmode=pb.hilbert)
+    system = hb.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
     if method == "direct":
         rep = direct_solve(system)
     else:

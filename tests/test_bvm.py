@@ -134,12 +134,11 @@ def test_assembled_rhs_structure():
                  "schrodinger_two_lorentzian"):
         pb = hb.build_problem(name)
         run = hb.setup_run(pb, m=12)
-        system = bvm.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0,
-                                          hmode=pb.hilbert)
+        system = bvm.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
         U0 = run.u0v0.stack()
         R = system.rhs.reshape(4, run.sys.dim)
         for j, t in enumerate(gmm.times):
-            expect = gmm.tau * doubled_source(run.source, run.sys, t, pb.hilbert)
+            expect = gmm.tau * doubled_source(run.source, run.sys, t)
             if j == 0:
                 expect = expect + 0.5 * U0
             assert np.array_equal(R[j], expect), name

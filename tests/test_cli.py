@@ -45,6 +45,11 @@ def test_config_validation_errors(tmp_path):
 # L comes from the problem
 GRID_ONLY = ({"h": 100.0, "m": None},
              {"h_sweep": [100.0, 0.5], "m": None, "n_steps": None})
+# the loader cannot know which parameters each problem's factory takes
+PROBLEM_ONLY = ({"problem": "half_diffusion_manufactured", "delta": 0.1},
+                {"V": 0.5},                  # on single_mode
+                {"problem": "transport_limit", "eps": 0.1},
+                {"problem": "advection_mms", "mode": 2})
 
 
 @pytest.mark.parametrize("setting", [
@@ -68,6 +73,7 @@ GRID_ONLY = ({"h": 100.0, "m": None},
     {"solver": {"workers": 1.5}},
     {"solver": {"method": 1}},
     {"solver": {"method": ["direct"]}},
+    *PROBLEM_ONLY,                       # died on a TypeError, exit 1
 ])
 def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting, capsys):
     cfg = _base_solve_config()
@@ -79,7 +85,7 @@ def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting, capsys):
         else:
             cfg[key] = value
     path = _write_config(tmp_path, **cfg)
-    if setting not in GRID_ONLY:
+    if setting not in GRID_ONLY + PROBLEM_ONLY:
         with pytest.raises(cli.ConfigError):
             cli.load_config(path)
     command = "converge" if "h_sweep" in setting else "solve"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -32,13 +34,20 @@ def test_initial_state_zero():
     assert np.all(state.u == 0) and np.all(state.v == 0)
 
 
+def _quadrature_hilbert_dx(profile, x):
+    return np.array([ht.hilbert_quadrature_oracle(profile.dx, xi) for xi in x])
+
+
 def test_initial_state_spot_check_against_quadrature():
+    # v0 = -eps H[u0'] by the closed form, and by the fit once the profile
+    # has none, against the principal-value quadrature of u0'
     sys = _system(m=20, eps=0.1)
-    u0 = ht.CatalogFunction("squared_lorentzian", shift=10.0)
-    exact = doubling.doubled_initial_state(u0, sys, hmode="exact")
-    quad = doubling.doubled_initial_state(u0, sys, hmode="quadrature")
-    wei = doubling.doubled_initial_state(u0, sys, hmode="weideman")
-    assert np.abs(exact.v - quad.v).max() < 1e-3
+    u0 = doubling.profile_from_catalog(
+        ht.CatalogFunction("squared_lorentzian", shift=10.0))
+    exact = doubling.doubled_initial_state(u0, sys)
+    wei = doubling.doubled_initial_state(dataclasses.replace(u0, hilbert_dx=None), sys)
+    quad_v = -0.1 * _quadrature_hilbert_dx(u0, sys.grid.nodes)
+    assert np.abs(exact.v - quad_v).max() < 1e-3
     assert np.abs(exact.v - wei.v).max() < 1e-10
 
 
@@ -55,9 +64,40 @@ def test_source_u_block_formula():
 def test_source_v_block_against_quadrature():
     pb = hb.build_problem("half_diffusion_manufactured")
     sys = _system(m=12)
-    g_exact = doubled_source(pb.source, sys, 0.7, hmode="exact")
-    g_quad = doubled_source(pb.source, sys, 0.7, hmode="quadrature")
-    assert np.abs(g_exact - g_quad).max() < 2e-3
+    x, t = sys.grid.nodes, 0.7
+    g_quad = sum(term.time(t) * np.concatenate(
+        [term.space.value(x), -0.1 * _quadrature_hilbert_dx(term.space, x)])
+        for term in pb.source.terms)
+    fitted = doubling.SourceSpec(terms=tuple(
+        doubling.SourceTerm(time=term.time,
+                            space=dataclasses.replace(term.space, hilbert_dx=None))
+        for term in pb.source.terms))
+    for src in (pb.source, fitted):
+        assert np.abs(doubled_source(src, sys, t) - g_quad).max() < 2e-3
+
+
+@pytest.mark.parametrize("name", sorted(hb.catalog()))
+def test_hilbert_route_follows_the_profile(name, monkeypatch):
+    # every catalog profile has a closed-form H[f'] except the gaussian-quartic
+    # drift data, whose u0 and source term are fit at the given order
+    orders = []
+    fit = ht.weideman_fit
+    monkeypatch.setattr(ht, "weideman_fit",
+                        lambda f, N, **kw: orders.append(N) or fit(f, N, **kw))
+    pb = hb.build_problem(name)
+    run = hb.setup_run(pb, h=0.5, weideman_n=64)
+    source_block_values(run.source, run.sys, 64)
+    fitted = name == "advection_gaussian_quartic"
+    assert orders == ([64] * (1 + len(pb.source.terms)) if fitted else [])
+
+
+def test_uncached_source_fits_at_the_given_order():
+    pb = hb.build_problem("advection_gaussian_quartic")
+    run = hb.setup_run(pb, h=0.5, weideman_n=64)
+    cache = source_block_values(run.source, run.sys, 64)
+    for t in (0.0, 0.7):
+        assert np.array_equal(doubled_source(run.source, run.sys, t, weideman_n=64),
+                              doubled_source(run.source, run.sys, t, _cache=cache))
 
 
 def test_zero_source():
@@ -158,9 +198,13 @@ def test_odd_reflection_identities():
     assert np.abs(refl.dx(x) - (f.derivative(x) + f.derivative(20.0 - x))).max() < 1e-15
     hdx = f.hilbert_derivative
     assert np.abs(refl.hilbert_dx(x) - (hdx(x) - hdx(20.0 - x))).max() < 1e-15
-    # spectral evaluator composes from the base fit in the base frame
-    ev = refl.hilbert_dx_evaluator("weideman", 128)
+    assert np.array_equal(refl.hilbert_dx_evaluator(128)(x), refl.hilbert_dx(x))
+    # without a closed form the evaluator composes the base fit in the base frame
+    fit = doubling.odd_reflection(dataclasses.replace(base, hilbert_dx=None), 10.0)
+    assert fit.hilbert_dx is None
+    ev = fit.hilbert_dx_evaluator(128)
     assert np.abs(ev(x) - refl.hilbert_dx(x)).max() < 1e-9
+    assert np.abs(ev(x[::14]) - _quadrature_hilbert_dx(refl, x[::14])).max() < 1e-3
 
 
 def test_stack_unstack_round_trip():

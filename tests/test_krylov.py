@@ -16,8 +16,7 @@ def _setup(name="half_diffusion_manufactured", m=9, N=8, T=2.0, **kw):
     pb = hb.build_problem(name, **kw)
     run = hb.setup_run(pb, m=m)
     gmm = build_gmm(N, T)
-    system = hb.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0,
-                                     hmode=pb.hilbert)
+    system = hb.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
     return pb, run, gmm, system
 
 

@@ -9,8 +9,8 @@ from halfbvm.problems import build_problem
 
 def test_single_mode_half_diffusion_decay():
     L, eps = 20.0, 0.1
-    u = oracles.half_diffusion_exact(lambda x: np.sin(np.pi * x / L), None,
-                                     eps, L, n_max=8)
+    u = oracles.FourierSeriesSolution(u0=lambda x: np.sin(np.pi * x / L), source=None,
+                                      eps=eps, L=L, model="half_diffusion", n_max=8)
     x = np.linspace(0.5, 19.5, 13)
     for t in (0.0, 1.0, 7.5):
         expect = np.exp(-eps * np.pi * t / L) * np.sin(np.pi * x / L)
@@ -20,7 +20,8 @@ def test_single_mode_half_diffusion_decay():
 def test_series_reproduces_initial_data():
     # slowest convergence sits at the walls where the line data is ~1e-4
     pb = build_problem("half_diffusion_homogeneous")
-    u = oracles.half_diffusion_exact(pb.u0.value, None, 0.1, 20.0, n_max=400)
+    u = oracles.FourierSeriesSolution(u0=pb.u0.value, source=None, eps=0.1, L=20.0,
+                                      model="half_diffusion", n_max=400)
     x = np.linspace(0.5, 19.5, 101)
     assert np.abs(u(x, 0.0) - pb.u0.value(x)).max() < 5e-6
     interior = np.linspace(2.0, 18.0, 65)
@@ -37,16 +38,18 @@ def test_manufactured_half_diffusion_matches_series():
 
 def test_mass_transfer_reduces_to_half_diffusion_at_zero_delta():
     pb = build_problem("half_diffusion_homogeneous")
-    a = oracles.half_diffusion_exact(pb.u0.value, None, 0.1, 20.0, n_max=100)
-    b = oracles.mass_transfer_exact(pb.u0.value, None, 0.1, 0.0, 20.0, n_max=100)
+    a, b = (oracles.FourierSeriesSolution(u0=pb.u0.value, source=None, eps=0.1,
+                                          L=20.0, model=model, n_max=100)
+            for model in ("half_diffusion", "mass_transfer"))
     x = np.linspace(1.0, 19.0, 19)
     assert np.abs(a(x, 1.3) - b(x, 1.3)).max() < 1e-14
 
 
 def test_mass_transfer_single_mode():
     L, eps, delta = 20.0, 0.1, 0.02
-    u = oracles.mass_transfer_exact(lambda x: np.sin(np.pi * x / L), None,
-                                    eps, delta, L, n_max=8)
+    u = oracles.FourierSeriesSolution(u0=lambda x: np.sin(np.pi * x / L), source=None,
+                                      eps=eps, L=L, model="mass_transfer",
+                                      delta=delta, n_max=8)
     x = np.linspace(0.5, 19.5, 7)
     t = 2.5
     expect = np.exp((delta - eps * np.pi / L) * t) * np.sin(np.pi * x / L)
@@ -62,16 +65,18 @@ def test_manufactured_mass_transfer_matches_series():
 
 def test_advection_reduces_to_half_diffusion_at_zero_delta():
     pb = build_problem("half_diffusion_homogeneous")
-    a = oracles.half_diffusion_exact(pb.u0.value, None, 0.1, 20.0, n_max=100)
-    b = oracles.advection_exact(pb.u0.value, None, 0.1, 0.0, 20.0, n_max=100)
+    a, b = (oracles.FourierSeriesSolution(u0=pb.u0.value, source=None, eps=0.1,
+                                          L=20.0, model=model, n_max=100)
+            for model in ("half_diffusion", "advection"))
     x = np.linspace(1.0, 19.0, 19)
     assert np.abs(a(x, 0.9) - b(x, 0.9)).max() < 1e-13
 
 
 def test_advection_single_mode_shift():
     L, eps, delta, n = 20.0, 0.05, 0.3, 2
-    u = oracles.advection_exact(lambda x: np.sin(n * np.pi * x / L), None,
-                                eps, delta, L, n_max=8)
+    u = oracles.FourierSeriesSolution(u0=lambda x: np.sin(n * np.pi * x / L), source=None,
+                                      eps=eps, L=L, model="advection", delta=delta,
+                                      n_max=8)
     x = np.linspace(0.5, 19.5, 11)
     t = 3.0
     expect = np.exp(-eps * n * np.pi * t / L) * np.sin(n * np.pi * (x + delta * t) / L)
@@ -80,7 +85,8 @@ def test_advection_single_mode_shift():
 
 def test_advection_transport_limit():
     pb = build_problem("half_diffusion_homogeneous")   # centered bump shape
-    u = oracles.advection_exact(pb.u0.value, None, 1e-8, 1.0, 20.0, n_max=400)
+    u = oracles.FourierSeriesSolution(u0=pb.u0.value, source=None, eps=1e-8, L=20.0,
+                                      model="advection", delta=1.0, n_max=400)
     x = np.linspace(2.0, 18.0, 65)
     t = 1.5
     assert np.abs(u(x, t) - pb.u0.value(x + t)).max() < 1e-3
@@ -97,12 +103,15 @@ def test_homogeneous_decay_is_monotone():
 def test_truncation_self_consistency_monotone():
     pb = build_problem("half_diffusion_manufactured")
     x = np.linspace(1.0, 19.0, 37)
-    ref = oracles.half_diffusion_exact(pb.u0.value, pb.source, 0.1, 20.0,
-                                       n_max=800)(x, 1.0)
+
+    def series(n_max):
+        return oracles.FourierSeriesSolution(u0=pb.u0.value, source=pb.source,
+                                             eps=0.1, L=20.0, model="half_diffusion",
+                                             n_max=n_max)(x, 1.0)
+    ref = series(800)
     resid = []
     for n_max in (50, 100, 200):
-        u = oracles.half_diffusion_exact(pb.u0.value, pb.source, 0.1, 20.0,
-                                         n_max=n_max)(x, 1.0)
+        u = series(n_max)
         resid.append(np.abs(u - ref).max())
     assert resid[0] >= resid[1] >= resid[2]
 

@@ -4,6 +4,7 @@ import pytest
 import halfbvm as hb
 from halfbvm import problems
 from halfbvm.hilbert import hilbert_quadrature_oracle
+from halfbvm.spatial import ConfigurationError
 
 
 def test_catalog_entries_all_build_and_discretize():
@@ -22,6 +23,8 @@ def test_catalog_entries_all_build_and_discretize():
 def test_unknown_problem_name():
     with pytest.raises(KeyError, match="unknown problem"):
         problems.build_problem("nope")
+    with pytest.raises(ConfigurationError, match="no parameter 'delta'"):
+        problems.build_problem("half_diffusion_manufactured", delta=0.1)
     with pytest.raises(ValueError):
         hb.setup_run(problems.build_problem("single_mode"))
 
