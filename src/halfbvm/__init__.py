@@ -16,8 +16,8 @@ from .doubling import (DoubledState, LineProfile, SourceSpec, SourceTerm,
                        odd_reflection, profile_from_catalog)
 from .hilbert import (CatalogFunction, InvalidSampleError,
                       UnsupportedFunctionError, WeidemanExpansion,
-                      half_laplacian_of, hilbert_exact, hilbert_exact_twice,
-                      hilbert_quadrature_oracle, weideman_eval, weideman_fit)
+                      hilbert_exact_twice, hilbert_quadrature_oracle,
+                      weideman_eval, weideman_fit)
 from .krylov import (OmegaPreconditioner, SolveReport, build_omega_circulant,
                      build_preconditioner, direct_solve, gmres, gmres_solve)
 from .oracles import (FourierSeriesSolution, rel_l2, relative_l2_error,

@@ -117,7 +117,7 @@ class AllAtOnceSystem:
 
 
 def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,
-                         u0v0: DoubledState, weideman_n: int = 256) -> AllAtOnceSystem:
+                         u0v0: DoubledState) -> AllAtOnceSystem:
     """Build the right-hand side for initial state (u0, v0) and source spec.
 
     Every Hilbert-transformed spatial profile in the source is evaluated once
@@ -126,7 +126,7 @@ def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,
     U0 = u0v0.stack()
     if U0.size != sys.dim:
         raise ValueError(f"initial state has size {U0.size}, expected {sys.dim}")
-    cache = None if src.is_zero else source_block_values(src, sys, weideman_n)
+    cache = None if src.is_zero else source_block_values(src, sys)
     rhs = doubled_source(src, sys, gmm.times, _cache=cache)   # a new array
     rhs *= gmm.tau
     rhs = rhs.astype(np.result_type(rhs, U0), copy=False)

@@ -73,7 +73,6 @@ class ExperimentConfig:
     tau_sweep: list = None
     snapshot_times: list = None
     n_max: int = 400
-    weideman_n: int = 256
     locus_methods: list = None
     window: list = None
     solver: SolverSettings = field(default_factory=SolverSettings)
@@ -105,7 +104,6 @@ class ExperimentConfig:
                 raise ConfigError("space grid: give exactly one of m, h")
         for name, value, least in (("n_steps", self.n_steps, 2), ("m", self.m, 3),
                                    ("mode", self.mode, 1), ("n_max", self.n_max, 1),
-                                   ("weideman_n", self.weideman_n, 4),
                                    ("solver.max_iter", self.solver.max_iter, 1),
                                    ("solver.restart", self.solver.restart, 1),
                                    ("solver.workers", self.solver.workers, 0)):
@@ -165,12 +163,8 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(solver=solver, **raw).validate()
 
 
-def _resolved(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
-
-
 def _write_csv(path: Path, header, rows, cfg):
-    lines = ["# config: " + json.dumps(_resolved(cfg), default=str)]
+    lines = ["# config: " + json.dumps(asdict(cfg), default=str)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(f"{v:.16g}" if isinstance(v, float) else str(v)
@@ -180,11 +174,10 @@ def _write_csv(path: Path, header, rows, cfg):
 
 def _solve_once(cfg, pb, h=None, m=None, precondition=None):
     """One discretize-assemble-solve pass; returns (report, run, gmm, traj)."""
-    run = problems.setup_run(pb, h=h, m=m, weideman_n=cfg.weideman_n)
+    run = problems.setup_run(pb, h=h, m=m)
     N = cfg.time_steps(h=h if h is not None else pb.L / m)
     gmm = build_gmm(N, cfg.T)
-    system = assemble_all_at_once(gmm, run.sys, run.source, run.u0v0,
-                                  weideman_n=cfg.weideman_n)
+    system = assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
     if cfg.solver.method == "direct":
         report = direct_solve(system)
     else:
@@ -228,7 +221,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         _write_csv(out_dir / f"solution_t{j * gmm.tau:g}.csv", header, rows, cfg)
     err, flagged = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
     manifest = {
-        "config": _resolved(cfg),
+        "config": asdict(cfg),
         # the discretisation actually solved: T/tau and L/h are rounded
         "n_steps": gmm.n_steps, "tau_effective": gmm.tau,
         "n": run.grid.n, "h_effective": run.grid.h,
@@ -305,7 +298,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     _write_csv(out_dir / "convergence.csv",
                ["h", "tau", "rel_l2_error", "iterations_pre", "iterations_nopre"],
                rows, cfg)
-    manifest = {"config": _resolved(cfg), "points": solved,
+    manifest = {"config": asdict(cfg), "points": solved,
                 "fitted_slope": slope, "partial": failed,
                 "unpreconditioned_hit_iteration_cap": comparison_failed}
     (out_dir / "convergence.json").write_text(json.dumps(manifest, indent=2))
@@ -321,10 +314,9 @@ def run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK
 
 
-def run_locus(cfg: ExperimentConfig, out_dir: Path, methods=None) -> int:
+def run_locus(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows = []
-    methods = (methods or cfg.locus_methods
-               or sorted(lmm_catalog()) + ["rk2", "rk4", "radau_iia"])
+    methods = cfg.locus_methods or sorted(lmm_catalog()) + ["rk2", "rk4", "radau_iia"]
     for name in methods:
         if name in lmm_catalog():
             pts = boundary_locus(lmm_catalog()[name], 720)

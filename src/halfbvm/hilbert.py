@@ -11,10 +11,12 @@ differentiable decaying functions the half-Laplacian is then
 
     (-Delta)^{1/2} f = H[f'] .
 
-Three evaluation routes are provided: a catalog of closed forms, a spectral
-approximation by expansion in the rational eigenfunctions of H (evaluated
-with one FFT), and a slow principal-value quadrature used as an independent
-test oracle only.
+Two routes give H[f'] to the solver, chosen by the data: a catalog of
+closed forms (``CatalogFunction.hilbert_derivative``), and a spectral
+approximation by expansion in the rational eigenfunctions of H (fit with
+one FFT) for profiles without one; ``doubling.LineProfile`` picks between
+them and fixes the fit order.  A slow principal-value quadrature is kept as
+an independent test oracle only.
 """
 
 from dataclasses import dataclass, field
@@ -27,12 +29,10 @@ __all__ = [
     "WeidemanExpansion",
     "UnsupportedFunctionError",
     "InvalidSampleError",
-    "hilbert_exact",
     "hilbert_exact_twice",
     "weideman_fit",
     "weideman_eval",
     "hilbert_quadrature_oracle",
-    "half_laplacian_of",
 ]
 
 LORENTZIAN = "lorentzian"                    # 1/(1+x^2)
@@ -184,17 +184,6 @@ class CatalogFunction:
         return self.scale if self.kind == ODD_LORENTZIAN else 0.0
 
 
-def hilbert_exact(f: CatalogFunction, x):
-    """Closed-form Hilbert transform of a catalog function at x."""
-    if not isinstance(f, CatalogFunction):
-        raise UnsupportedFunctionError(
-            "hilbert_exact needs a CatalogFunction; use weideman_fit or the "
-            "quadrature oracle for general inputs")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("evaluation point must be finite")
-    return f.hilbert(x)
-
-
 def hilbert_exact_twice(f: CatalogFunction, x):
     """H(H(f)) where the image is itself closed under the catalog.
 
@@ -311,38 +300,3 @@ def hilbert_quadrature_oracle(f, x: float, R: float = 1e3, n_quad: int = 100_000
     vals = (np.asarray(f(x - s)) - np.asarray(f(x + s))) / s
     return float(np.sum(vals) * ds / np.pi)
 
-
-_FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
-
-
-def half_laplacian_of(f, x, method: str = "exact", *, fprime=None, N: int = 256,
-                      R: float = 1e3, n_quad: int = 100_000):
-    """(-Delta)^{1/2} f (x) = H[f'](x).
-
-    method 'exact' requires a CatalogFunction and uses the derivative of the
-    closed-form transform.  'weideman' and 'quadrature' transform f' directly;
-    the derivative is analytic when available (CatalogFunction or ``fprime``),
-    otherwise a central difference with step eps^{1/3} * max(1, |x|).
-    """
-    if method == "exact":
-        if not isinstance(f, CatalogFunction):
-            raise UnsupportedFunctionError(
-                "method 'exact' needs a catalog function")
-        return f.hilbert_derivative(x)
-
-    if isinstance(f, CatalogFunction) and fprime is None:
-        fprime = f.derivative
-    if fprime is None:
-        def fprime(y):
-            h = _FD_STEP * np.maximum(1.0, np.abs(y))
-            return (np.asarray(f(y + h)) - np.asarray(f(y - h))) / (2.0 * h)
-
-    if method == "weideman":
-        out = weideman_eval(weideman_fit(fprime, N), x)
-        return out.real if np.isrealobj(np.asarray(fprime(0.0))) else out
-    if method == "quadrature":
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = np.array([hilbert_quadrature_oracle(fprime, xi, R=R, n_quad=n_quad)
-                         for xi in xs])
-        return vals if np.ndim(x) else float(vals[0])
-    raise ValueError(f"unknown method {method!r}")

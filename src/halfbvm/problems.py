@@ -139,12 +139,15 @@ class Problem:
     source: SourceSpec = ZERO_SOURCE
     exact: object = None              # callable (x, t) or None (series oracle)
     measure_window: tuple = None
-    scalar_field: str = "real"
     # periodic runs either double the torus with the odd reflection (matches
     # the sine-series reference) or wrap the line data directly with period L
     # (smoother seam; used when the data is symmetric about the center and no
     # series reference is involved)
     periodization: str = "odd_doubled"
+
+    @property
+    def scalar_field(self) -> str:
+        return "complex" if self.model == "schrodinger" else "real"
 
     @property
     def boundary(self) -> str:
@@ -318,8 +321,7 @@ def _schrodinger_single_mode(L=20.0, gamma=0.1, mode=1, V=0.0):
                 * np.exp(-1j * (gamma * k + V) * t))
 
     return Problem(name="schrodinger_single_mode", model="schrodinger", L=L,
-                   eps=1j * gamma, V=V, u0=u0, exact=exact,
-                   scalar_field="complex")
+                   eps=1j * gamma, V=V, u0=u0, exact=exact)
 
 
 def _schrodinger_two_lorentzian(L=100.0, gamma=0.1, V=0.0, separation=10.0,
@@ -338,7 +340,7 @@ def _schrodinger_two_lorentzian(L=100.0, gamma=0.1, V=0.0, separation=10.0,
                               + 1j * sgn2 * f2.hilbert_derivative(x)),
         center=L / 2.0)
     return Problem(name="schrodinger_two_lorentzian", model="schrodinger",
-                   L=L, eps=1j * gamma, V=V, u0=u0, scalar_field="complex")
+                   L=L, eps=1j * gamma, V=V, u0=u0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +357,7 @@ class RunSetup:
     source: SourceSpec
 
 
-def setup_run(problem: Problem, h: float = None, m: int = None,
-              weideman_n: int = 256) -> RunSetup:
+def setup_run(problem: Problem, h: float = None, m: int = None) -> RunSetup:
     """Discretize in space; drift models double the torus and reflect data.
 
     The mesh width h refers to the physical domain (0, L) in either case.
@@ -379,5 +380,5 @@ def setup_run(problem: Problem, h: float = None, m: int = None,
         u0, src = problem.u0, problem.source
 
     sys = assemble_discrete_system(grid, problem.eps, problem.operator())
-    u0v0 = doubled_initial_state(u0, sys, weideman_n=weideman_n)
+    u0v0 = doubled_initial_state(u0, sys)
     return RunSetup(problem=problem, grid=grid, sys=sys, u0v0=u0v0, source=src)

@@ -61,7 +61,7 @@ PROBLEM_ONLY = ({"problem": "half_diffusion_manufactured", "delta": 0.1},
     {"h": 0.0, "m": None},
     {"n_steps": 1},
     *GRID_ONLY,                          # raised GridTooSmallError
-    {"problem": "advection_gaussian_quartic", "weideman_n": 2},
+    {"problem": "advection_gaussian_quartic", "weideman_n": 2},  # fit order is fixed
     {"L": -5.0},
     {"eps": 1e400},                      # JSON Infinity
     {"solver": {"max_iter": 0}},         # ran, then exit 3
@@ -357,16 +357,6 @@ def test_locus_method_selection(tmp_path):
     bad = _write_config(tmp_path, **_base_solve_config(locus_methods=["zorp"]))
     rc = cli.main(["locus", "--config", bad, "--out", str(tmp_path / "two")])
     assert rc == cli.EXIT_CONFIG
-
-
-def test_weideman_resolution_knob(tmp_path):
-    cfg = _base_solve_config(problem="advection_gaussian_quartic", h=0.5,
-                             weideman_n=64)
-    cfg.pop("m")
-    cfg["solver"] = {"method": "direct"}
-    path = _write_config(tmp_path, **cfg)
-    rc = cli.main(["solve", "--config", path, "--out", str(tmp_path / "w")])
-    assert rc == cli.EXIT_OK
 
 
 def test_schrodinger_subcommand(tmp_path):

@@ -76,27 +76,44 @@ def test_source_v_block_against_quadrature():
         assert np.abs(doubled_source(src, sys, t) - g_quad).max() < 2e-3
 
 
-@pytest.mark.parametrize("name", sorted(hb.catalog()))
-def test_hilbert_route_follows_the_profile(name, monkeypatch):
-    # every catalog profile has a closed-form H[f'] except the gaussian-quartic
-    # drift data, whose u0 and source term are fit at the given order
+def _count_fits(monkeypatch):
     orders = []
     fit = ht.weideman_fit
     monkeypatch.setattr(ht, "weideman_fit",
                         lambda f, N, **kw: orders.append(N) or fit(f, N, **kw))
+    return orders
+
+
+@pytest.mark.parametrize("name", sorted(hb.catalog()))
+def test_hilbert_route_follows_the_profile(name, monkeypatch):
+    # every catalog profile has a closed-form H[f'] except the gaussian-quartic
+    # drift data, whose u0 and source term are each fit once, at FIT_ORDER
+    orders = _count_fits(monkeypatch)
     pb = hb.build_problem(name)
-    run = hb.setup_run(pb, h=0.5, weideman_n=64)
-    source_block_values(run.source, run.sys, 64)
+    run = hb.setup_run(pb, h=0.5)
+    source_block_values(run.source, run.sys)
     fitted = name == "advection_gaussian_quartic"
-    assert orders == ([64] * (1 + len(pb.source.terms)) if fitted else [])
+    assert orders == ([doubling.FIT_ORDER] * (1 + len(pb.source.terms))
+                      if fitted else [])
 
 
-def test_uncached_source_fits_at_the_given_order():
+def test_complex_profile_fits_once(monkeypatch):
+    # the complex two-Lorentzian u0 without its closed form: one complex fit
+    orders = _count_fits(monkeypatch)
+    u0 = hb.build_problem("schrodinger_two_lorentzian").u0
+    x = np.linspace(0.0, 100.0, 801)
+    fitted = dataclasses.replace(u0, hilbert_dx=None).hilbert_dx_evaluator()(x)
+    assert orders == [doubling.FIT_ORDER]
+    assert np.iscomplexobj(fitted)
+    assert np.abs(fitted - u0.hilbert_dx(x)).max() < 1e-5
+
+
+def test_uncached_source_matches_the_cache():
     pb = hb.build_problem("advection_gaussian_quartic")
-    run = hb.setup_run(pb, h=0.5, weideman_n=64)
-    cache = source_block_values(run.source, run.sys, 64)
+    run = hb.setup_run(pb, h=0.5)
+    cache = source_block_values(run.source, run.sys)
     for t in (0.0, 0.7):
-        assert np.array_equal(doubled_source(run.source, run.sys, t, weideman_n=64),
+        assert np.array_equal(doubled_source(run.source, run.sys, t),
                               doubled_source(run.source, run.sys, t, _cache=cache))
 
 
@@ -189,7 +206,7 @@ def test_transport_limit_of_drift_doubling():
     assert err < 5e-3
 
 
-def test_odd_reflection_identities():
+def test_odd_reflection_identities(monkeypatch):
     f = ht.CatalogFunction("squared_lorentzian", shift=6.0)
     base = doubling.profile_from_catalog(f)
     refl = doubling.odd_reflection(base, 10.0)
@@ -198,13 +215,15 @@ def test_odd_reflection_identities():
     assert np.abs(refl.dx(x) - (f.derivative(x) + f.derivative(20.0 - x))).max() < 1e-15
     hdx = f.hilbert_derivative
     assert np.abs(refl.hilbert_dx(x) - (hdx(x) - hdx(20.0 - x))).max() < 1e-15
-    assert np.array_equal(refl.hilbert_dx_evaluator(128)(x), refl.hilbert_dx(x))
-    # without a closed form the evaluator composes the base fit in the base frame
+    assert refl.hilbert_dx_evaluator() is refl.hilbert_dx
+    # without a closed form the base is fit once, in its own frame, when the
+    # reflection is made; evaluating the reflection fits nothing more
+    orders = _count_fits(monkeypatch)
     fit = doubling.odd_reflection(dataclasses.replace(base, hilbert_dx=None), 10.0)
-    assert fit.hilbert_dx is None
-    ev = fit.hilbert_dx_evaluator(128)
+    ev = fit.hilbert_dx_evaluator()
     assert np.abs(ev(x) - refl.hilbert_dx(x)).max() < 1e-9
     assert np.abs(ev(x[::14]) - _quadrature_hilbert_dx(refl, x[::14])).max() < 1e-3
+    assert orders == [doubling.FIT_ORDER]
 
 
 def test_stack_unstack_round_trip():

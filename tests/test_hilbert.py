@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfbvm import hilbert as ht
+from halfbvm.doubling import LineProfile
 
 XS = np.linspace(-10.0, 10.0, 401)
 
@@ -19,9 +20,9 @@ DECAYING = [
 
 
 def test_catalog_reference_values():
-    assert ht.hilbert_exact(ht.CatalogFunction("lorentzian"), 1.0) == pytest.approx(0.5)
-    assert ht.hilbert_exact(ht.CatalogFunction("sine", alpha=1.0), 0.0) == pytest.approx(-1.0)
-    assert ht.hilbert_exact(ht.CatalogFunction("squared_lorentzian"), 0.0) == 0.0
+    assert ht.CatalogFunction("lorentzian").hilbert(1.0) == pytest.approx(0.5)
+    assert ht.CatalogFunction("sine", alpha=1.0).hilbert(0.0) == pytest.approx(-1.0)
+    assert ht.CatalogFunction("squared_lorentzian").hilbert(0.0) == 0.0
 
 
 @pytest.mark.parametrize("f", DECAYING, ids=lambda f: f"{f.kind}-a{f.alpha}")
@@ -53,7 +54,7 @@ def test_catalog_parameter_validation():
     with pytest.raises(ht.UnsupportedFunctionError):
         ht.CatalogFunction("nope")
     with pytest.raises(ht.UnsupportedFunctionError):
-        ht.hilbert_exact(lambda x: x, 0.0)
+        ht.CatalogFunction("lorentzian", shift=np.inf)
 
 
 def test_weideman_zero_function():
@@ -163,26 +164,27 @@ def test_skew_involution_via_reexpanded_image(f):
 def test_half_laplacian_sine_eigenfunction():
     s = ht.CatalogFunction("sine", alpha=1.0)
     xs = np.linspace(-3, 3, 7)
-    assert np.abs(ht.half_laplacian_of(s, xs, "exact") - np.sin(xs)).max() < 1e-12
+    assert np.abs(s.hilbert_derivative(xs) - np.sin(xs)).max() < 1e-12
 
 
 def test_half_laplacian_of_constant_is_zero():
-    val = ht.half_laplacian_of(lambda x: 3.0 * np.ones_like(x), 0.4,
-                               method="weideman", N=32)
-    assert abs(val) < 1e-12
+    const = LineProfile(value=lambda x: 3.0 * np.ones_like(x), dx=np.zeros_like)
+    assert abs(const.hilbert_dx_evaluator()(0.4)) < 1e-12
 
 
 def test_half_laplacian_squared_lorentzian_at_zero():
     sq = ht.CatalogFunction("squared_lorentzian")
     # H[sq'](0) = 3/2 from the closed form of (H sq)'
-    assert ht.half_laplacian_of(sq, 0.0, "exact") == pytest.approx(1.5)
-    quad = ht.half_laplacian_of(sq, 0.0, "quadrature", R=1e3, n_quad=200_000)
+    assert sq.hilbert_derivative(0.0) == pytest.approx(1.5)
+    quad = ht.hilbert_quadrature_oracle(sq.derivative, 0.0, R=1e3, n_quad=200_000)
     assert abs(quad - 1.5) < 1e-3
 
 
 def test_half_laplacian_unsupported_exact():
+    # no closed form and no derivative to fit
+    bare = LineProfile(value=lambda x: np.exp(-x ** 2))
     with pytest.raises(ht.UnsupportedFunctionError):
-        ht.half_laplacian_of(lambda x: np.exp(-x ** 2), 0.0, method="exact")
+        bare.hilbert_dx_evaluator()
 
 
 def test_double_application_equals_minus_laplacian():
@@ -190,7 +192,7 @@ def test_double_application_equals_minus_laplacian():
     k = 0.8
     xs = np.linspace(-6, 6, 25)
     once = ht.CatalogFunction("sine", alpha=k, scale=k)   # k sin(kx) = H[(sin kx)']
-    twice = ht.half_laplacian_of(once, xs, "exact")
+    twice = once.hilbert_derivative(xs)
     assert np.abs(twice - k ** 2 * np.sin(k * xs)).max() < 1e-6
     # same chain for a gaussian, finishing with the spectral route
     g = ht.CatalogFunction("gaussian", alpha=1.0)
