@@ -163,13 +163,15 @@ def load_config(path) -> ExperimentConfig:
     return ExperimentConfig(solver=solver, **raw).validate()
 
 
-def _write_csv(path: Path, header, rows, cfg):
-    lines = ["# config: " + json.dumps(asdict(cfg), default=str)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(f"{v:.16g}" if isinstance(v, float) else str(v)
-                              for v in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_csv(path: Path, header, columns, cfg):
+    """One row per entry of the columns: floats as %.16g, anything else by
+    str, the whole table in one format over its row-major values."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%.16g" if c.dtype.kind == "f" else "%s" for c in columns)
+    values = [v for r in zip(*(c.tolist() for c in columns)) for v in r]
+    body = (row + "\n") * len(columns[0]) % tuple(values)
+    head = "# config: " + json.dumps(asdict(cfg), default=str)
+    path.write_text(head + "\n" + ",".join(header) + "\n" + body)
 
 
 def _solve_once(cfg, pb, h=None, m=None, precondition=None):
@@ -213,12 +215,12 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         j = min(range(len(traj)), key=lambda i: abs(i * gmm.tau - t))
         u, v = pb.physical_state(traj[j], j * gmm.tau)
         if is_complex:
-            rows = zip(x, u.real, u.imag, v.real, v.imag)
+            columns = (x, u.real, u.imag, v.real, v.imag)
             header = ["x", "re_u", "im_u", "re_v", "im_v"]
         else:
-            rows = zip(x, u.real, v.real)
+            columns = (x, u.real, v.real)
             header = ["x", "u", "v"]
-        _write_csv(out_dir / f"solution_t{j * gmm.tau:g}.csv", header, rows, cfg)
+        _write_csv(out_dir / f"solution_t{j * gmm.tau:g}.csv", header, columns, cfg)
     err, flagged = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
     manifest = {
         "config": asdict(cfg),
@@ -231,9 +233,11 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         "iterations": report.iterations,
         "converged": report.converged,
         "true_residual": report.true_residual,
+        "preconditioned_residual": report.preconditioned_residual,
         "wall_time": report.wall_time,
         "timings": report.timings,
         "marginal_modes": report.marginal_modes,
+        "modes": report.modes,
         "residual_history": report.residual_history,
         "rel_l2_error_at_T": err,
         "error_norm_flagged_absolute": flagged,
@@ -297,7 +301,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         slope = float(np.polyfit(np.log(swept), np.log(errs), 1)[0])
     _write_csv(out_dir / "convergence.csv",
                ["h", "tau", "rel_l2_error", "iterations_pre", "iterations_nopre"],
-               rows, cfg)
+               zip(*rows), cfg)
     manifest = {"config": asdict(cfg), "points": solved,
                 "fitted_slope": slope, "partial": failed,
                 "unpreconditioned_hit_iteration_cap": comparison_failed}
@@ -309,8 +313,8 @@ def run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
     pb = cfg.build_problem()
     run = problems.setup_run(pb, h=cfg.h, m=cfg.m)
     lam = eigenvalues_of_D(run.sys)
-    rows = [(float(z.real), float(z.imag), pb.name) for z in lam]
-    _write_csv(out_dir / "spectrum.csv", ["re", "im", "label"], rows, cfg)
+    _write_csv(out_dir / "spectrum.csv", ["re", "im", "label"],
+               (lam.real, lam.imag, [pb.name] * len(lam)), cfg)
     return EXIT_OK
 
 
@@ -325,7 +329,7 @@ def run_locus(cfg: ExperimentConfig, out_dir: Path) -> int:
         else:
             raise ConfigError(f"locus_methods: unknown method {name!r}")
         rows.extend((float(z.real), float(z.imag), name) for z in pts)
-    _write_csv(out_dir / "locus.csv", ["re", "im", "label"], rows, cfg)
+    _write_csv(out_dir / "locus.csv", ["re", "im", "label"], zip(*rows), cfg)
     return EXIT_OK
 
 

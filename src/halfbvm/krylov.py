@@ -1,28 +1,34 @@
-"""GMRES with the omega-circulant all-at-once preconditioner.
+"""GMRES per spatial mode under the omega-circulant all-at-once preconditioner.
 
-The preconditioner replaces the time-stepping matrix A by its omega-circulant
-approximation: the Toeplitz interior stencil wraps around with a unimodular
-factor omega = e^{i theta},
+The space-time operator M = A (x) I - tau I (x) D is block diagonal in the
+spatial eigenbasis of D: DST-I modes between walls, DFT columns on a torus.
+Mode k carries the 2x2 D_k = [[0, 1], [p_k, q_k]] from the system's symbols
+``p_hat`` and ``q_hat``.  The preconditioner replaces A by its
+omega-circulant approximation, whose Toeplitz interior stencil wraps around
+with a unimodular factor omega = e^{i theta}:
 
-    P = omega(A) (x) I - tau I (x) D ,
-    omega(A) = Theta* F* Lambda F Theta,   Theta = diag(omega^{-s/N}),
+    M_k = A (x) I_2 - tau I (x) D_k,   P_k = omega(A) (x) I_2 - tau I (x) D_k,
+    omega(A) = Theta* F* Lambda F Theta,   Theta = diag(omega^{-s/N}).
 
-so applying P^{-1} costs one FFT across the time axis, N decoupled frequency
-block solves (lam_j I - tau D) v_j = r_j, and one inverse FFT.  Each 2n block
-is reduced by eliminating its second half: writing the block rows as
-[lam I, -tau I; -tau P, lam I - tau Q] acting on (w, z) with data (r1, r2),
-the first row gives z = (lam w - r1)/tau and w solves the n-sized system
-
-    [lam (lam I - tau Q) - tau^2 P] w = tau r2 + (lam I - tau Q) r1 .
-
-P and Q are diagonal in the system's spatial eigenbasis (DST-I modes between
-walls, DFT columns on a periodic grid), so that system is diagonal there too:
-all N blocks are solved together by one spatial transform, one division by
-the reduced symbol and one inverse transform.
+Applying P_k^{-1} costs a Theta-scaled FFT across time, one closed-form 2x2
+solve (lam_j I - tau D_k) per frequency and an inverse FFT.
 
 omega(A) differs from A only in the first-row corner entry and the final
-(backward Euler) row, a rank <= 2 perturbation; the preconditioned spectrum
-is therefore 1 except for a bounded number of outliers.
+(backward Euler) row, so P_k - M_k has rank <= 4 and P_k^{-1} M_k = I + (rank
+<= 4).  Its minimal polynomial has degree <= 5: GMRES on one mode ends within
+5 iterations.  ``gmres_solve`` therefore moves the rhs once into orthonormal
+modes (DST-I; the FFT; for real data on a torus under a real omega, the rfft
+half spectrum, each mode of a conjugate pair scaled by sqrt(2)), runs one
+GMRES over the batch of modes (``gmres``) and moves the solution back once.
+The modes iterate in lockstep and stop together on sqrt(sum_k |g_k|^2) /
+beta0 <= tol: the transforms keep the 2-norm, so that is the preconditioned
+residual of the whole system in physical space.  One GMRES on the whole
+system stops on the same test, and its Krylov space projected onto mode k
+lies in that mode's own, so the lockstep count is never above it.  The true
+residual ||b - Mx|| / ||b|| is formed in physical space by
+``AllAtOnceSystem.apply``.  A GMRES report's ``timings`` are the stages
+``GMRES_STAGES``: transform, operator, preconditioner, orthogonalisation,
+inverse_transform and true_residual.
 
 Block j is singular where lam_j = i sin((2 pi j - theta)/N) meets tau*spec(D),
 as at theta = pi for odd N on a torus.  Both sets are closed forms: theta is pi
@@ -33,8 +39,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, ifft
-from scipy.linalg import solve_triangular
+from scipy.fft import dst, fft, ifft, irfft, rfft
 
 from .bvm import FINAL, AllAtOnceSystem, GmmMatrices
 from .spectrum import eigenvalues_of_D, gmm_polynomials
@@ -53,6 +58,8 @@ GMRES_SLACK = 1e3
 GAP_MIN = 5e-5
 # pi * (1 + k/64), k = 0, -1, 1, ..., 63: nearest pi first, as argmax ties go
 THETA_GRID = np.pi * (1.0 + np.array(sorted(range(-63, 64), key=abs)) / 64.0)
+GMRES_STAGES = ("transform", "operator", "preconditioner", "orthogonalisation",
+                "inverse_transform", "true_residual")
 
 __all__ = [
     "TRUE_RESIDUAL_MAX", "GMRES_SLACK", "OmegaPreconditioner", "SolveReport",
@@ -80,11 +87,8 @@ def build_omega_circulant(gmm: GmmMatrices, omega: complex):
 
 @dataclass(frozen=True)
 class OmegaPreconditioner:
-    """Factorized omega-circulant preconditioner for one (gmm, sys, tau).
-
-    ``shift`` holds lam_j - tau q_hat_k, row j per frequency, with a single
-    column when Q is scalar.
-    """
+    """The omega-circulant preconditioner for one (gmm, sys, tau): theta, its
+    gap, Lambda and Theta; the blocks come from ``sys``'s symbols."""
 
     theta: float
     gap: float                         # distance from the lam_j to tau*spec(D)
@@ -93,7 +97,11 @@ class OmegaPreconditioner:
     theta_scaling: np.ndarray = field(repr=False)
     lambda_omega: np.ndarray = field(repr=False)
     sys: object = field(repr=False)
-    shift: np.ndarray = field(repr=False)
+
+    @property
+    def real(self) -> bool:
+        """omega = +-1: P is real, and so is P^{-1} r for real r."""
+        return bool(abs(np.sin(self.theta)) < 1e-12)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return apply_preconditioner(self, r)
@@ -109,9 +117,9 @@ def _gap(lam, z) -> float:
 
 def build_preconditioner(gmm: GmmMatrices, sys,
                          theta: float = None) -> OmegaPreconditioner:
-    """Pick theta (module docstring) unless given, then assemble Lambda and the
-    reduced block data; ValueError if its gap is below GAP_MIN.  Nothing N x n
-    is formed: each apply rebuilds the reduced symbol, cheaper than holding it."""
+    """Pick theta (module docstring) unless given, then Lambda and Theta;
+    ValueError if the gap is below GAP_MIN.  Nothing N x n is formed: the
+    block solve reads the symbols on each apply."""
     N, tau = gmm.n_steps, gmm.tau
     z = tau * eigenvalues_of_D(sys)
 
@@ -124,54 +132,64 @@ def build_preconditioner(gmm: GmmMatrices, sys,
     if not g >= GAP_MIN:
         raise ValueError(f"theta = {theta:.6g}: block gap {g:.3g} < GAP_MIN")
     lam, scaling = build_omega_circulant(gmm, np.exp(1j * theta))
-    q_hat = sys.q_hat
-    if np.all(q_hat == q_hat[0]):      # scalar Q: one column, not N x n
-        q_hat = q_hat[:1]
     return OmegaPreconditioner(theta=theta, gap=g, n_steps=N, tau=tau,
-                               theta_scaling=scaling, lambda_omega=lam,
-                               sys=sys, shift=lam[:, None] - tau * q_hat)
+                               theta_scaling=scaling, lambda_omega=lam, sys=sys)
 
 
-def _solve_blocks(p: OmegaPreconditioner, V: np.ndarray, rows=slice(None)):
-    """Overwrite each row of the complex array V, one 2n frequency block
-    v1, with the solution v2 of (lam_j I - tau D) v2 = v1, for the
-    frequencies ``rows``; the reduced n-sized solve is diagonal in the
-    spatial eigenbasis.  Works in place: the preconditioner apply is bound by
-    memory traffic, and every fresh N x 2n array costs page faults."""
-    sys_, tau = p.sys, p.tau
-    n = sys_.n
-    lam, shift = p.lambda_omega[rows, None], p.shift[rows]
-    M = sys_.to_modes(V.reshape(len(V), 2, n))
-    w = M[:, 0]                        # (tau r2 + (lam - tau q) r1) / symbol
-    np.multiply(shift, w, out=w)       # not w * shift: that rounds apart (FMA)
-    M[:, 1] *= tau
-    w += M[:, 1]
-    w /= lam * shift - tau ** 2 * sys_.p_hat
-    u = sys_.from_modes(w)
-    v = V[:, n:]                       # (lam u - r1) / tau
+def _solve_blocks(lam, p, q, tau, V):
+    """Overwrite V (K, 2, F) with the solutions (u, v) of (lam_f I - tau D_k)
+    (u, v) = (r1, r2) = V[k, :, f], D_k = [[0, 1], [p_k, q_k]], for every mode
+    k (p, q of shape (K, 1)) and frequency f.  The first row gives v = (lam u
+    - r1)/tau; put into the second, it leaves [lam (lam - tau q) - tau^2 p] u
+    = tau r2 + (lam - tau q) r1."""
+    shift = lam - tau * q
+    u = shift * V[:, 0]
+    u += tau * V[:, 1]
+    u /= lam * shift - tau ** 2 * p
+    v = V[:, 1]
     np.multiply(lam, u, out=v)
-    v -= V[:, :n]
+    v -= V[:, 0]
     v /= tau
-    V[:, :n] = u
+    V[:, 0] = u
     return V
 
 
+def _precondition_modes(p: OmegaPreconditioner, p_k, q_k, R):
+    """P_k^{-1} R_k for mode vectors R (K, 2, N), time last: the Theta-scaled
+    FFT across time, the 2x2 frequency blocks, the inverse FFT.  No spatial
+    transform; real R stays real under a real omega."""
+    V = fft(R * np.conj(p.theta_scaling), axis=-1, overwrite_x=True)
+    V = ifft(_solve_blocks(p.lambda_omega, p_k, q_k, p.tau, V), axis=-1,
+             overwrite_x=True)
+    V *= p.theta_scaling
+    if p.real and not np.iscomplexobj(R):
+        return np.ascontiguousarray(V.real)
+    return V
+
+
+def _symbols(sys_, k=None):
+    """p_hat and q_hat of the first k modes as (k, 1) columns."""
+    return sys_.p_hat[:k, None], sys_.q_hat[:k, None]
+
+
 def solve_frequency_block(p: OmegaPreconditioner, j: int, v1: np.ndarray) -> np.ndarray:
-    """Solve (lam_j I - tau D) v2 = v1 for one 2n frequency block."""
-    return _solve_blocks(p, np.array(v1, dtype=complex)[None, :], slice(j, j + 1))[0]
+    """Solve (lam_j I - tau D) v2 = v1 for one 2n frequency block: into the
+    spatial modes, the 2x2 block solves, back."""
+    sys_ = p.sys
+    V = sys_.to_modes(np.asarray(v1, dtype=complex).reshape(2, sys_.n))
+    _solve_blocks(p.lambda_omega[j], *_symbols(sys_), p.tau, V.T[:, :, None])
+    return sys_.from_modes(V).ravel()
 
 
 def apply_preconditioner(p: OmegaPreconditioner, r: np.ndarray) -> np.ndarray:
-    """z = P^{-1} r via Theta scaling, time FFT, block solves, inverse FFT."""
-    N = p.n_steps
-    real_in = not np.iscomplexobj(r)
-    V = np.asarray(r).reshape(N, p.sys.dim) * np.conj(p.theta_scaling)[:, None]
-    V = fft(V, axis=0, overwrite_x=True)
-    V = ifft(_solve_blocks(p, V), axis=0, overwrite_x=True)
-    V *= p.theta_scaling[:, None]
-    z = V.ravel()
-    if real_in and abs(np.sin(p.theta)) < 1e-12:     # omega = +-1
-        return z.real.copy()
+    """z = P^{-1} r in physical space: into the spatial modes, the mode-space
+    solve of ``_precondition_modes``, back."""
+    sys_ = p.sys
+    R = sys_.to_modes(np.asarray(r).reshape(p.n_steps, 2, sys_.n))
+    Z = _precondition_modes(p, *_symbols(sys_), R.transpose(2, 1, 0))
+    z = sys_.from_modes(Z.transpose(2, 1, 0)).ravel()
+    if p.real and not np.iscomplexobj(r):
+        return np.ascontiguousarray(z.real)
     return z
 
 
@@ -186,11 +204,14 @@ class SolveReport:
     wall_time: float
     true_residual: float = None     # ||b - Mx|| / ||b||
     path: str = None                # "direct", "gmres+omega" or "gmres"
-    half_spectrum: bool = False     # a direct solve of the rfft modes only
+    half_spectrum: bool = False     # the rfft modes only, for real data on a torus
     theta: float = None             # the preconditioner's theta and its gap,
     gap: float = None               # None without one
     timings: dict = field(default_factory=dict)   # stage -> seconds
     marginal_modes: int = None      # direct: mode components with tau*mu on [-i, i]
+    modes: int = None               # GMRES: the batch size
+    # ||P^{-1}(b - Mx)|| / ||P^{-1} b|| in physical space, under a preconditioner
+    preconditioned_residual: float = None
 
 
 def _true_residual(apply_op, b, x) -> float:
@@ -201,124 +222,258 @@ def _true_residual(apply_op, b, x) -> float:
     return float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
 
 
-def gmres(apply_op, b, precond=None, tol=1e-10, max_iter=500, restart=None):
-    """Left-preconditioned GMRES with CGS2 orthogonalisation and Givens updates.
+def _project(basis, w, cplx):
+    """<v_i, w> for each row v_i of each system's basis (K, j, L)."""
+    if cplx:                           # conjugate the vector, not the basis
+        return np.matmul(basis, w.conj()[:, :, None])[:, :, 0].conj()
+    return np.matmul(basis, w[:, :, None])[:, :, 0]
 
-    Iterations stop when the preconditioned residual, relative to the
-    preconditioned rhs, reaches tol.  The true residual ||b - Ax|| / ||b|| is
-    computed once, at exit, and the solve has converged only if it is at most
-    max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol) too.  Returns a SolveReport;
-    non-convergence is reported, not raised.
+
+def _combine(y, basis):
+    """sum_i y_i v_i for each system: y (K, j), basis (K, j, L)."""
+    return np.matmul(y[:, None, :], basis)[:, 0]
+
+
+def _update(basis, cols, g):
+    """The correction sum_i y_i v_i of each system, R y = g by back
+    substitution on the rotated Hessenberg columns ``cols``."""
+    y = np.stack(g[: len(cols)], axis=1)
+    for c in range(len(cols) - 1, -1, -1):
+        y[:, c] /= cols[c][:, c]
+        y[:, :c] -= cols[c][:, :c] * y[:, c: c + 1]
+    return _combine(y, basis[:, : len(cols)])
+
+
+def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, restart=None,
+          residual=None):
+    """Left-preconditioned GMRES on a batch of independent systems, in lockstep.
+
+    B is (K, L), one rhs per system; ``apply_op(X, idx)`` and ``precond(X,
+    idx)`` map the rows X (len(idx), L) of the systems ``idx``.  A 1-D b is a
+    batch of one, and both then map one vector.  Each system has its own
+    Arnoldi basis (CGS2), Hessenberg columns and Givens rotations.  All take
+    one step per iteration and stop together when sqrt(sum_k |g_k|^2), g_k
+    system k's residual estimate, reaches tol times the 2-norm of the whole
+    preconditioned rhs.  A system whose residual is exactly zero (a zero rhs)
+    or whose Krylov space closes exactly (hk = 0) leaves the batch; its last
+    residual still counts.  A basis grows with the iterations taken, to at
+    most min(restart, L) vectors; restart defaults to max_iter.
+
+    The true residual is formed once, at exit, by ``residual(X)``, by default
+    ||B - AX|| / ||B|| over the whole batch; the solve has converged only if
+    it is at most max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol) too.  Returns a
+    SolveReport whose solution has B's shape; non-convergence is reported,
+    not raised.
     """
     if restart is not None and restart < 1:
         raise ValueError(f"restart must be at least 1, got {restart}")
     t0 = time.perf_counter()
-    b = np.asarray(b)
+    b = np.asarray(B)
+    if b.ndim == 1:
+        op_1, pre_1 = apply_op, precond
+        apply_op = lambda X, idx: op_1(X[0])[None]            # noqa: E731
+        if pre_1 is not None:
+            precond = lambda X, idx: pre_1(X[0])[None]        # noqa: E731
+    Bk = b.reshape(-1, b.shape[-1])
+    K, L = Bk.shape
+    every = np.arange(K)
+    if residual is None:
+        def residual(X):
+            return _true_residual(lambda Y: apply_op(Y, every), Bk, X)
     true_max = max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol)
-    mb = precond(b) if precond is not None else b
-    beta0 = np.linalg.norm(mb)
-    if beta0 == 0.0:                   # x = 0: the true residual is ||b|| / ||b||
-        res = float(np.any(b))
-        return SolveReport(solution=np.zeros_like(b), iterations=0,
-                           residual_history=[0.0], converged=res <= true_max,
-                           true_residual=res, wall_time=time.perf_counter() - t0)
-    m = b.size
-    if restart is None or restart > max_iter:
-        restart = max_iter
-    restart = min(restart, m)
-    work = np.result_type(mb.dtype, float)
-    x = np.zeros(m, dtype=work)
-    # shared by all restart cycles: every entry a cycle reads it has written
-    # first, so nothing is cleared between cycles
-    V = np.empty((restart + 1, m), dtype=work)
-    H = np.zeros((restart + 1, restart), dtype=work)
-    cs = np.zeros(restart, dtype=work)
-    sn = np.zeros(restart, dtype=work)
-    g = np.zeros(restart + 1, dtype=work)
-    history = [1.0]
+    MB = precond(Bk, every) if precond is not None else Bk
+    work = np.result_type(MB.dtype, float)
+    res2 = np.linalg.norm(MB, axis=1) ** 2       # squared residuals
+    beta0 = float(np.sqrt(res2.sum()))
+    restart = min(max_iter if restart is None else min(restart, max_iter), L)
+    X = np.zeros((K, L), dtype=work)
+    live = np.ones(K, dtype=bool)
+    history = [1.0 if beta0 > 0 else 0.0]
     total = 0
-    converged = False
-    while total < max_iter and not converged:
-        Ax = apply_op(x)
-        r = mb - (precond(Ax) if precond is not None else Ax)
-        beta = np.linalg.norm(r)
-        if beta / beta0 <= tol:
+    converged = beta0 == 0.0
+    while not converged and total < max_iter and live.any():
+        idx = np.flatnonzero(live)
+        if total:
+            AX = apply_op(X[idx], idx)
+            R = MB[idx] - (precond(AX, idx) if precond is not None else AX)
+        else:
+            R = MB[idx]
+        beta = np.linalg.norm(R, axis=1)
+        res2[idx] = beta ** 2
+        if np.sqrt(res2.sum()) / beta0 <= tol:
             converged = True
             break
-        V[0] = r / beta
-        g[0] = beta
-        k_used = 0
-        breakdown = False
-        for k in range(restart):
-            w = apply_op(V[k])
+        live[idx] = beta > 0
+        idx, R, beta = idx[beta > 0], R[beta > 0], beta[beta > 0]
+        frozen = res2.sum() - res2[idx].sum()
+        basis = np.empty((len(idx), min(8, restart), L), dtype=work)
+        basis[:, 0] = R / beta[:, None]
+        cplx = np.iscomplexobj(basis)
+        g, cols, rot = [beta.astype(work)], [], []
+        for j in range(restart):
+            v = apply_op(basis[:, j], idx)
             if precond is not None:
-                w = precond(w)
-            w = w.astype(work, copy=True)
-            # classical Gram-Schmidt, repeated once (CGS2): BLAS-2 speed with
-            # modified-GS-grade orthogonality; conjugate the vector, not the basis
-            basis = V[: k + 1]
-            cplx = np.iscomplexobj(w)
-            h = (basis @ w.conj()).conj() if cplx else basis @ w
-            w -= basis.T @ h
-            h2 = (basis @ w.conj()).conj() if cplx else basis @ w
-            w -= basis.T @ h2
-            H[: k + 1, k] = h + h2
-            hk = np.linalg.norm(w)
-            H[k + 1, k] = hk
-            if hk > 0:
-                V[k + 1] = w / hk
-            else:
-                breakdown = True
-            for i in range(k):
-                t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-                H[i + 1, k] = -np.conj(sn[i]) * H[i, k] + np.conj(cs[i]) * H[i + 1, k]
-                H[i, k] = t
-            a, bb = H[k, k], H[k + 1, k]
-            denom = np.hypot(abs(a), abs(bb))
-            if denom == 0.0 or abs(a) == 0.0:
-                cs[k], sn[k] = 0.0, 1.0
-            else:
-                cs[k] = abs(a) / denom
-                sn[k] = (a / abs(a)) * np.conj(bb) / denom
-            H[k, k] = cs[k] * a + sn[k] * bb
-            H[k + 1, k] = 0.0
-            g[k + 1] = -np.conj(sn[k]) * g[k]
-            g[k] = cs[k] * g[k]
+                v = precond(v, idx)
+            v = v.astype(work, copy=True)
+            # classical Gram-Schmidt, repeated once (CGS2), batched over systems
+            Vj = basis[:, : j + 1]
+            h = _project(Vj, v, cplx)
+            v -= _combine(h, Vj)
+            h2 = _project(Vj, v, cplx)
+            v -= _combine(h2, Vj)
+            col = h + h2
+            hk = np.linalg.norm(v, axis=1)
+            for i, (c, s, sc) in enumerate(rot):
+                t = c * col[:, i] + s * col[:, i + 1]
+                col[:, i + 1] = c * col[:, i + 1] - sc * col[:, i]
+                col[:, i] = t
+            a = col[:, j]
+            aa = np.abs(a)
+            ok = aa > 0
+            safe = np.where(ok, aa, 1.0)
+            denom = np.hypot(safe, hk)
+            c = np.where(ok, aa / denom, 0.0)
+            s = np.where(ok, (a / safe) * (hk / denom), 1.0)
+            col[:, j] = c * a + s * hk
+            cols.append(col)
+            rot.append((c, s, s.conj()))
+            g.append(-s.conj() * g[j])
+            g[j] = c * g[j]
             total += 1
-            k_used = k + 1
-            history.append(float(abs(g[k + 1]) / beta0))
-            if history[-1] <= tol or total >= max_iter or breakdown:
+            res2[idx] = np.abs(g[j + 1]) ** 2
+            history.append(float(np.sqrt(frozen + res2[idx].sum()) / beta0))
+            closed = hk == 0
+            if (history[-1] <= tol or total >= max_iter or j + 1 == restart
+                    or closed.all()):
                 break
-        if k_used:
-            y = solve_triangular(H[:k_used, :k_used], g[:k_used])
-            x = x + V[:k_used].T @ y
-        if history[-1] <= tol:
-            converged = True
-        elif breakdown:
-            break
-    res = _true_residual(apply_op, b, x)
-    return SolveReport(solution=x, iterations=total, residual_history=history,
-                       converged=converged and res <= true_max, true_residual=res,
-                       wall_time=time.perf_counter() - t0)
+            if closed.any():           # these systems are solved: they leave
+                X[idx[closed]] += _update(basis[closed], [x[closed] for x in cols],
+                                          [x[closed] for x in g])
+                live[idx[closed]] = False
+                frozen += res2[idx[closed]].sum()
+                keep = ~closed
+                idx, basis, v, hk = idx[keep], basis[keep], v[keep], hk[keep]
+                cols, g = [x[keep] for x in cols], [x[keep] for x in g]
+                rot = [tuple(x[keep] for x in r) for r in rot]
+            if j + 1 == basis.shape[1]:    # grow the bases with the iterations
+                grown = np.empty((len(idx), min(2 * (j + 1), restart), L), dtype=work)
+                grown[:, : j + 1] = basis
+                basis = grown
+            basis[:, j + 1] = v / hk[:, None]
+        X[idx] += _update(basis, cols, g)
+        live[idx[closed]] = False
+        converged = history[-1] <= tol
+    res = residual(X)
+    return SolveReport(solution=X.reshape(b.shape), iterations=total,
+                       residual_history=history, true_residual=res,
+                       converged=converged and res <= true_max,
+                       wall_time=time.perf_counter() - t0, modes=K)
+
+
+def _apply_modes(gmm: GmmMatrices, p_k, q_k, X):
+    """M_k X_k for mode vectors X (K, 2, N), time last: -tau D_k within each
+    time slice, plus A's coefficient table along time (``apply_A``)."""
+    tau, N = gmm.tau, gmm.n_steps
+    out = np.empty(X.shape, np.result_type(X, p_k, q_k))
+    np.multiply(X[:, 1], -tau, out=out[:, 0])
+    np.multiply(p_k, X[:, 0], out=out[:, 1])
+    out[:, 1] += q_k * X[:, 1]
+    out[:, 1] *= -tau
+    gmm.apply_A(X.reshape(-1, N).T, out.reshape(-1, N).T)
+    return out
+
+
+def _mode_transforms(sys_, half: bool):
+    """Norm-preserving transforms of the last axis into the spatial modes and
+    back: DST-I (its own inverse) between walls, the FFT on a torus, or for
+    real data its rfft half spectrum with each mode that stands for a
+    conjugate pair scaled by sqrt(2)."""
+    if not sys_.is_circulant:
+        walls = lambda X: dst(X, type=1, norm="ortho", axis=-1)    # noqa: E731
+        return walls, walls
+    if half:
+        s = _pair_scale(sys_.n)
+        return (lambda X: rfft(X, norm="ortho", axis=-1) * s,
+                lambda Y: irfft(Y / s, n=sys_.n, norm="ortho", axis=-1))
+    return (lambda X: fft(X, norm="ortho", axis=-1),
+            lambda Y: ifft(Y, norm="ortho", axis=-1))
+
+
+def _pair_scale(n: int) -> np.ndarray:
+    """sqrt(2) on the rfft modes that stand for a conjugate pair, all but the
+    constant one and, for even n, the Nyquist one; 1 on those two."""
+    s = np.full(n // 2 + 1, np.sqrt(2.0))
+    s[0] = 1.0
+    if n % 2 == 0:
+        s[-1] = 1.0
+    return s
 
 
 def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
                 tol: float = 1e-10, max_iter: int = 500,
                 restart: int = None) -> SolveReport:
-    """Solve the all-at-once system, optionally omega-circulant preconditioned.
+    """Solve the all-at-once system by lockstep GMRES over its spatial modes,
+    optionally omega-circulant preconditioned (module docstring).
 
-    Full GMRES by default; above 2e5 unknowns the basis is capped at 50
-    vectors per cycle to bound memory.
+    ``iterations`` counts lockstep steps and ``modes`` the batch.  Above 2e5
+    unknowns each basis is capped at 50 vectors per cycle to bound memory.
+    Under a preconditioner, ``preconditioned_residual`` checks the lockstep
+    stopping norm in physical space, through ``apply_preconditioner``.
     """
+    t0 = time.perf_counter()
     if restart is None and system.shape[0] > 200_000:
         restart = 50
-    apply_p = precond.apply if precond is not None else None
-    report = gmres(system.apply, system.rhs, precond=apply_p, tol=tol,
-                   max_iter=max_iter, restart=restart)
-    report.path = "gmres+omega" if precond is not None else "gmres"
-    report.timings = {"total": report.wall_time}
+    sys_, gmm = system.sys, system.gmm
+    N, n = gmm.n_steps, sys_.n
+    rhs = np.asarray(system.rhs)
+    real = not np.iscomplexobj(rhs)      # P and Q are real by construction
+    half = real and sys_.is_circulant and (precond is None or precond.real)
+    forward, inverse = _mode_transforms(sys_, half)
+    B = np.ascontiguousarray(forward(rhs.reshape(N, 2, n)).transpose(2, 1, 0))
+    K = len(B)
+    p_k, q_k = _symbols(sys_, K)
+    timings = dict.fromkeys(GMRES_STAGES, 0.0)
+
+    def timed(stage, apply):
+        def run(X, idx):
+            t = time.perf_counter()
+            Y = apply(p_k[idx], q_k[idx], X.reshape(len(idx), 2, N))
+            timings[stage] += time.perf_counter() - t
+            return Y.reshape(len(idx), -1)
+        return run
+    op = timed("operator", lambda p, q, X: _apply_modes(gmm, p, q, X))
+    pre = None if precond is None else timed(
+        "preconditioner", lambda p, q, X: _precondition_modes(precond, p, q, X))
+    kept = {}
+
+    def residual(Y):                   # back to physical space, then b - Mx
+        t = time.perf_counter()
+        x = inverse(Y.reshape(K, 2, N).transpose(2, 1, 0)).ravel()
+        kept["x"] = x = np.ascontiguousarray(x.real) if real else x
+        t2 = time.perf_counter()
+        r = kept["r"] = system.apply(x)
+        np.subtract(rhs, r, out=r)
+        timings["inverse_transform"] += t2 - t
+        timings["true_residual"] += time.perf_counter() - t2
+        return float(np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300))
+    t1 = time.perf_counter()
+    timings["transform"] = t1 - t0
+    report = gmres(op, B.reshape(K, 2 * N), pre, tol=tol, max_iter=max_iter,
+                   restart=restart, residual=residual)
+    t2 = time.perf_counter()
+    timings["orthogonalisation"] = (t2 - t1) - sum(timings[s] for s in (
+        "operator", "preconditioner", "inverse_transform", "true_residual"))
     if precond is not None:
+        report.preconditioned_residual = float(
+            np.linalg.norm(apply_preconditioner(precond, kept["r"]))
+            / max(np.linalg.norm(apply_preconditioner(precond, rhs)), 1e-300))
         report.theta, report.gap = precond.theta, precond.gap
+    report.solution = kept["x"]
+    report.path = "gmres+omega" if precond is not None else "gmres"
+    report.half_spectrum = half
+    report.wall_time = time.perf_counter() - t0
+    timings["true_residual"] += report.wall_time - (t2 - t0)
+    report.timings = timings
     return report
 
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -116,8 +117,8 @@ def test_report_records_discretisation_and_path(tmp_path):
     for key in ("m", "n_steps"):
         cfg.pop(key)
     runs = (({"method": "direct"}, "direct", True),
-            ({"tol": 1e-10}, "gmres+omega", False),
-            ({"tol": 1e-10, "precondition": False}, "gmres", False))
+            ({"tol": 1e-10}, "gmres+omega", True),
+            ({"tol": 1e-10, "precondition": False}, "gmres", True))
     for solver, path, half in runs:
         out = tmp_path / path
         path_cfg = _write_config(tmp_path, **dict(cfg, solver=solver))
@@ -139,14 +140,27 @@ def test_report_records_discretisation_and_path(tmp_path):
                                               "inverse_transform", "true_residual"}
             assert sum(report["timings"].values()) == pytest.approx(report["wall_time"])
             assert report["marginal_modes"] == 2
+            assert report["modes"] is None
         else:
-            assert report["timings"] == {"total": report["wall_time"]}
+            # GMRES times its six stages, summing to within 5% of the wall
+            # time, and solves the 160 // 2 + 1 rfft modes as one batch
+            assert set(report["timings"]) == {
+                "transform", "operator", "preconditioner", "orthogonalisation",
+                "inverse_transform", "true_residual"}
+            assert sum(report["timings"].values()) == pytest.approx(
+                report["wall_time"], rel=0.05)
+            assert all(t >= 0.0 for t in report["timings"].values())
             assert report["marginal_modes"] is None
-        # only the preconditioned path has a theta and its gap
+            assert report["modes"] == 81
+        # only the preconditioned path has a theta, its gap and a physical
+        # preconditioned residual
         if path == "gmres+omega":
             assert report["theta"] == np.pi and report["gap"] >= GAP_MIN
+            assert report["timings"]["preconditioner"] > 0.0
+            assert 0.0 <= report["preconditioned_residual"] <= 1e-9
         else:
             assert report["theta"] is None and report["gap"] is None
+            assert report["preconditioned_residual"] is None
 
 
 @pytest.mark.parametrize("problem,h,grid", [
@@ -386,3 +400,41 @@ def test_schrodinger_subcommand_rejects_other_models(tmp_path):
     cfg = _write_config(tmp_path, **_base_solve_config())
     rc = cli.main(["schrodinger", "--config", cfg, "--out", str(tmp_path / "x")])
     assert rc == cli.EXIT_CONFIG
+
+
+def _rowwise_csv(path, header, columns, cfg):
+    """The CSV writer as it was: one f-string per value, row by row."""
+    lines = ["# config: " + json.dumps(asdict(cfg), default=str), ",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(f"{v:.16g}" if isinstance(v, float) else str(v)
+                              for v in row))
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("solve", _base_solve_config(problem="mass_transfer_manufactured", m=40)),
+    ("schrodinger", dict(_base_solve_config(problem="schrodinger_single_mode"),
+                         L=20.0, eps=0.1)),
+    ("spectrum", _base_solve_config(problem="advection_manufactured", m=30)),
+    ("converge", {"problem": "single_mode", "T": 1.0, "h_sweep": [1.0, 0.5],
+                  "tau_over_h": 0.25}),
+    ("locus", _base_solve_config()),
+])
+def test_csv_columns_write_the_rowwise_bytes(tmp_path, monkeypatch, command, cfg):
+    # every CSV the commands write, real and complex, is byte-identical to
+    # the row-by-row writer's on the same data
+    written = []
+    new = cli._write_csv
+
+    def both(path, header, columns, cfg):
+        columns = list(columns)
+        new(path, header, columns, cfg)
+        ref = path.with_suffix(".rowwise")
+        _rowwise_csv(ref, header, columns, cfg)
+        written.append((path.read_bytes(), ref.read_bytes()))
+    monkeypatch.setattr(cli, "_write_csv", both)
+    rc = cli.main([command, "--config", _write_config(tmp_path, **cfg),
+                   "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_OK and written
+    for got, ref in written:
+        assert got == ref

@@ -141,8 +141,13 @@ def test_frequency_blocks_order_independent():
         out[j] = krylov.solve_frequency_block(pre, j, V1[j])
     ref = np.stack([krylov.solve_frequency_block(pre, j, V1[j]) for j in range(8)])
     assert np.all(out == ref)
-    # the batched path agrees with the per-block path
-    batch = krylov._solve_blocks(pre, V1.copy())      # works in place
+    # the batched mode-space path (all frequencies as the last axis of the
+    # mode array, solved in place) agrees with the per-block path
+    sys = run.sys
+    modes = sys.to_modes(V1.reshape(8, 2, sys.n)).transpose(2, 1, 0)
+    krylov._solve_blocks(pre.lambda_omega, sys.p_hat[:, None], sys.q_hat[:, None],
+                         pre.tau, modes)
+    batch = sys.from_modes(modes.transpose(2, 1, 0)).reshape(8, -1)
     assert np.abs(batch - ref).max() < 1e-11
 
 
@@ -442,3 +447,121 @@ def test_direct_solve_agrees_with_gmres():
     assert it.converged
     rel = np.linalg.norm(it.solution - dr.solution) / np.linalg.norm(dr.solution)
     assert rel < 1e-9
+
+
+def test_criterion_9_finest_solve_ends_within_five_lockstep_iterations():
+    # criterion 9's finest solve: theta = pi at a block gap of 6.1e-5, where
+    # one GMRES over the whole system took 158 iterations
+    pb = hb.build_problem("schrodinger_single_mode", L=20.0, gamma=0.1, mode=3)
+    run = hb.setup_run(pb, h=0.125)
+    gmm = build_gmm(32, 2.0)
+    system = hb.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
+    pre = krylov.build_preconditioner(gmm, run.sys)
+    assert pre.theta == np.pi and pre.gap < 1e-4
+    rep = krylov.gmres_solve(system, pre, tol=1e-12, max_iter=800)
+    assert rep.converged and rep.iterations <= 5
+    assert rep.true_residual <= 1e-8
+    assert rep.modes == run.sys.n and not rep.half_spectrum
+
+
+def _physical_stopping_norm(system, pre, x):
+    """||P^{-1}(b - Mx)|| / ||P^{-1} b|| formed in physical space."""
+    b = system.rhs
+    return (np.linalg.norm(pre.apply(b - system.apply(x)))
+            / np.linalg.norm(pre.apply(b)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(3, 8), N=st.integers(2, 9), periodic=st.booleans(),
+       complex_rhs=st.booleans(), data=st.data())
+def test_lockstep_gmres_property(m, N, periodic, complex_rhs, data):
+    # random systems, both boundaries, real and complex data, derived theta:
+    # per mode P_k^{-1} M_k = I + (rank <= 4), so the lockstep batch ends
+    # within 5 iterations, never later than one GMRES on the whole system,
+    # and its stopping norm is the physical preconditioned residual (the
+    # rfft pair weights included)
+    sys = _random_system(data, m, periodic)
+    gmm = build_gmm(N, data.draw(st.floats(0.5, 4.0)))
+    rng = np.random.default_rng(m * 10 + N)
+    rhs = rng.normal(size=N * sys.dim)
+    if complex_rhs:
+        rhs = rhs + 1j * rng.normal(size=N * sys.dim)
+    system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs)
+    pre = krylov.build_preconditioner(gmm, sys)
+    rep = krylov.gmres_solve(system, pre, tol=1e-12, max_iter=50)
+    one = krylov.gmres(system.apply, rhs, precond=pre.apply, tol=1e-12,
+                       max_iter=N * sys.dim + 1)
+    direct = krylov.direct_solve(system)
+    assert rep.converged and rep.iterations <= 5
+    assert rep.iterations <= one.iterations and one.modes == 1
+    assert rep.half_spectrum == (periodic and not complex_rhs and pre.real)
+    assert rep.modes == (sys.n // 2 + 1 if rep.half_spectrum else sys.n)
+    gap = np.linalg.norm(rep.solution - direct.solution)
+    assert gap <= 1e-6 * np.linalg.norm(direct.solution)
+    assert np.iscomplexobj(rep.solution) == complex_rhs
+    assert rep.preconditioned_residual == pytest.approx(
+        _physical_stopping_norm(system, pre, rep.solution), rel=1e-9, abs=1e-15)
+    if complex_rhs or pre.real:        # else the real part of the iterate is kept
+        for k in (1, 2):
+            early = krylov.gmres_solve(system, pre, tol=1e-12, max_iter=k)
+            if early.iterations == k:
+                assert early.residual_history[-1] == pytest.approx(
+                    _physical_stopping_norm(system, pre, early.solution), rel=1e-12)
+
+
+def test_gmres_batch_systems_leave_and_the_rest_iterate():
+    # system 0 has a zero rhs and never enters; system 1's Krylov space closes
+    # exactly after one step (2 I on e_1) and it leaves; systems 2 and 3 are
+    # dense and iterate to the full dimension.  The stopping norm counts
+    # every system at every iteration.
+    L = 6
+    rng = np.random.default_rng(11)
+    A = np.stack([np.eye(L), 2.0 * np.eye(L),
+                  np.eye(L) + 0.5 * rng.normal(size=(L, L)),
+                  np.eye(L) + 0.5 * rng.normal(size=(L, L))])
+    B = np.zeros((4, L))
+    B[1, 0] = 3.0
+    B[2:] = rng.normal(size=(2, L))
+    calls = []
+
+    def apply_op(X, idx):
+        calls.append(tuple(idx))
+        return np.matmul(A[idx], X[:, :, None])[:, :, 0]
+    rep = krylov.gmres(apply_op, B, tol=1e-12, max_iter=50)
+    assert rep.converged and rep.iterations == L and rep.modes == 4
+    assert calls[0] == (1, 2, 3) and set(calls[1:-1]) == {(2, 3)}
+    assert calls[-1] == (0, 1, 2, 3)            # the true residual, at exit
+    assert np.all(rep.solution[0] == 0.0) and rep.solution[1, 0] == 1.5
+    for k in (2, 3):
+        assert np.allclose(rep.solution[k], np.linalg.solve(A[k], B[k]), atol=1e-12)
+    # systems that left stay out of the restarted cycles' residuals too
+    calls.clear()
+    rep = krylov.gmres(apply_op, B, tol=1e-12, max_iter=200, restart=4)
+    assert rep.converged and set(calls[1:-1]) == {(2, 3)}
+    for k in range(1, L):
+        early = krylov.gmres(apply_op, B, tol=1e-12, max_iter=k)
+        R = B - np.matmul(A, early.solution[:, :, None])[:, :, 0]
+        assert early.iterations == k and not early.converged
+        assert early.residual_history[-1] == pytest.approx(
+            np.linalg.norm(R) / np.linalg.norm(B), rel=1e-12)
+
+
+def test_gmres_solve_basis_grows_with_the_iterations_taken():
+    # five lockstep iterations keep at most 8 basis vectors per mode: with
+    # the preconditioner's complex temporaries the solve peaks at 19.6 rhs
+    # sizes, where one GMRES over the system with the default restart
+    # reserved max_iter + 1 = 501 of them
+    g = spatial.Grid(length=20.0, m=200, boundary=spatial.DIRICHLET)
+    sys = spatial.assemble_discrete_system(g, 0.1, spatial.OperatorKind("zero"))
+    gmm = build_gmm(100, 4.0)
+    rhs = np.random.default_rng(12).normal(size=100 * sys.dim)
+    system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs)
+    pre = krylov.build_preconditioner(gmm, sys)
+    tracemalloc.start()
+    try:
+        rep = krylov.gmres_solve(system, pre, tol=1e-10, max_iter=500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.converged and rep.iterations <= 5
+    assert peak <= 24 * rhs.nbytes, peak / rhs.nbytes
