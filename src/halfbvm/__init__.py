@@ -20,8 +20,8 @@ from .hilbert import (CatalogFunction, InvalidSampleError,
                       weideman_eval, weideman_fit)
 from .krylov import (OmegaPreconditioner, SolveReport, build_omega_circulant,
                      build_preconditioner, direct_solve, gmres, gmres_solve)
-from .oracles import (FourierSeriesSolution, rel_l2, relative_l2_error,
-                      schrodinger_dalembert, schrodinger_series)
+from .oracles import (FourierSeriesSolution, relative_l2_error,
+                      schrodinger_dalembert)
 from .problems import Problem, build_problem, catalog, setup_run
 from .spatial import (DIRICHLET, PERIODIC, ConfigurationError, DiscreteSystem,
                       Grid, GridTooSmallError, OperatorKind,

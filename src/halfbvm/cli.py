@@ -21,7 +21,7 @@ import numpy as np
 from . import problems, spectrum
 from .bvm import assemble_all_at_once, build_gmm, extract_trajectory
 from .krylov import build_preconditioner, direct_solve, gmres_solve
-from .oracles import relative_l2_error
+from .oracles import FourierSeriesSolution, relative_l2_error
 from .spatial import ConfigurationError, GridTooSmallError
 from .spectrum import boundary_locus, eigenvalues_of_D, lmm_catalog, \
     rk_boundary_points
@@ -193,6 +193,9 @@ def _solve_once(cfg, pb, h=None, m=None, precondition=None):
 
 
 def _error_at(cfg, pb, run, traj, t_index, gmm):
+    """Error at step t_index against the problem's oracle: (error, flagged
+    absolute, record of the oracle's kind, modes and wall time)."""
+    t0 = time.perf_counter()
     oracle = pb.oracle(n_max=cfg.n_max)
     t = t_index * gmm.tau
     window = tuple(cfg.window) if cfg.window else pb.measure_window
@@ -202,7 +205,11 @@ def _error_at(cfg, pb, run, traj, t_index, gmm):
     else:
         u = u.real
         exact = lambda x, tt: np.asarray(oracle(x, tt)).real
-    return relative_l2_error(u, exact, run.grid, t, window=window)
+    err, flagged = relative_l2_error(u, exact, run.grid, t, window=window)
+    series = isinstance(oracle, FourierSeriesSolution)
+    return err, flagged, {"kind": "series" if series else "closed_form",
+                          "n_max": oracle.n_max if series else None,
+                          "wall_time": time.perf_counter() - t0}
 
 
 def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
@@ -221,7 +228,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
             columns = (x, u.real, v.real)
             header = ["x", "u", "v"]
         _write_csv(out_dir / f"solution_t{j * gmm.tau:g}.csv", header, columns, cfg)
-    err, flagged = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
+    err, flagged, oracle = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
     manifest = {
         "config": asdict(cfg),
         # the discretisation actually solved: T/tau and L/h are rounded
@@ -241,6 +248,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         "residual_history": report.residual_history,
         "rel_l2_error_at_T": err,
         "error_norm_flagged_absolute": flagged,
+        "oracle": oracle,
     }
     (out_dir / "report.json").write_text(json.dumps(manifest, indent=2))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -257,7 +265,7 @@ def _sweep_point(cfg, pb, h=None, tau=None):
     for label, precondition in variants:
         report, run, gmm, traj = _solve_once(cfg, pb, h=h,
                                              precondition=precondition)
-        err, _ = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
+        err = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)[0]
         # h, tau and N as solved
         rows[label] = (report, err, run.grid.h, gmm.tau, gmm.n_steps)
         if not report.converged:

@@ -161,6 +161,21 @@ def test_report_records_discretisation_and_path(tmp_path):
         else:
             assert report["theta"] is None and report["gap"] is None
             assert report["preconditioned_residual"] is None
+        # advection_manufactured states no closed form: the error is taken
+        # against the sine series, timed around the whole error evaluation
+        assert report["oracle"]["kind"] == "series"
+        assert report["oracle"]["n_max"] == 400
+        assert report["oracle"]["wall_time"] > 0.0
+    # the stated closed form where a problem has one, else the series
+    for problem, kind, n_max in (("half_diffusion_manufactured", "closed_form", None),
+                                 ("advection_gaussian_quartic", "series", 400)):
+        out = tmp_path / problem
+        path_cfg = _write_config(tmp_path, **_base_solve_config(
+            problem=problem, m=40, solver={"method": "direct"}))
+        assert cli.main(["solve", "--config", path_cfg, "--out", str(out)]) == cli.EXIT_OK
+        oracle = json.loads((out / "report.json").read_text())["oracle"]
+        assert oracle["kind"] == kind and oracle["n_max"] == n_max
+        assert oracle["wall_time"] > 0.0
 
 
 @pytest.mark.parametrize("problem,h,grid", [

@@ -1,10 +1,77 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from series_reference import DenseSeriesSolution, schrodinger_series
 
 import halfbvm as hb
 from halfbvm import oracles
+from halfbvm.doubling import SourceSpec, SourceTerm
 from halfbvm.hilbert import CatalogFunction
 from halfbvm.problems import build_problem
+
+SERIES_PROBLEMS = ("half_diffusion_homogeneous", "half_diffusion_manufactured",
+                   "mass_transfer_homogeneous", "mass_transfer_manufactured",
+                   "advection_manufactured", "advection_gaussian_quartic")
+
+
+def _series_fields(pb, **kw):
+    """The fields ``Problem.oracle`` passes, whether or not pb has a closed form."""
+    fields = dict(u0=pb.u0.value, source=pb.source, eps=abs(pb.eps), L=pb.L,
+                  model=pb.model, delta=pb.delta)
+    return dict(fields, **kw)
+
+
+def _assert_matches_dense(fields, times):
+    """Agreement to 1e-12 max|u| at points past both walls, where the series
+    continues oddly and periodically, and at one scalar point."""
+    fast = oracles.FourierSeriesSolution(**fields)
+    dense = DenseSeriesSolution(**fields)
+    x = np.linspace(-2.0, fields["L"] + 2.0, 241)
+    for t in times:
+        ref = dense(x, t)
+        tol = 1e-12 * np.abs(ref).max()
+        assert np.abs(fast(x, t) - ref).max() <= tol, t
+        point = fast(7.3, t)
+        assert np.shape(point) == () and abs(point - dense(7.3, t)[0]) <= tol, t
+
+
+# t = 0.05 puts the Duhamel rule on its 32-node floor
+@pytest.mark.parametrize("n_max", [1, 7, 400, 401])
+@pytest.mark.parametrize("name", SERIES_PROBLEMS)
+def test_series_matches_dense_reference(name, n_max):
+    _assert_matches_dense(_series_fields(build_problem(name), n_max=n_max),
+                          (0.0, 0.05, 20.0))
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+def test_complex_series_matches_dense_reference(with_source):
+    # a complex u0 under drift: both sine and cosine amplitudes are complex
+    pb = build_problem("advection_gaussian_quartic")
+    u0 = lambda x: (1.0 - 0.5j) * pb.u0.value(x) + 0.3j * np.sin(3 * np.pi * x / pb.L)
+    fields = _series_fields(pb, u0=u0, n_max=401,
+                            source=pb.source if with_source else None)
+    _assert_matches_dense(fields, (0.0, 0.05, 20.0))
+
+
+def test_duhamel_calls_each_time_function_once():
+    # every term's time function sees all quadrature nodes in one call: the
+    # Duhamel integral loops over no nodes in Python
+    pb = build_problem("half_diffusion_manufactured")
+    calls = []
+
+    def counted(term):
+        def time_fn(s):
+            calls.append((term.time, np.size(s)))
+            return term.time(s)
+        return SourceTerm(time=time_fn, space=term.space)
+
+    source = SourceSpec(terms=tuple(counted(term) for term in pb.source.terms))
+    u = oracles.FourierSeriesSolution(**_series_fields(pb, source=source, n_max=50))
+    for t, nodes in ((0.05, 32), (20.0, 5120)):
+        calls.clear()
+        u.mode_amplitudes(t)
+        assert calls == [(term.time, nodes) for term in pb.source.terms]
 
 
 def test_single_mode_half_diffusion_decay():
@@ -158,8 +225,8 @@ def test_series_matches_dalembert_two_lorentzians():
     pb = build_problem("schrodinger_two_lorentzian", L=100.0)
     gamma = complex(pb.eps).imag
     dal = pb.oracle()
-    ser = oracles.schrodinger_series(pb.u0.value, gamma, V=0.0, L=100.0,
-                                     n_max=1500, n_quad=8192)
+    ser = schrodinger_series(pb.u0.value, gamma, V=0.0, L=100.0,
+                             n_max=1500, n_quad=8192)
     rng = np.random.default_rng(0)
     xs = rng.uniform(10.0, 90.0, 40)
     ts = rng.uniform(0.0, 10.0, 40)
@@ -170,9 +237,13 @@ def test_series_matches_dalembert_two_lorentzians():
 
 def test_rel_l2_basics():
     a = np.array([1.0, 2.0, 2.0])
-    assert oracles.rel_l2(a, a) == 0.0
-    assert oracles.rel_l2(a + 3e-4, a) < 3e-4
-    assert oracles.rel_l2(a, np.zeros(3)) == pytest.approx(3.0)
+    grid = SimpleNamespace(nodes=np.arange(3.0))
+
+    def rel_l2(numeric, exact):
+        return oracles.relative_l2_error(numeric, lambda x, t: exact, grid, 0.0)[0]
+    assert rel_l2(a, a) == 0.0
+    assert rel_l2(a + 3e-4, a) < 3e-4
+    assert rel_l2(a, np.zeros(3)) == pytest.approx(3.0)
 
 
 def test_relative_l2_error_window_and_flag():
