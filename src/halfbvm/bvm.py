@@ -64,20 +64,24 @@ class GmmMatrices:
     def A_dense(self) -> np.ndarray:
         return self.apply_A(np.eye(self.n_steps), np.zeros((self.n_steps,) * 2))
 
-    def apply_A(self, X: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Add A X to ``out``, A acting across the time axis of X with shape
-        (N, dim).  Each interior band passes through one scratch half as wide
-        as X: no temporary of X's size is made."""
+    def apply_A(self, X: np.ndarray, out: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Add the rows ``rows`` (all N by default) of A X to ``out``, A
+        acting across the time axis of X with shape (N, dim); ``out`` holds
+        just those rows.  Each interior band passes through one scratch half
+        as wide as ``out``: no temporary of its size is made."""
         N, dim = X.shape
-        tmp = np.empty((N, dim - dim // 2), out.dtype)
+        lo, hi, _ = rows.indices(N)
+        top = min(hi, N - 1)                   # the interior rows end at N - 2
+        tmp = np.empty((hi - lo, dim - dim // 2), out.dtype)
         for cols in (slice(0, dim // 2), slice(dim // 2, dim)):
             for d, a in zip((-1, 0, 1), INTERIOR):
                 if a:
-                    lo = max(0, -d)            # row 0 has no slice before it
-                    t = np.multiply(X[lo + d: N - 1 + d, cols], a,
-                                    out=tmp[lo: N - 1, : cols.stop - cols.start])
-                    out[lo: N - 1, cols] += t
-        out[N - 1] += FINAL[0] * X[N - 2] + FINAL[1] * X[N - 1]
+                    s = max(lo, -d)            # row 0 has no slice before it
+                    t = np.multiply(X[s + d: top + d, cols], a,
+                                    out=tmp[s - lo: top - lo, : cols.stop - cols.start])
+                    out[s - lo: top - lo, cols] += t
+        if hi == N:
+            out[N - 1 - lo] += FINAL[0] * X[N - 2] + FINAL[1] * X[N - 1]
         return out
 
 
@@ -104,10 +108,12 @@ class AllAtOnceSystem:
         n = self.gmm.n_steps * self.sys.dim
         return (n, n)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """M @ x without materializing M: A's table added to -tau D X."""
+    def apply(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """M @ x without materializing M: A's table added to -tau D X.  Given
+        a slice ``rows`` of the N time rows, only those rows of Mx, flat."""
         X = np.asarray(x).reshape(self.gmm.n_steps, self.sys.dim)
-        return self.gmm.apply_A(X, self.sys.apply_D(X, -self.gmm.tau)).ravel()
+        return self.gmm.apply_A(X, self.sys.apply_D(X[rows], -self.gmm.tau),
+                                rows).ravel()
 
     def materialize(self) -> np.ndarray:
         """Dense M for small instances (tests and eigenvalue studies)."""

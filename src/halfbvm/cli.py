@@ -20,7 +20,7 @@ import numpy as np
 
 from . import problems, spectrum
 from .bvm import assemble_all_at_once, build_gmm, extract_trajectory
-from .krylov import build_preconditioner, direct_solve, gmres_solve
+from .krylov import build_preconditioner, direct_solve, gmres_solve, usable_cpus
 from .oracles import FourierSeriesSolution, relative_l2_error
 from .spatial import ConfigurationError, GridTooSmallError
 from .spectrum import boundary_locus, eigenvalues_of_D, lmm_catalog, \
@@ -174,20 +174,21 @@ def _write_csv(path: Path, header, columns, cfg):
     path.write_text(head + "\n" + ",".join(header) + "\n" + body)
 
 
-def _solve_once(cfg, pb, h=None, m=None, precondition=None):
-    """One discretize-assemble-solve pass; returns (report, run, gmm, traj)."""
+def _solve_once(cfg, pb, h=None, m=None, precondition=None, threads=None):
+    """One discretize-assemble-solve pass; returns (report, run, gmm, traj).
+    ``threads`` bounds the solver's row-block threads."""
     run = problems.setup_run(pb, h=h, m=m)
     N = cfg.time_steps(h=h if h is not None else pb.L / m)
     gmm = build_gmm(N, cfg.T)
     system = assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
     if cfg.solver.method == "direct":
-        report = direct_solve(system)
+        report = direct_solve(system, threads=threads)
     else:
         use_pre = cfg.solver.precondition if precondition is None else precondition
         pre = build_preconditioner(gmm, run.sys) if use_pre else None
         report = gmres_solve(system, pre, tol=cfg.solver.tol,
                              max_iter=cfg.solver.max_iter,
-                             restart=cfg.solver.restart)
+                             restart=cfg.solver.restart, threads=threads)
     traj = extract_trajectory(report.solution, system)
     return report, run, gmm, traj
 
@@ -245,6 +246,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         "timings": report.timings,
         "marginal_modes": report.marginal_modes,
         "modes": report.modes,
+        "threads": report.threads,
         "residual_history": report.residual_history,
         "rel_l2_error_at_T": err,
         "error_norm_flagged_absolute": flagged,
@@ -254,7 +256,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def _sweep_point(cfg, pb, h=None, tau=None):
+def _sweep_point(cfg, pb, h=None, tau=None, threads=None):
     t0 = time.perf_counter()
     if tau is not None:
         cfg = replace(cfg, tau=tau, n_steps=None)
@@ -264,7 +266,8 @@ def _sweep_point(cfg, pb, h=None, tau=None):
         else (("pre", True), ("nopre", False))
     for label, precondition in variants:
         report, run, gmm, traj = _solve_once(cfg, pb, h=h,
-                                             precondition=precondition)
+                                             precondition=precondition,
+                                             threads=threads)
         err = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)[0]
         # h, tau and N as solved
         rows[label] = (report, err, run.grid.h, gmm.tau, gmm.n_steps)
@@ -282,8 +285,11 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     else:
         points = [{"tau": tau} for tau in cfg.tau_sweep]
     workers = min(max(1, cfg.solver.workers), os.cpu_count() or 1)
+    # the sweep's threads share the CPUs with each solve's row-block threads
+    threads = max(1, usable_cpus() // workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_point, cfg, pb, **pt) for pt in points]
+        futures = [pool.submit(_sweep_point, cfg, pb, threads=threads, **pt)
+                   for pt in points]
         results = [fut.result() for fut in futures]
     rows, solved = [], []
     failed = False

@@ -25,8 +25,9 @@ beta0 <= tol: the transforms keep the 2-norm, so that is the preconditioned
 residual of the whole system in physical space.  One GMRES on the whole
 system stops on the same test, and its Krylov space projected onto mode k
 lies in that mode's own, so the lockstep count is never above it.  The true
-residual ||b - Mx|| / ||b|| is formed in physical space by
-``AllAtOnceSystem.apply``.  A GMRES report's ``timings`` are the stages
+residual ||b - Mx|| / ||b|| is formed in physical space from the operator's
+stencils and coefficient table, one block of time rows at a time
+(``_true_residual``).  A GMRES report's ``timings`` are the stages
 ``GMRES_STAGES``: transform, operator, preconditioner, orthogonalisation,
 inverse_transform and true_residual.
 
@@ -35,7 +36,9 @@ as at theta = pi for odd N on a torus.  Both sets are closed forms: theta is pi
 while their gap is at least GAP_MIN, else the angle of THETA_GRID with most gap.
 """
 
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,11 +63,22 @@ GAP_MIN = 5e-5
 THETA_GRID = np.pi * (1.0 + np.array(sorted(range(-63, 64), key=abs)) / 64.0)
 GMRES_STAGES = ("transform", "operator", "preconditioner", "orthogonalisation",
                 "inverse_transform", "true_residual")
+# The direct solve's row-independent stages (spatial transforms, 2x2
+# rotations, coupling update) and every true residual take the N time rows in
+# blocks of about BLOCK_BYTES, one core's L2.  On a 2-core Xeon VM (2 MB L2
+# per core) drift_quartic's direct_solve, 641 rows of 102 KB on 2 threads,
+# took 0.30, 0.28, 0.26, 0.28 and 0.28 s at 0.5, 1, 2, 4 and 8 MB (medians
+# of 12, interleaved), and 0.49 s as one block.
+BLOCK_BYTES = 2 ** 21
+# At most this many threads run the row blocks: the gains above were
+# measured on two cores, and more threads are unmeasured.
+MAX_THREADS = 2
 
 __all__ = [
     "TRUE_RESIDUAL_MAX", "GMRES_SLACK", "OmegaPreconditioner", "SolveReport",
     "build_omega_circulant", "build_preconditioner", "apply_preconditioner",
     "solve_frequency_block", "gmres", "gmres_solve", "direct_solve",
+    "usable_cpus",
 ]
 
 
@@ -136,16 +150,22 @@ def build_preconditioner(gmm: GmmMatrices, sys,
                                theta_scaling=scaling, lambda_omega=lam, sys=sys)
 
 
-def _solve_blocks(lam, p, q, tau, V):
+def _block_tables(lam, p, q, tau):
+    """The (K, F) tables shift = lam - tau q and denom = lam shift - tau^2 p
+    of ``_solve_blocks``, for modes p, q of shape (K, 1) and frequencies lam."""
+    shift = lam - tau * q
+    return shift, lam * shift - tau ** 2 * p
+
+
+def _solve_blocks(lam, shift, denom, tau, V):
     """Overwrite V (K, 2, F) with the solutions (u, v) of (lam_f I - tau D_k)
     (u, v) = (r1, r2) = V[k, :, f], D_k = [[0, 1], [p_k, q_k]], for every mode
-    k (p, q of shape (K, 1)) and frequency f.  The first row gives v = (lam u
-    - r1)/tau; put into the second, it leaves [lam (lam - tau q) - tau^2 p] u
-    = tau r2 + (lam - tau q) r1."""
-    shift = lam - tau * q
+    k and frequency f, given ``_block_tables``.  The first row gives v = (lam
+    u - r1)/tau; put into the second, it leaves [lam (lam - tau q) - tau^2 p]
+    u = tau r2 + (lam - tau q) r1."""
     u = shift * V[:, 0]
-    u += tau * V[:, 1]
-    u /= lam * shift - tau ** 2 * p
+    u += np.multiply(tau, V[:, 1], out=V[:, 1])
+    u /= denom
     v = V[:, 1]
     np.multiply(lam, u, out=v)
     v -= V[:, 0]
@@ -154,12 +174,13 @@ def _solve_blocks(lam, p, q, tau, V):
     return V
 
 
-def _precondition_modes(p: OmegaPreconditioner, p_k, q_k, R):
-    """P_k^{-1} R_k for mode vectors R (K, 2, N), time last: the Theta-scaled
-    FFT across time, the 2x2 frequency blocks, the inverse FFT.  No spatial
-    transform; real R stays real under a real omega."""
+def _precondition_modes(p: OmegaPreconditioner, tables, R):
+    """P_k^{-1} R_k for mode vectors R (K, 2, N), time last, given the
+    modes' ``_block_tables``: the Theta-scaled FFT across time, the 2x2
+    frequency blocks, the inverse FFT.  No spatial transform; real R stays
+    real under a real omega."""
     V = fft(R * np.conj(p.theta_scaling), axis=-1, overwrite_x=True)
-    V = ifft(_solve_blocks(p.lambda_omega, p_k, q_k, p.tau, V), axis=-1,
+    V = ifft(_solve_blocks(p.lambda_omega, *tables, p.tau, V), axis=-1,
              overwrite_x=True)
     V *= p.theta_scaling
     if p.real and not np.iscomplexobj(R):
@@ -177,7 +198,8 @@ def solve_frequency_block(p: OmegaPreconditioner, j: int, v1: np.ndarray) -> np.
     spatial modes, the 2x2 block solves, back."""
     sys_ = p.sys
     V = sys_.to_modes(np.asarray(v1, dtype=complex).reshape(2, sys_.n))
-    _solve_blocks(p.lambda_omega[j], *_symbols(sys_), p.tau, V.T[:, :, None])
+    tables = _block_tables(p.lambda_omega[j], *_symbols(sys_), p.tau)
+    _solve_blocks(p.lambda_omega[j], *tables, p.tau, V.T[:, :, None])
     return sys_.from_modes(V).ravel()
 
 
@@ -186,7 +208,8 @@ def apply_preconditioner(p: OmegaPreconditioner, r: np.ndarray) -> np.ndarray:
     solve of ``_precondition_modes``, back."""
     sys_ = p.sys
     R = sys_.to_modes(np.asarray(r).reshape(p.n_steps, 2, sys_.n))
-    Z = _precondition_modes(p, *_symbols(sys_), R.transpose(2, 1, 0))
+    tables = _block_tables(p.lambda_omega, *_symbols(sys_), p.tau)
+    Z = _precondition_modes(p, tables, R.transpose(2, 1, 0))
     z = sys_.from_modes(Z.transpose(2, 1, 0)).ravel()
     if p.real and not np.iscomplexobj(r):
         return np.ascontiguousarray(z.real)
@@ -210,16 +233,74 @@ class SolveReport:
     timings: dict = field(default_factory=dict)   # stage -> seconds
     marginal_modes: int = None      # direct: mode components with tau*mu on [-i, i]
     modes: int = None               # GMRES: the batch size
+    # GMRES: ||P^{-1} b|| (||b|| without a preconditioner), the residual
+    # history's base, summed over the batch in lockstep
+    rhs_norm: float = None
     # ||P^{-1}(b - Mx)|| / ||P^{-1} b|| in physical space, under a preconditioner
     preconditioned_residual: float = None
+    threads: int = 1                # threads that ran the row blocks, 1 inline
 
 
-def _true_residual(apply_op, b, x) -> float:
-    """||b - Mx|| / ||b||, formed in the output of the apply when it can hold b."""
-    r = apply_op(x)
-    own = np.can_cast(b.dtype, r.dtype) and not np.may_share_memory(r, x)
-    r = np.subtract(b, r, out=r if own else None)
-    return float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300))
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity (e.g. taskset) bounds it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:             # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _RowBlocks:
+    """The N time rows of a solve in blocks of about BLOCK_BYTES.  ``map``
+    runs a task on each block, the tasks writing disjoint rows, and returns
+    their results in block order.  ``threads`` is the least of ``limit``
+    (default ``usable_cpus()``), MAX_THREADS and the block count; with one,
+    the calling thread runs the blocks in order, else a pool of that many."""
+
+    def __init__(self, N: int, row_bytes: int, limit: int = None):
+        size = max(1, BLOCK_BYTES // max(row_bytes, 1))
+        self.blocks = [slice(a, min(a + size, N)) for a in range(0, N, size)]
+        limit = usable_cpus() if limit is None else limit
+        self.threads = max(1, min(limit, MAX_THREADS, len(self.blocks)))
+        self._pool = ThreadPoolExecutor(self.threads) if self.threads > 1 else None
+
+    def map(self, task) -> list:
+        if self._pool is None:
+            return [task(r) for r in self.blocks]
+        return list(self._pool.map(task, self.blocks))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self._pool is not None:
+            self._pool.shutdown()
+
+
+def _sumsq(a) -> float:
+    return float(np.vdot(a, a).real)
+
+
+def _true_residual(system: AllAtOnceSystem, x, rows: _RowBlocks, out=None) -> float:
+    """||b - Mx|| / ||b|| in physical space, one row block at a time.
+
+    ``AllAtOnceSystem.apply`` forms each block's rows of Mx from the block
+    and its halo rows.  b minus them goes into ``out`` (b's shape) when
+    given, else into the block's own apply output.  The squared norms of the
+    blocks add up in block order, so the result does not depend on the
+    thread count.
+    """
+    N = system.gmm.n_steps
+    B = np.asarray(system.rhs).reshape(N, -1)
+    O = None if out is None else out.reshape(N, -1)
+
+    def block(r):
+        Mx = system.apply(x, r).reshape(-1, B.shape[1])
+        dest = O[r] if O is not None else (Mx if np.can_cast(B.dtype, Mx.dtype)
+                                           else None)
+        return _sumsq(np.subtract(B[r], Mx, out=dest)), _sumsq(B[r])
+    parts = rows.map(block)
+    rr, bb = sum(r for r, _ in parts), sum(b for _, b in parts)
+    return float(np.sqrt(rr) / max(np.sqrt(bb), 1e-300))
 
 
 def _project(basis, w, cplx):
@@ -254,10 +335,11 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, restart=None,
     Arnoldi basis (CGS2), Hessenberg columns and Givens rotations.  All take
     one step per iteration and stop together when sqrt(sum_k |g_k|^2), g_k
     system k's residual estimate, reaches tol times the 2-norm of the whole
-    preconditioned rhs.  A system whose residual is exactly zero (a zero rhs)
-    or whose Krylov space closes exactly (hk = 0) leaves the batch; its last
-    residual still counts.  A basis grows with the iterations taken, to at
-    most min(restart, L) vectors; restart defaults to max_iter.
+    preconditioned rhs (``rhs_norm``).  A system whose residual is exactly
+    zero (a zero rhs) or whose Krylov space closes exactly (hk = 0) leaves
+    the batch; its last residual still counts.  A basis grows with the
+    iterations taken, to at most min(restart, L) vectors; restart defaults
+    to max_iter.
 
     The true residual is formed once, at exit, by ``residual(X)``, by default
     ||B - AX|| / ||B|| over the whole batch; the solve has converged only if
@@ -279,7 +361,8 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, restart=None,
     every = np.arange(K)
     if residual is None:
         def residual(X):
-            return _true_residual(lambda Y: apply_op(Y, every), Bk, X)
+            r = Bk - apply_op(X, every)
+            return float(np.linalg.norm(r) / max(np.linalg.norm(Bk), 1e-300))
     true_max = max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol)
     MB = precond(Bk, every) if precond is not None else Bk
     work = np.result_type(MB.dtype, float)
@@ -367,7 +450,8 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, restart=None,
     return SolveReport(solution=X.reshape(b.shape), iterations=total,
                        residual_history=history, true_residual=res,
                        converged=converged and res <= true_max,
-                       wall_time=time.perf_counter() - t0, modes=K)
+                       wall_time=time.perf_counter() - t0, modes=K,
+                       rhs_norm=beta0)
 
 
 def _apply_modes(gmm: GmmMatrices, p_k, q_k, X):
@@ -411,14 +495,17 @@ def _pair_scale(n: int) -> np.ndarray:
 
 def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
                 tol: float = 1e-10, max_iter: int = 500,
-                restart: int = None) -> SolveReport:
+                restart: int = None, threads: int = None) -> SolveReport:
     """Solve the all-at-once system by lockstep GMRES over its spatial modes,
     optionally omega-circulant preconditioned (module docstring).
 
     ``iterations`` counts lockstep steps and ``modes`` the batch.  Above 2e5
     unknowns each basis is capped at 50 vectors per cycle to bound memory.
     Under a preconditioner, ``preconditioned_residual`` checks the lockstep
-    stopping norm in physical space, through ``apply_preconditioner``.
+    stopping norm in physical space: ||P^{-1} r|| through
+    ``apply_preconditioner`` over the lockstep ``rhs_norm`` = ||P^{-1} b||,
+    which the orthonormal transforms keep.  The true residual runs on
+    ``_RowBlocks`` of at most ``threads`` threads (default ``usable_cpus()``).
     """
     t0 = time.perf_counter()
     if restart is None and system.shape[0] > 200_000:
@@ -432,45 +519,55 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     B = np.ascontiguousarray(forward(rhs.reshape(N, 2, n)).transpose(2, 1, 0))
     K = len(B)
     p_k, q_k = _symbols(sys_, K)
+    # the preconditioner's block tables, built once and cut to the modes
+    # still in the batch as the others leave it
+    held = {"idx": np.arange(K), "tables": None if precond is None else
+            _block_tables(precond.lambda_omega, p_k, q_k, precond.tau)}
     timings = dict.fromkeys(GMRES_STAGES, 0.0)
 
     def timed(stage, apply):
         def run(X, idx):
             t = time.perf_counter()
-            Y = apply(p_k[idx], q_k[idx], X.reshape(len(idx), 2, N))
+            Y = apply(idx, X.reshape(len(idx), 2, N))
             timings[stage] += time.perf_counter() - t
             return Y.reshape(len(idx), -1)
         return run
-    op = timed("operator", lambda p, q, X: _apply_modes(gmm, p, q, X))
-    pre = None if precond is None else timed(
-        "preconditioner", lambda p, q, X: _precondition_modes(precond, p, q, X))
-    kept = {}
 
-    def residual(Y):                   # back to physical space, then b - Mx
-        t = time.perf_counter()
-        x = inverse(Y.reshape(K, 2, N).transpose(2, 1, 0)).ravel()
-        kept["x"] = x = np.ascontiguousarray(x.real) if real else x
-        t2 = time.perf_counter()
-        r = kept["r"] = system.apply(x)
-        np.subtract(rhs, r, out=r)
-        timings["inverse_transform"] += t2 - t
-        timings["true_residual"] += time.perf_counter() - t2
-        return float(np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300))
-    t1 = time.perf_counter()
-    timings["transform"] = t1 - t0
-    report = gmres(op, B.reshape(K, 2 * N), pre, tol=tol, max_iter=max_iter,
-                   restart=restart, residual=residual)
+    def precondition(idx, X):
+        if not np.array_equal(held["idx"], idx):
+            pos = np.searchsorted(held["idx"], idx)
+            held.update(idx=idx, tables=[t[pos] for t in held["tables"]])
+        return _precondition_modes(precond, held["tables"], X)
+    op = timed("operator", lambda idx, X: _apply_modes(gmm, p_k[idx], q_k[idx], X))
+    pre = None if precond is None else timed("preconditioner", precondition)
+    kept = {}
+    with _RowBlocks(N, rhs.nbytes // N, threads) as rows:
+        def residual(Y):               # back to physical space, then b - Mx
+            t = time.perf_counter()
+            x = inverse(Y.reshape(K, 2, N).transpose(2, 1, 0)).ravel()
+            kept["x"] = x = np.ascontiguousarray(x.real) if real else x
+            t2 = time.perf_counter()
+            kept["r"] = np.empty(rhs.shape, np.result_type(rhs, x))
+            res = _true_residual(system, x, rows, out=kept["r"])
+            timings["inverse_transform"] += t2 - t
+            timings["true_residual"] += time.perf_counter() - t2
+            return res
+        t1 = time.perf_counter()
+        timings["transform"] = t1 - t0
+        report = gmres(op, B.reshape(K, 2 * N), pre, tol=tol, max_iter=max_iter,
+                       restart=restart, residual=residual)
     t2 = time.perf_counter()
     timings["orthogonalisation"] = (t2 - t1) - sum(timings[s] for s in (
         "operator", "preconditioner", "inverse_transform", "true_residual"))
     if precond is not None:
         report.preconditioned_residual = float(
             np.linalg.norm(apply_preconditioner(precond, kept["r"]))
-            / max(np.linalg.norm(apply_preconditioner(precond, rhs)), 1e-300))
+            / max(report.rhs_norm, 1e-300))
         report.theta, report.gap = precond.theta, precond.gap
     report.solution = kept["x"]
     report.path = "gmres+omega" if precond is not None else "gmres"
     report.half_spectrum = half
+    report.threads = rows.threads
     report.wall_time = time.perf_counter() - t0
     timings["true_residual"] += report.wall_time - (t2 - t0)
     report.timings = timings
@@ -511,14 +608,28 @@ def _scalar_sweeps(y, c) -> int:
     return int(np.count_nonzero(np.abs(np.abs(z1) - 1.0) <= 1e-12))
 
 
-def _rotate(R, C):
-    """R[j] = C R[j] for every time row j; C (2, 2, M) is one 2x2 per mode."""
-    T = np.empty(C.shape, R.dtype)
-    for row in R:
-        np.add(*np.multiply(C, row, out=T).swapaxes(0, 1), out=row)
+def _rotate(C, F, out=None):
+    """out[j] = C F[j] for every time row j of F (rows, 2, M), by whole-array
+    ops; C (2, 2, M) is one 2x2 per mode.  With ``out``, F is spent as the
+    scratch.  Without it, the rotation is in place on F, through two
+    scratches half F's size.  Every product keeps the order C F: swapped,
+    numpy's complex products change in the last bit here."""
+    u, v = F[:, 0], F[:, 1]
+    if out is None:
+        a = np.multiply(C[0, 0], u)
+        t = np.multiply(C[0, 1], v)
+        a += t
+        np.multiply(C[1, 1], v, out=v)
+        v += np.multiply(C[1, 0], u, out=t)
+        u[...] = a
+        return
+    np.multiply(C[0, 0], u, out=out[:, 0])
+    np.multiply(C[1, 1], v, out=out[:, 1])
+    out[:, 0] += np.multiply(C[0, 1], v, out=v)
+    out[:, 1] += np.multiply(C[1, 0], u, out=u)
 
 
-def direct_solve(system: AllAtOnceSystem) -> SolveReport:
+def direct_solve(system: AllAtOnceSystem, threads: int = None) -> SolveReport:
     """Exact solve by diagonalizing space, then two scalar sweeps per mode.
 
     One spatial transform (DFT on a torus, only the n//2+1 ``rfft`` modes
@@ -529,6 +640,12 @@ def direct_solve(system: AllAtOnceSystem) -> SolveReport:
     tau t12 y2 added.  Their sweeps contract when q is off [-i, i], the
     scheme's (k1, k2) = (1, 1) condition; on it (``marginal_modes``) the
     true residual is the check.  All in place on the mode array.
+
+    The stages that treat each time row on its own run on ``_RowBlocks`` of
+    at most ``threads`` threads (default ``usable_cpus()``), a block at a
+    time: the transform with U^H into the mode array, the coupling update,
+    U, and the true residual.  The inverse transform runs on as many
+    ``scipy.fft`` workers, and the sweeps on this thread alone.
     """
     t0 = time.perf_counter()
     sys_, gmm = system.sys, system.gmm
@@ -538,29 +655,40 @@ def direct_solve(system: AllAtOnceSystem) -> SolveReport:
     half = real and sys_.is_circulant
     mu = eigenvalues_of_D(sys_).reshape(2, n)
     mu = mu if mu.imag.any() else mu.real       # real D_k: real sweeps
-    R = (np.fft.rfft if half else sys_.to_modes)(rhs.reshape(N, 2, n))
-    R = R.astype(np.result_type(R, mu), copy=False)
-    m1, m2 = mu[:, : R.shape[-1]]
-    t1 = time.perf_counter()
+    m1, m2 = mu[:, : n // 2 + 1 if half else n]
     s = 1.0 / np.sqrt(1.0 + abs(m1) ** 2)
-    _rotate(R, np.array([[s, s * m1.conj()], [-s * m1, s]]))    # U^H R
-    marginal = _scalar_sweeps(R[:, 1], tau * m2)
-    coupling = tau * (1.0 + m1.conj() * m2)
-    for j in range(N):
-        R[j, 0] += coupling * R[j, 1]
-    marginal += _scalar_sweeps(R[:, 0], tau * m1)
-    _rotate(R, np.array([[s, -s * m1.conj()], [s * m1, s]]))    # U Y
-    t2 = time.perf_counter()
-    x = (np.fft.irfft(R, n=n) if half else sys_.from_modes(R)).ravel()
-    del R                                # room for the residual's apply
-    if real:
-        x = np.ascontiguousarray(x.real)
-    t3 = time.perf_counter()
-    res = _true_residual(system.apply, rhs, x)
+    X = rhs.reshape(N, 2, n)
+    R = np.empty((N, 2, m1.size), np.result_type(
+        rhs, mu, complex if sys_.is_circulant else float))
+    with _RowBlocks(N, rhs.nbytes // N, threads) as rows:
+        C = np.array([[s, s * m1.conj()], [-s * m1, s]])         # U^H
+
+        def forward(r):
+            F = rfft(X[r]) if half else sys_.to_modes(X[r])
+            _rotate(C, F.astype(R.dtype, copy=False), R[r])
+        rows.map(forward)
+        t1 = time.perf_counter()
+        marginal = _scalar_sweeps(R[:, 1], tau * m2)
+        coupling = tau * (1.0 + m1.conj() * m2)
+
+        def couple(r):
+            R[r, 0] += coupling * R[r, 1]
+        rows.map(couple)
+        marginal += _scalar_sweeps(R[:, 0], tau * m1)
+        C = np.array([[s, -s * m1.conj()], [s * m1, s]])         # U
+        rows.map(lambda r: _rotate(C, R[r]))
+        t2 = time.perf_counter()
+        w = rows.threads
+        x = irfft(R, n=n, workers=w) if half else sys_.from_modes(R, workers=w)
+        del R                            # room for the residual's blocks
+        x = np.ascontiguousarray(x.real).ravel() if real else x.ravel()
+        t3 = time.perf_counter()
+        res = _true_residual(system, x, rows)
     t4 = time.perf_counter()
     timings = {"transform": t1 - t0, "sweeps": t2 - t1,
                "inverse_transform": t3 - t2, "true_residual": t4 - t3}
     return SolveReport(solution=x, iterations=1, residual_history=[res],
                        converged=res < TRUE_RESIDUAL_MAX, wall_time=t4 - t0,
                        true_residual=res, path="direct", half_spectrum=half,
-                       timings=timings, marginal_modes=marginal)
+                       timings=timings, marginal_modes=marginal,
+                       threads=rows.threads)

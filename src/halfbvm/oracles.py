@@ -35,6 +35,7 @@ __all__ = [
 HALF_DIFFUSION = "half_diffusion"
 MASS_TRANSFER = "mass_transfer"
 ADVECTION = "advection"
+MODELS = (HALF_DIFFUSION, MASS_TRANSFER, ADVECTION)
 
 
 def _panels(length: float, n_points: int, panel: int = 64):
@@ -68,6 +69,9 @@ class FourierSeriesSolution:
     t_quad: int = 256
 
     def __post_init__(self):
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}; known: "
+                             + ", ".join(MODELS))
         k = np.arange(1, self.n_max + 1) * (np.pi / self.L)
         drift = self.delta if self.model == ADVECTION else 0.0
         growth = self.delta if self.model == MASS_TRANSFER else 0.0

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, idst
+from scipy.fft import dst, idst, ifft
 from scipy.ndimage import correlate1d
 
 __all__ = [
@@ -205,11 +205,11 @@ class DiscreteSystem:
             return np.fft.fft(X, axis=-1)
         return dst(X, type=1, axis=-1)
 
-    def from_modes(self, X):
-        """Inverse of ``to_modes``."""
+    def from_modes(self, X, workers=1):
+        """Inverse of ``to_modes``, the rows split over ``workers`` threads."""
         if self.is_circulant:
-            return np.fft.ifft(X, axis=-1)
-        return idst(X, type=1, axis=-1)
+            return ifft(X, axis=-1, workers=workers)
+        return idst(X, type=1, axis=-1, workers=workers)
 
     def apply_D(self, x, scale=1.0):
         """scale * D @ x for a state vector of size 2n, or for each row of a

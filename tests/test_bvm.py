@@ -52,6 +52,19 @@ def test_apply_matches_materialized_on_every_catalog_problem(name):
         assert np.abs(system.apply(v) - M @ v).max() <= tol
 
 
+@pytest.mark.parametrize("N", [2, 3, 7])
+def test_apply_rows_are_those_of_the_whole_apply(N):
+    # every slice of rows, the first and last included, with its halo rows
+    run = hb.setup_run(hb.build_problem("schrodinger_two_lorentzian"), m=6)
+    system = bvm.AllAtOnceSystem(gmm=bvm.build_gmm(N, 1.0), sys=run.sys, rhs=None)
+    rng = np.random.default_rng(N)
+    x = rng.normal(size=system.shape[0]) + 1j * rng.normal(size=system.shape[0])
+    whole = system.apply(x).reshape(N, -1)
+    for lo in range(N):
+        for hi in range(lo + 1, N + 1):
+            assert np.array_equal(system.apply(x, slice(lo, hi)), whole[lo:hi].ravel())
+
+
 def test_apply_peak_memory_is_output_and_half_scratch():
     # one output and a scratch half its size; the matrix route took 2.5x
     g = spatial.Grid(length=10.0, m=1024, boundary=spatial.PERIODIC)

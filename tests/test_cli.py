@@ -4,7 +4,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from halfbvm import cli
+from halfbvm import cli, krylov
 from halfbvm.krylov import GAP_MIN
 
 
@@ -133,6 +133,8 @@ def test_report_records_discretisation_and_path(tmp_path):
         assert report["boundary"] == "periodic"
         assert report["path"] == path and report["half_spectrum"] is half
         assert 0.0 <= report["true_residual"] < 1e-8
+        # a system of one row block runs inline on every path
+        assert report["threads"] == 1
         # the direct path times its four stages and counts the mode components
         # with tau*mu on [-i, i]: here the constant mode, twice (Jordan block)
         if path == "direct":
@@ -306,6 +308,30 @@ def test_sweep_threads_capped_at_cpu_count(tmp_path, monkeypatch):
                        "--workers", asked])
         assert rc == cli.EXIT_OK
         assert seen.pop() == used
+
+
+def test_sweep_threads_share_the_cpus_with_the_row_blocks(tmp_path, monkeypatch):
+    # one-row blocks make every solve of the sweep pooled: on two CPUs two
+    # sweep threads each solve inline, and one sweep thread solves on two
+    reports = []
+
+    def recording(solve):
+        return lambda *args, **kwargs: reports.append(solve(*args, **kwargs)) \
+            or reports[-1]
+    monkeypatch.setattr(krylov, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(krylov, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "gmres_solve", recording(cli.gmres_solve))
+    cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
+                        h_sweep=[1.0, 0.5], tau_over_h=0.25,
+                        solver={"tol": 1e-10, "max_iter": 300})
+    for workers, threads in (("2", 1), ("1", 2)):
+        rc = cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "s"),
+                       "--workers", workers])
+        assert rc == cli.EXIT_OK
+        assert len(reports) == 4 and {r.threads for r in reports} == {threads}
+        reports.clear()
 
 
 @pytest.mark.parametrize("command", ["solve", "spectrum", "schrodinger"])

@@ -145,8 +145,9 @@ def test_frequency_blocks_order_independent():
     # mode array, solved in place) agrees with the per-block path
     sys = run.sys
     modes = sys.to_modes(V1.reshape(8, 2, sys.n)).transpose(2, 1, 0)
-    krylov._solve_blocks(pre.lambda_omega, sys.p_hat[:, None], sys.q_hat[:, None],
-                         pre.tau, modes)
+    tables = krylov._block_tables(pre.lambda_omega, sys.p_hat[:, None],
+                                  sys.q_hat[:, None], pre.tau)
+    krylov._solve_blocks(pre.lambda_omega, *tables, pre.tau, modes)
     batch = sys.from_modes(modes.transpose(2, 1, 0)).reshape(8, -1)
     assert np.abs(batch - ref).max() < 1e-11
 
@@ -280,8 +281,8 @@ def test_direct_solve_root_split_matches_dense(N):
                                               (spatial.DIRICHLET, "scalar", 1025)])
 def test_direct_solve_peak_memory_in_rhs_vectors(boundary, model, m):
     # at most the mode array (rfft half spectrum, or the real DST modes) and
-    # the solution, then the solution, the residual's apply output and its
-    # half scratch: 2.58 rhs sizes measured on both grids
+    # the solution, then the solution and the residual's row blocks: 2.60
+    # rhs sizes measured on both grids
     g = spatial.Grid(length=10.0, m=m, boundary=boundary)
     sys = spatial.assemble_discrete_system(g, 0.1, spatial.OperatorKind(model, 0.3))
     rhs = np.random.default_rng(1).normal(size=128 * sys.dim)
@@ -548,9 +549,9 @@ def test_gmres_batch_systems_leave_and_the_rest_iterate():
 
 def test_gmres_solve_basis_grows_with_the_iterations_taken():
     # five lockstep iterations keep at most 8 basis vectors per mode: with
-    # the preconditioner's complex temporaries the solve peaks at 19.6 rhs
-    # sizes, where one GMRES over the system with the default restart
-    # reserved max_iter + 1 = 501 of them
+    # the preconditioner's block tables and complex temporaries the solve
+    # peaks at 19.5 rhs sizes, where one GMRES over the system with the
+    # default restart reserved max_iter + 1 = 501 of them
     g = spatial.Grid(length=20.0, m=200, boundary=spatial.DIRICHLET)
     sys = spatial.assemble_discrete_system(g, 0.1, spatial.OperatorKind("zero"))
     gmm = build_gmm(100, 4.0)
@@ -565,3 +566,118 @@ def test_gmres_solve_basis_grows_with_the_iterations_taken():
         tracemalloc.stop()
     assert rep.converged and rep.iterations <= 5
     assert peak <= 24 * rhs.nbytes, peak / rhs.nbytes
+
+
+@pytest.mark.parametrize("name,m", [("advection_manufactured", 64),
+                                    ("mass_transfer_manufactured", 65),
+                                    ("schrodinger_two_lorentzian", 64)])
+def test_pooled_and_inline_direct_solves_are_bit_identical(monkeypatch, name, m):
+    # a drift torus (rfft), real walls (DST-I) and complex walls, in 4-row
+    # blocks: every pooled stage treats each time row on its own and the
+    # residual adds its block norms in block order, so threads change no bit
+    pb, run, gmm, system = _setup(name, m=m, N=40)
+    monkeypatch.setattr(krylov, "BLOCK_BYTES", 4 * system.rhs.nbytes // 40)
+    monkeypatch.setattr(krylov, "usable_cpus", lambda: 2)
+    pooled = krylov.direct_solve(system)
+    monkeypatch.setattr(krylov, "usable_cpus", lambda: 1)
+    inline = krylov.direct_solve(system)
+    assert pooled.threads == 2 and inline.threads == 1
+    assert np.array_equal(pooled.solution, inline.solution)
+    assert pooled.true_residual == inline.true_residual < 1e-12
+    assert np.iscomplexobj(pooled.solution) == (pb.scalar_field == "complex")
+
+
+@pytest.mark.parametrize("name", ["advection_manufactured", "schrodinger_two_lorentzian"])
+def test_blocked_true_residual_is_the_whole_apply(monkeypatch, name):
+    # blocks of 1, 3 and all 40 rows: each block's halo rows give exactly
+    # b - system.apply(x), and the norm agrees with the whole vector's
+    pb, run, gmm, system = _setup(name, m=32, N=40)
+    b = system.rhs
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=b.size)
+    if np.iscomplexobj(b):
+        x = x + 1j * rng.normal(size=b.size)
+    r = b - system.apply(x)
+    ref = np.linalg.norm(r) / np.linalg.norm(b)
+    for rows_per_block in (1, 3, 40):
+        monkeypatch.setattr(krylov, "BLOCK_BYTES", rows_per_block * b.nbytes // 40)
+        with krylov._RowBlocks(40, b.nbytes // 40) as rows:
+            out = np.empty_like(b)
+            res = krylov._true_residual(system, x, rows, out=out)
+            assert np.array_equal(out, r)
+            assert res == pytest.approx(ref, rel=1e-14)
+            assert krylov._true_residual(system, x, rows) == res
+
+
+@pytest.mark.parametrize("name,h,N,T,bare", [
+    ("mass_transfer_manufactured", 0.125, 32, 2.0, True),
+    ("half_diffusion_manufactured", 0.05, 160, 4.0, False)])
+def test_benchmark_sized_systems_run_inline(monkeypatch, name, h, N, T, bare):
+    # converge_sweep's finest point (with its unpreconditioned solve) and
+    # walls_gmres fit in one row block, so even on two CPUs no solve starts
+    # a pool
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a one-block solve submitted to a pool")
+    monkeypatch.setattr(krylov, "ThreadPoolExecutor", NoPool)
+    monkeypatch.setattr(krylov, "usable_cpus", lambda: 2)
+    pb = hb.build_problem(name, eps=0.1)
+    run = hb.setup_run(pb, h=h)
+    gmm = build_gmm(N, T)
+    system = hb.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
+    pre = krylov.build_preconditioner(gmm, run.sys)
+    reports = [krylov.direct_solve(system), krylov.gmres_solve(system, pre)]
+    if bare:
+        reports.append(krylov.gmres_solve(system, None, max_iter=1500))
+    for rep in reports:
+        assert rep.converged and rep.threads == 1
+
+
+def test_preconditioned_residual_check_applies_the_preconditioner_once(monkeypatch):
+    # ||P^{-1} b|| is the lockstep loop's rhs_norm: the orthonormal mode
+    # transforms keep it, so only P^{-1} r is formed in physical space
+    pb, run, gmm, system = _setup(m=25, N=16, T=1.0)
+    pre = krylov.build_preconditioner(gmm, run.sys)
+    calls = []
+    apply = krylov.apply_preconditioner
+    monkeypatch.setattr(krylov, "apply_preconditioner",
+                        lambda p, r: calls.append(r) or apply(p, r))
+    rep = krylov.gmres_solve(system, pre, tol=1e-10)
+    assert rep.converged and len(calls) == 1
+    assert rep.rhs_norm == pytest.approx(np.linalg.norm(pre.apply(system.rhs)), rel=1e-12)
+    assert rep.preconditioned_residual == pytest.approx(
+        _physical_stopping_norm(system, pre, rep.solution), rel=1e-9)
+
+
+def test_modes_leaving_the_batch_keep_their_preconditioner_tables(monkeypatch):
+    # rows of constants and of (-1)^j on an 8-point torus: only the rfft
+    # modes 0 and 4 are nonzero, so modes 1-3 leave the batch at once and
+    # the preconditioner's tables are cut to rows 0 and 4
+    g = spatial.Grid(length=4.0, m=8, boundary=spatial.PERIODIC)
+    sys = spatial.assemble_discrete_system(g, 0.3, spatial.OperatorKind("advection", 0.2))
+    gmm = build_gmm(12, 2.0)
+    rng = np.random.default_rng(2)
+    const, alternating = rng.normal(size=(2, 12, 2, 1))
+    rows = const + alternating * (-1.0) ** np.arange(8)
+    system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rows.ravel())
+    batches = []
+    precondition = krylov._precondition_modes
+    monkeypatch.setattr(krylov, "_precondition_modes", lambda p, tables, R: (
+        batches.append(len(R)) or precondition(p, tables, R)))
+    rep = krylov.gmres_solve(system, krylov.build_preconditioner(gmm, sys), tol=1e-12)
+    direct = krylov.direct_solve(system)
+    assert rep.converged and rep.modes == 5 and 2 in batches
+    gap = np.linalg.norm(rep.solution - direct.solution)
+    assert gap <= 1e-10 * np.linalg.norm(direct.solution)
+
+
+def test_row_blocks_threads_are_capped_and_keep_block_order(monkeypatch):
+    # eight CPUs still give MAX_THREADS threads, a limit of one runs inline
+    # without a pool, and either way the results come back in block order
+    monkeypatch.setattr(krylov, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(krylov, "usable_cpus", lambda: 8)
+    for limit, threads in ((None, krylov.MAX_THREADS), (1, 1)):
+        with krylov._RowBlocks(200, 1, limit) as rows:
+            assert rows.threads == threads and len(rows.blocks) == 200
+            assert (rows._pool is None) == (threads == 1)
+            assert rows.map(lambda r: 2 * r.start) == list(range(0, 400, 2))

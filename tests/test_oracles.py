@@ -159,6 +159,13 @@ def test_advection_transport_limit():
     assert np.abs(u(x, t) - pb.u0.value(x + t)).max() < 1e-3
 
 
+def test_unknown_model_is_refused():
+    # a misspelt model used to run as half diffusion, dropping the drift
+    with pytest.raises(ValueError, match="half_diffusion, mass_transfer, advection"):
+        oracles.FourierSeriesSolution(u0=np.sin, source=None, eps=0.1, L=20.0,
+                                      model="advektion", delta=0.3)
+
+
 def test_homogeneous_decay_is_monotone():
     pb = build_problem("half_diffusion_homogeneous")
     u = pb.oracle(n_max=300)
