@@ -61,9 +61,6 @@ class GmmMatrices:
     def times(self) -> np.ndarray:
         return self.tau * np.arange(1, self.n_steps + 1)
 
-    def A_dense(self) -> np.ndarray:
-        return self.apply_A(np.eye(self.n_steps), np.zeros((self.n_steps,) * 2))
-
     def apply_A(self, X: np.ndarray, out: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Add the rows ``rows`` (all N by default) of A X to ``out``, A
         acting across the time axis of X with shape (N, dim); ``out`` holds
@@ -114,12 +111,6 @@ class AllAtOnceSystem:
         X = np.asarray(x).reshape(self.gmm.n_steps, self.sys.dim)
         return self.gmm.apply_A(X, self.sys.apply_D(X[rows], -self.gmm.tau),
                                 rows).ravel()
-
-    def materialize(self) -> np.ndarray:
-        """Dense M for small instances (tests and eigenvalue studies)."""
-        N, dim = self.gmm.n_steps, self.sys.dim
-        return (np.kron(self.gmm.A_dense(), np.eye(dim))
-                - self.gmm.tau * np.kron(np.eye(N), self.sys.dense_D()))
 
 
 def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,

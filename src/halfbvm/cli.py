@@ -9,7 +9,6 @@ configuration, 3 solver non-convergence.
 import argparse
 import json
 import math
-import os
 import sys as _sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -284,9 +283,10 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         points = [{"h": h} for h in cfg.h_sweep]
     else:
         points = [{"tau": tau} for tau in cfg.tau_sweep]
-    workers = min(max(1, cfg.solver.workers), os.cpu_count() or 1)
     # the sweep's threads share the CPUs with each solve's row-block threads
-    threads = max(1, usable_cpus() // workers)
+    cpus = usable_cpus()
+    workers = min(max(1, cfg.solver.workers), cpus)
+    threads = max(1, cpus // workers)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(_sweep_point, cfg, pb, threads=threads, **pt)
                    for pt in points]

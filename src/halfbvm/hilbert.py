@@ -15,8 +15,7 @@ Two routes give H[f'] to the solver, chosen by the data: a catalog of
 closed forms (``CatalogFunction.hilbert_derivative``), and a spectral
 approximation by expansion in the rational eigenfunctions of H (fit with
 one FFT) for profiles without one; ``doubling.LineProfile`` picks between
-them and fixes the fit order.  A slow principal-value quadrature is kept as
-an independent test oracle only.
+them and fixes the fit order.
 """
 
 from dataclasses import dataclass, field
@@ -29,10 +28,8 @@ __all__ = [
     "WeidemanExpansion",
     "UnsupportedFunctionError",
     "InvalidSampleError",
-    "hilbert_exact_twice",
     "weideman_fit",
     "weideman_eval",
-    "hilbert_quadrature_oracle",
 ]
 
 LORENTZIAN = "lorentzian"                    # 1/(1+x^2)
@@ -184,31 +181,6 @@ class CatalogFunction:
         return self.scale if self.kind == ODD_LORENTZIAN else 0.0
 
 
-def hilbert_exact_twice(f: CatalogFunction, x):
-    """H(H(f)) where the image is itself closed under the catalog.
-
-    Closed chains exist for the Lorentzian, the sine/cosine pair and the odd
-    Lorentzian; for the remaining kinds re-expand the exact image with
-    :func:`weideman_fit` instead.  The skew-involution H^2 = -I makes the
-    expected value -f in every case.
-    """
-    y = np.asarray(x, dtype=float) - f.shift
-    a = f.alpha
-    if f.kind == LORENTZIAN:
-        out = -1.0 / (1.0 + y * y)
-    elif f.kind == COSINE:
-        out = -np.cos(a * y)
-    elif f.kind == SINE:
-        out = -np.sin(a * y)
-    elif f.kind == ODD_LORENTZIAN:
-        # H[-a/(y^2+a^2)] = -y/(y^2+a^2) by the dilated Lorentzian pair
-        out = -y / (y * y + a * a)
-    else:
-        raise UnsupportedFunctionError(
-            f"no closed double-transform chain for kind {f.kind!r}")
-    return f.scale * out
-
-
 @dataclass(frozen=True)
 class WeidemanExpansion:
     """Expansion of a function in the rational eigenfunctions of H.
@@ -282,21 +254,3 @@ def weideman_eval(e: WeidemanExpansion, x):
     out = horner(c[:N], z.conj()) * z.conj() - horner(c[:N - 1:-1], z)
     out *= 1j / (1.0 - 1j * x)
     return complex(out[0]) if scalar else out
-
-
-def hilbert_quadrature_oracle(f, x: float, R: float = 1e3, n_quad: int = 100_000):
-    """Principal-value quadrature of H[f](x), test oracle only.
-
-    Pairs nodes placed symmetrically about the singularity, so the 1/(x-y)
-    kernel contributes (f(x-s) - f(x+s))/s which is regular at s=0; midpoint
-    panels avoid s=0 itself.  Truncation error is O(1/R) for 1/x^2 tails
-    (spectrally small for compactly concentrated f) plus O(n_quad^{-2}).
-    """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    n_half = max(int(n_quad) // 2, 8)
-    ds = R / n_half
-    s = (np.arange(n_half) + 0.5) * ds
-    vals = (np.asarray(f(x - s)) - np.asarray(f(x + s))) / s
-    return float(np.sum(vals) * ds / np.pi)
-

@@ -1,9 +1,9 @@
 """GMRES per spatial mode under the omega-circulant all-at-once preconditioner.
 
 The space-time operator M = A (x) I - tau I (x) D is block diagonal in the
-spatial eigenbasis of D: DST-I modes between walls, DFT columns on a torus.
-Mode k carries the 2x2 D_k = [[0, 1], [p_k, q_k]] from the system's symbols
-``p_hat`` and ``q_hat``.  The preconditioner replaces A by its
+spatial eigenbasis of D, ``spatial.Modes``: DST-I modes between walls, DFT
+columns on a torus.  Mode k carries the 2x2 D_k = [[0, 1], [p_k, q_k]] from
+the basis's symbols ``p`` and ``q``.  The preconditioner replaces A by its
 omega-circulant approximation, whose Toeplitz interior stencil wraps around
 with a unimodular factor omega = e^{i theta}:
 
@@ -16,13 +16,14 @@ solve (lam_j I - tau D_k) per frequency and an inverse FFT.
 omega(A) differs from A only in the first-row corner entry and the final
 (backward Euler) row, so P_k - M_k has rank <= 4 and P_k^{-1} M_k = I + (rank
 <= 4).  Its minimal polynomial has degree <= 5: GMRES on one mode ends within
-5 iterations.  ``gmres_solve`` therefore moves the rhs once into orthonormal
-modes (DST-I; the FFT; for real data on a torus under a real omega, the rfft
-half spectrum, each mode of a conjugate pair scaled by sqrt(2)), runs one
-GMRES over the batch of modes (``gmres``) and moves the solution back once.
-The modes iterate in lockstep and stop together on sqrt(sum_k |g_k|^2) /
-beta0 <= tol: the transforms keep the 2-norm, so that is the preconditioned
-residual of the whole system in physical space.  One GMRES on the whole
+5 iterations.  ``gmres_solve`` therefore moves the rhs once into the
+orthonormal modes (the half spectrum for real data on a torus under a real
+omega), scales each by the basis's pair ``weight``, runs one GMRES over
+the batch of modes (``gmres``) and moves the solution back once.  The modes
+iterate in lockstep and stop together on sqrt(sum_k |g_k|^2) / beta0 <= tol:
+the weighted transform keeps the 2-norm, so that is the preconditioned
+residual of the whole system in physical space.  ``direct_solve`` works in
+the same orthonormal modes, without the weight.  One GMRES on the whole
 system stops on the same test, and its Krylov space projected onto mode k
 lies in that mode's own, so the lockstep count is never above it.  The true
 residual ||b - Mx|| / ||b|| is formed in physical space from the operator's
@@ -42,7 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, fft, ifft, irfft, rfft
+from scipy.fft import fft, ifft
 
 from .bvm import FINAL, AllAtOnceSystem, GmmMatrices
 from .spectrum import eigenvalues_of_D, gmm_polynomials
@@ -76,7 +77,7 @@ MAX_THREADS = 2
 
 __all__ = [
     "TRUE_RESIDUAL_MAX", "GMRES_SLACK", "OmegaPreconditioner", "SolveReport",
-    "build_omega_circulant", "build_preconditioner", "apply_preconditioner",
+    "build_preconditioner", "apply_preconditioner",
     "solve_frequency_block", "gmres", "gmres_solve", "direct_solve",
     "usable_cpus",
 ]
@@ -86,17 +87,6 @@ def _frequencies(N: int, theta: float) -> np.ndarray:
     """lam_j = i sin((2 pi j - theta)/N), j = 0..N-1: the symbol of A's
     interior row (-1/2, 0, 1/2) at the omega-shifted Fourier frequencies."""
     return 1j * np.sin((2.0 * np.pi * np.arange(N) - theta) / N)
-
-
-def build_omega_circulant(gmm: GmmMatrices, omega: complex):
-    """Eigenvalues Lambda of omega(A), in closed form, plus the Theta
-    scaling diagonal."""
-    if abs(abs(omega) - 1.0) > 1e-12:
-        raise ValueError("omega must be unimodular")
-    N = gmm.n_steps
-    theta = np.angle(omega)
-    scaling = np.exp(-1j * theta * np.arange(N) / N)   # Theta diagonal, omega^{-s/N}
-    return _frequencies(N, theta), scaling
 
 
 @dataclass(frozen=True)
@@ -145,16 +135,17 @@ def build_preconditioner(gmm: GmmMatrices, sys,
     g = gap(theta)
     if not g >= GAP_MIN:
         raise ValueError(f"theta = {theta:.6g}: block gap {g:.3g} < GAP_MIN")
-    lam, scaling = build_omega_circulant(gmm, np.exp(1j * theta))
+    scaling = np.exp(-1j * theta * np.arange(N) / N)   # Theta, omega^{-s/N}
     return OmegaPreconditioner(theta=theta, gap=g, n_steps=N, tau=tau,
-                               theta_scaling=scaling, lambda_omega=lam, sys=sys)
+                               theta_scaling=scaling,
+                               lambda_omega=_frequencies(N, theta), sys=sys)
 
 
-def _block_tables(lam, p, q, tau):
+def _block_tables(lam, modes, tau):
     """The (K, F) tables shift = lam - tau q and denom = lam shift - tau^2 p
-    of ``_solve_blocks``, for modes p, q of shape (K, 1) and frequencies lam."""
-    shift = lam - tau * q
-    return shift, lam * shift - tau ** 2 * p
+    of ``_solve_blocks``, for the K ``modes`` and frequencies lam."""
+    shift = lam - tau * modes.q[:, None]
+    return shift, lam * shift - tau ** 2 * modes.p[:, None]
 
 
 def _solve_blocks(lam, shift, denom, tau, V):
@@ -188,32 +179,24 @@ def _precondition_modes(p: OmegaPreconditioner, tables, R):
     return V
 
 
-def _symbols(sys_, k=None):
-    """p_hat and q_hat of the first k modes as (k, 1) columns."""
-    return sys_.p_hat[:k, None], sys_.q_hat[:k, None]
-
-
 def solve_frequency_block(p: OmegaPreconditioner, j: int, v1: np.ndarray) -> np.ndarray:
     """Solve (lam_j I - tau D) v2 = v1 for one 2n frequency block: into the
     spatial modes, the 2x2 block solves, back."""
-    sys_ = p.sys
-    V = sys_.to_modes(np.asarray(v1, dtype=complex).reshape(2, sys_.n))
-    tables = _block_tables(p.lambda_omega[j], *_symbols(sys_), p.tau)
+    modes = p.sys.modes()
+    V = modes.forward(np.asarray(v1, dtype=complex).reshape(2, modes.n))
+    tables = _block_tables(p.lambda_omega[j], modes, p.tau)
     _solve_blocks(p.lambda_omega[j], *tables, p.tau, V.T[:, :, None])
-    return sys_.from_modes(V).ravel()
+    return modes.inverse(V).ravel()
 
 
 def apply_preconditioner(p: OmegaPreconditioner, r: np.ndarray) -> np.ndarray:
     """z = P^{-1} r in physical space: into the spatial modes, the mode-space
     solve of ``_precondition_modes``, back."""
-    sys_ = p.sys
-    R = sys_.to_modes(np.asarray(r).reshape(p.n_steps, 2, sys_.n))
-    tables = _block_tables(p.lambda_omega, *_symbols(sys_), p.tau)
-    Z = _precondition_modes(p, tables, R.transpose(2, 1, 0))
-    z = sys_.from_modes(Z.transpose(2, 1, 0)).ravel()
-    if p.real and not np.iscomplexobj(r):
-        return np.ascontiguousarray(z.real)
-    return z
+    modes = p.sys.modes(p.real and not np.iscomplexobj(r))
+    R = modes.forward(np.asarray(r).reshape(p.n_steps, 2, modes.n))
+    Z = _precondition_modes(p, _block_tables(p.lambda_omega, modes, p.tau),
+                            R.transpose(2, 1, 0))
+    return modes.inverse(Z.transpose(2, 1, 0)).ravel()
 
 
 @dataclass
@@ -227,7 +210,7 @@ class SolveReport:
     wall_time: float
     true_residual: float = None     # ||b - Mx|| / ||b||
     path: str = None                # "direct", "gmres+omega" or "gmres"
-    half_spectrum: bool = False     # the rfft modes only, for real data on a torus
+    half_spectrum: bool = False     # ``Modes.half``: real data on a torus
     theta: float = None             # the preconditioner's theta and its gap,
     gap: float = None               # None without one
     timings: dict = field(default_factory=dict)   # stage -> seconds
@@ -467,32 +450,6 @@ def _apply_modes(gmm: GmmMatrices, p_k, q_k, X):
     return out
 
 
-def _mode_transforms(sys_, half: bool):
-    """Norm-preserving transforms of the last axis into the spatial modes and
-    back: DST-I (its own inverse) between walls, the FFT on a torus, or for
-    real data its rfft half spectrum with each mode that stands for a
-    conjugate pair scaled by sqrt(2)."""
-    if not sys_.is_circulant:
-        walls = lambda X: dst(X, type=1, norm="ortho", axis=-1)    # noqa: E731
-        return walls, walls
-    if half:
-        s = _pair_scale(sys_.n)
-        return (lambda X: rfft(X, norm="ortho", axis=-1) * s,
-                lambda Y: irfft(Y / s, n=sys_.n, norm="ortho", axis=-1))
-    return (lambda X: fft(X, norm="ortho", axis=-1),
-            lambda Y: ifft(Y, norm="ortho", axis=-1))
-
-
-def _pair_scale(n: int) -> np.ndarray:
-    """sqrt(2) on the rfft modes that stand for a conjugate pair, all but the
-    constant one and, for even n, the Nyquist one; 1 on those two."""
-    s = np.full(n // 2 + 1, np.sqrt(2.0))
-    s[0] = 1.0
-    if n % 2 == 0:
-        s[-1] = 1.0
-    return s
-
-
 def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
                 tol: float = 1e-10, max_iter: int = 500,
                 restart: int = None, threads: int = None) -> SolveReport:
@@ -504,7 +461,7 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     Under a preconditioner, ``preconditioned_residual`` checks the lockstep
     stopping norm in physical space: ||P^{-1} r|| through
     ``apply_preconditioner`` over the lockstep ``rhs_norm`` = ||P^{-1} b||,
-    which the orthonormal transforms keep.  The true residual runs on
+    which the weighted transform keeps.  The true residual runs on
     ``_RowBlocks`` of at most ``threads`` threads (default ``usable_cpus()``).
     """
     t0 = time.perf_counter()
@@ -514,15 +471,15 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     N, n = gmm.n_steps, sys_.n
     rhs = np.asarray(system.rhs)
     real = not np.iscomplexobj(rhs)      # P and Q are real by construction
-    half = real and sys_.is_circulant and (precond is None or precond.real)
-    forward, inverse = _mode_transforms(sys_, half)
-    B = np.ascontiguousarray(forward(rhs.reshape(N, 2, n)).transpose(2, 1, 0))
+    modes = sys_.modes(real and (precond is None or precond.real))
+    B = np.ascontiguousarray(modes.forward(rhs.reshape(N, 2, n)).transpose(2, 1, 0))
+    B *= modes.weight[:, None, None]   # the lockstep norm is then the physical one
     K = len(B)
-    p_k, q_k = _symbols(sys_, K)
+    p_k, q_k = modes.p[:, None], modes.q[:, None]
     # the preconditioner's block tables, built once and cut to the modes
     # still in the batch as the others leave it
     held = {"idx": np.arange(K), "tables": None if precond is None else
-            _block_tables(precond.lambda_omega, p_k, q_k, precond.tau)}
+            _block_tables(precond.lambda_omega, modes, precond.tau)}
     timings = dict.fromkeys(GMRES_STAGES, 0.0)
 
     def timed(stage, apply):
@@ -544,7 +501,8 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     with _RowBlocks(N, rhs.nbytes // N, threads) as rows:
         def residual(Y):               # back to physical space, then b - Mx
             t = time.perf_counter()
-            x = inverse(Y.reshape(K, 2, N).transpose(2, 1, 0)).ravel()
+            Y /= modes.weight[:, None]     # GMRES's own copy, not read again
+            x = modes.inverse(Y.reshape(K, 2, N).transpose(2, 1, 0)).ravel()
             kept["x"] = x = np.ascontiguousarray(x.real) if real else x
             t2 = time.perf_counter()
             kept["r"] = np.empty(rhs.shape, np.result_type(rhs, x))
@@ -566,7 +524,7 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
         report.theta, report.gap = precond.theta, precond.gap
     report.solution = kept["x"]
     report.path = "gmres+omega" if precond is not None else "gmres"
-    report.half_spectrum = half
+    report.half_spectrum = modes.half
     report.threads = rows.threads
     report.wall_time = time.perf_counter() - t0
     timings["true_residual"] += report.wall_time - (t2 - t0)
@@ -632,14 +590,14 @@ def _rotate(C, F, out=None):
 def direct_solve(system: AllAtOnceSystem, threads: int = None) -> SolveReport:
     """Exact solve by diagonalizing space, then two scalar sweeps per mode.
 
-    One spatial transform (DFT on a torus, only the n//2+1 ``rfft`` modes
-    for real data; DST-I between walls) leaves a 2N system per mode.  The
-    Schur form of its D_k by U = s [[1, -conj(mu1)], [mu1, 1]], s = 1/sqrt(1
-    + |mu1|^2), unitary at a Jordan block too, has diagonal mu and t12 = 1 +
-    conj(mu1) mu2: scalar systems (A - qI) y = r, q = tau*mu, the first with
-    tau t12 y2 added.  Their sweeps contract when q is off [-i, i], the
-    scheme's (k1, k2) = (1, 1) condition; on it (``marginal_modes``) the
-    true residual is the check.  All in place on the mode array.
+    One transform into ``sys.modes(real)``, the basis of GMRES, leaves a 2N
+    system per mode.  The Schur form of its D_k by U = s [[1, -conj(mu1)],
+    [mu1, 1]], s = 1/sqrt(1 + |mu1|^2), unitary at a Jordan block too, has
+    diagonal mu and t12 = 1 + conj(mu1) mu2: scalar systems (A - qI) y = r,
+    q = tau*mu, the first with tau t12 y2 added.  Their sweeps contract when
+    q is off [-i, i], the scheme's (k1, k2) = (1, 1) condition; on it
+    (``marginal_modes``) the true residual is the check.  All in place on
+    the mode array.
 
     The stages that treat each time row on its own run on ``_RowBlocks`` of
     at most ``threads`` threads (default ``usable_cpus()``), a block at a
@@ -652,20 +610,17 @@ def direct_solve(system: AllAtOnceSystem, threads: int = None) -> SolveReport:
     N, n, tau = gmm.n_steps, sys_.n, gmm.tau
     rhs = np.asarray(system.rhs)
     real = not np.iscomplexobj(rhs)      # P and Q are real by construction
-    half = real and sys_.is_circulant
-    mu = eigenvalues_of_D(sys_).reshape(2, n)
-    mu = mu if mu.imag.any() else mu.real       # real D_k: real sweeps
-    m1, m2 = mu[:, : n // 2 + 1 if half else n]
+    modes = sys_.modes(real)
+    mu = modes.mu if modes.mu.imag.any() else modes.mu.real     # real D_k: real sweeps
+    m1, m2 = mu
     s = 1.0 / np.sqrt(1.0 + abs(m1) ** 2)
     X = rhs.reshape(N, 2, n)
-    R = np.empty((N, 2, m1.size), np.result_type(
-        rhs, mu, complex if sys_.is_circulant else float))
+    R = np.empty((N, 2, m1.size), np.result_type(rhs, mu, modes.dtype))
     with _RowBlocks(N, rhs.nbytes // N, threads) as rows:
         C = np.array([[s, s * m1.conj()], [-s * m1, s]])         # U^H
 
         def forward(r):
-            F = rfft(X[r]) if half else sys_.to_modes(X[r])
-            _rotate(C, F.astype(R.dtype, copy=False), R[r])
+            _rotate(C, modes.forward(X[r]).astype(R.dtype, copy=False), R[r])
         rows.map(forward)
         t1 = time.perf_counter()
         marginal = _scalar_sweeps(R[:, 1], tau * m2)
@@ -678,8 +633,7 @@ def direct_solve(system: AllAtOnceSystem, threads: int = None) -> SolveReport:
         C = np.array([[s, -s * m1.conj()], [s * m1, s]])         # U
         rows.map(lambda r: _rotate(C, R[r]))
         t2 = time.perf_counter()
-        w = rows.threads
-        x = irfft(R, n=n, workers=w) if half else sys_.from_modes(R, workers=w)
+        x = modes.inverse(R, workers=rows.threads)
         del R                            # room for the residual's blocks
         x = np.ascontiguousarray(x.real).ravel() if real else x.ravel()
         t3 = time.perf_counter()
@@ -689,6 +643,6 @@ def direct_solve(system: AllAtOnceSystem, threads: int = None) -> SolveReport:
                "inverse_transform": t3 - t2, "true_residual": t4 - t3}
     return SolveReport(solution=x, iterations=1, residual_history=[res],
                        converged=res < TRUE_RESIDUAL_MAX, wall_time=t4 - t0,
-                       true_residual=res, path="direct", half_spectrum=half,
+                       true_residual=res, path="direct", half_spectrum=modes.half,
                        timings=timings, marginal_modes=marginal,
                        threads=rows.threads)

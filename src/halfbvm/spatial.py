@@ -19,14 +19,16 @@ A ``DiscreteSystem`` is built from (grid, eps, operator) alone.  P and Q
 exist only as stencils, applied matrix-free: zero past the walls, wrapped on
 a torus.  -Lap_h and Lop_h share one eigenbasis, DST-I sine modes between
 walls and DFT columns on a torus, so P and Q do too, and their symbols follow
-in closed form from the stencil coefficients.
+in closed form from the stencil coefficients.  ``Modes`` is that basis:
+GMRES and the direct solve share its orthonormal transforms, and the
+preconditioner and the spectrum read it too.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst, idst, ifft
+from scipy.fft import dst, fft, ifft, irfft, rfft
 from scipy.ndimage import correlate1d
 
 __all__ = [
@@ -35,6 +37,7 @@ __all__ = [
     "Grid",
     "OperatorKind",
     "DiscreteSystem",
+    "Modes",
     "GridTooSmallError",
     "ConfigurationError",
     "assemble_discrete_system",
@@ -147,15 +150,51 @@ def _stencils(grid: Grid, eps_sq: float, op: OperatorKind):
 
 
 @dataclass(frozen=True)
+class Modes:
+    """The spatial eigenbasis of a ``DiscreteSystem``, cut to the K modes kept:
+    DST-I sine modes between walls, DFT columns on a torus, or for real data
+    on a torus (``half``) the n//2+1 of the rfft half spectrum.  ``forward``
+    and ``inverse`` act on the last axis, both orthonormal.  Mode k has the
+    symbols ``p[k]``, ``q[k]`` of P and Q and the eigenvalues ``mu[:, k]`` of
+    D_k = [[0, 1], [p_k, q_k]].  ``weight``, left out of the transforms, is
+    sqrt(2) on a half-spectrum mode that stands for a conjugate pair and 1
+    elsewhere: ||x|| = ||weight * forward(x)||."""
+
+    n: int
+    periodic: bool
+    half: bool
+    p: np.ndarray = field(repr=False)
+    q: np.ndarray = field(repr=False)
+    mu: np.ndarray = field(repr=False)       # (2, K)
+    weight: np.ndarray = field(repr=False)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of ``forward`` of real data."""
+        return np.dtype(complex if self.periodic else float)
+
+    def forward(self, X, workers=1):
+        if not self.periodic:
+            return dst(X, type=1, norm="ortho", axis=-1, workers=workers)
+        if self.half:
+            return rfft(X, norm="ortho", axis=-1, workers=workers)
+        return fft(X, norm="ortho", axis=-1, workers=workers)
+
+    def inverse(self, Y, workers=1):
+        if not self.periodic:
+            return self.forward(Y, workers)
+        if self.half:
+            return irfft(Y, n=self.n, norm="ortho", axis=-1, workers=workers)
+        return ifft(Y, norm="ortho", axis=-1, workers=workers)
+
+
+@dataclass(frozen=True)
 class DiscreteSystem:
     """Semi-discrete doubled system U' = D U + G, D = [[0, I], [P, Q]].
 
     Built from (grid, epsilon, op) alone: P = eps^2 (-Lap_h) - Lop_h^2 and
-    Q = 2 Lop_h are their stencils ``p_stencil``, ``q_stencil``, with the
-    closed-form symbols ``p_hat``, ``q_hat`` and ``k_hat`` of -Lap_h in the
-    grid's eigenbasis: discrete sine modes (DST-I) between walls, DFT columns
-    on a periodic grid.  ``to_modes``/``from_modes`` move the last axis of an
-    array into and out of that basis, where P and Q act as those diagonals.
+    Q = 2 Lop_h are their stencils ``p_stencil``, ``q_stencil``.  ``modes``
+    gives the grid's eigenbasis, with the closed-form symbols of P and Q.
 
     eps may be real or purely imaginary (Schrodinger form); eps^2 is real in
     both cases, and delta is real, so P and Q are real.  The advection
@@ -168,9 +207,6 @@ class DiscreteSystem:
     op: OperatorKind
     p_stencil: tuple = field(init=False, repr=False, compare=False)
     q_stencil: tuple = field(init=False, repr=False, compare=False)
-    k_hat: np.ndarray = field(init=False, repr=False, compare=False)
-    p_hat: np.ndarray = field(init=False, repr=False, compare=False)
-    q_hat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         epsilon = complex(self.epsilon)
@@ -182,9 +218,9 @@ class DiscreteSystem:
             raise ConfigurationError(
                 f"operator {self.op.variant!r} pairs with Dirichlet boundaries")
         object.__setattr__(self, "epsilon", epsilon)
-        names = ("p_stencil", "q_stencil", "k_hat", "p_hat", "q_hat")
-        for name, value in zip(names, _stencils(self.grid, (epsilon ** 2).real, self.op)):
-            object.__setattr__(self, name, value)
+        P, Q = _stencils(self.grid, (epsilon ** 2).real, self.op)[:2]
+        object.__setattr__(self, "p_stencil", P)
+        object.__setattr__(self, "q_stencil", Q)
 
     @property
     def n(self) -> int:
@@ -199,17 +235,20 @@ class DiscreteSystem:
     def is_circulant(self) -> bool:
         return self.grid.boundary == PERIODIC
 
-    def to_modes(self, X):
-        """Coefficients of X (last axis) in the eigenbasis: FFT or DST-I."""
-        if self.is_circulant:
-            return np.fft.fft(X, axis=-1)
-        return dst(X, type=1, axis=-1)
-
-    def from_modes(self, X, workers=1):
-        """Inverse of ``to_modes``, the rows split over ``workers`` threads."""
-        if self.is_circulant:
-            return ifft(X, axis=-1, workers=workers)
-        return idst(X, type=1, axis=-1, workers=workers)
+    def modes(self, real=False) -> Modes:
+        """The eigenbasis, the half spectrum for ``real`` data on a torus.  mu =
+        q/2 +- sqrt(eps^2 k_hat) keeps P's +-(delta d)^2 parts from cancelling."""
+        n = self.n
+        half = real and self.is_circulant
+        K = n // 2 + 1 if half else n
+        weight = np.ones(K)
+        if half:
+            weight[1: (n + 1) // 2] = np.sqrt(2.0)
+        eps_sq = (self.epsilon ** 2).real
+        k_hat, p, q = (a[:K] for a in _stencils(self.grid, eps_sq, self.op)[2:])
+        l_hat, root = q / 2.0, np.sqrt(eps_sq * k_hat.astype(complex))
+        return Modes(n=n, periodic=self.is_circulant, half=half, p=p, q=q,
+                     mu=np.array([l_hat + root, l_hat - root]), weight=weight)
 
     def apply_D(self, x, scale=1.0):
         """scale * D @ x for a state vector of size 2n, or for each row of a
@@ -223,9 +262,6 @@ class DiscreteSystem:
         out_v += out_u                  # out_u held scale * Q v
         np.multiply(v, scale, out=out_u)
         return out.reshape(x.shape)
-
-    def dense_D(self):
-        return self.apply_D(np.eye(self.dim)).T
 
 
 def assemble_discrete_system(grid: Grid, epsilon, op: OperatorKind) -> DiscreteSystem:

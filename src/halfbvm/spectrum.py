@@ -195,18 +195,9 @@ def classify_stability(mp: MethodPolynomials, q: complex, tol: float = 1e-9) -> 
 
 
 def eigenvalues_of_D(sys: DiscreteSystem) -> np.ndarray:
-    """All 2n eigenvalues of the doubled generator.
-
-    P and Q act as the diagonals p_hat, q_hat in the system's spatial
-    eigenbasis (DST-I sine modes between walls, DFT columns when periodic),
-    so each mode contributes the two roots of lam^2 - q_hat lam - p_hat = 0.
-    With l_hat = q_hat/2 the symbol of Lop_h, q_hat^2 + 4 p_hat = 4 eps^2 k_hat
-    exactly, so the pair is l_hat +- sqrt(eps^2 k_hat); that form does not
-    cancel the +-(delta d)^2 parts of P in floating point.
-    """
-    l_hat = sys.q_hat / 2.0
-    root = np.sqrt((sys.epsilon ** 2).real * sys.k_hat.astype(complex))
-    return np.concatenate([l_hat + root, l_hat - root])
+    """All 2n eigenvalues of the doubled generator: the roots mu[:, k] of
+    lam^2 - q_k lam - p_k = 0 of each spatial mode (``DiscreteSystem.modes``)."""
+    return sys.modes().mu.ravel()
 
 
 def segment_distance(q) -> np.ndarray:

@@ -22,8 +22,22 @@ class ToySystem:
     def apply_D(self, x, scale=1.0):
         return scale * (np.asarray(x) @ self.D.T)
 
-    def dense_D(self):
-        return self.D
+
+def dense_D(sys):
+    """Dense D of a discrete system, one apply to the identity."""
+    return sys.apply_D(np.eye(sys.dim)).T
+
+
+def A_dense(gmm):
+    """Dense A of the time-stepping scheme, from its coefficient table."""
+    return gmm.apply_A(np.eye(gmm.n_steps), np.zeros((gmm.n_steps,) * 2))
+
+
+def materialize(system):
+    """Dense M = A (x) I - tau I (x) D of a small all-at-once system."""
+    N, dim = system.gmm.n_steps, system.sys.dim
+    return (np.kron(A_dense(system.gmm), np.eye(dim))
+            - system.gmm.tau * np.kron(np.eye(N), dense_D(system.sys)))
 
 
 def laplacian_matrix(grid):

@@ -6,8 +6,10 @@ suite doubles as a report; tolerances are fixed here, not tuned per run.
 
 import numpy as np
 import pytest
-from conftest import (assert_multiset_close, derivative_matrix, fitted_slope,
-                      laplacian_matrix, materialize_omega_circulant)
+from conftest import (assert_multiset_close, dense_D, derivative_matrix,
+                      fitted_slope, laplacian_matrix, materialize,
+                      materialize_omega_circulant)
+from hilbert_reference import hilbert_exact_twice
 from series_reference import schrodinger_series
 
 import halfbvm as hb
@@ -53,7 +55,7 @@ def test_criterion_1_hilbert_identities():
         worst_fit = max(worst_fit,
                         float(np.abs(ht.weideman_eval(fit, xs) - f.hilbert(xs)).max()))
         try:
-            h2 = ht.hilbert_exact_twice(f, xs)
+            h2 = hilbert_exact_twice(f, xs)
         except ht.UnsupportedFunctionError:
             img = ht.weideman_fit(f.hilbert, 256, tail=f.hilbert_tail())
             h2 = ht.weideman_eval(img, xs).real
@@ -62,7 +64,7 @@ def test_criterion_1_hilbert_identities():
     # double transform chains are closed-form
     for f in (ht.CatalogFunction("sine", alpha=1.0),
               ht.CatalogFunction("cosine", alpha=1.0)):
-        worst_inv = max(worst_inv, float(np.abs(ht.hilbert_exact_twice(f, xs) + f(xs)).max()))
+        worst_inv = max(worst_inv, float(np.abs(hilbert_exact_twice(f, xs) + f(xs)).max()))
     ok = worst_fit <= 1e-6 and worst_inv <= 1e-5
     _report(1, ok, f"fit sup err {worst_fit:.2e} (<=1e-6), "
                    f"H^2+I sup err {worst_inv:.2e} (<=1e-5)")
@@ -73,9 +75,9 @@ def test_criterion_2_spectrum_doubling():
     g = spatial.Grid(length=20.0, m=64, boundary=spatial.DIRICHLET)
     sys = spatial.assemble_discrete_system(g, 1.0, spatial.OperatorKind("zero"))
     lam = spectrum.eigenvalues_of_D(sys)
-    lam_p = np.linalg.eigvalsh(sys.dense_D()[sys.n:, : sys.n])
+    lam_p = np.linalg.eigvalsh(dense_D(sys)[sys.n:, : sys.n])
     expected = np.concatenate([np.sqrt(lam_p + 0j), -np.sqrt(lam_p + 0j)])
-    assert_multiset_close(lam, np.linalg.eigvals(sys.dense_D()), 1e-10)
+    assert_multiset_close(lam, np.linalg.eigvals(dense_D(sys)), 1e-10)
     assert_multiset_close(lam, expected, 1e-10)
 
     gp = spatial.Grid(length=20.0, m=64, boundary=spatial.PERIODIC)
@@ -143,8 +145,8 @@ def test_criterion_5_preconditioner_clustering():
     system = hb.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
     W = materialize_omega_circulant(gmm, np.exp(1j * np.pi))
     P = (np.kron(W, np.eye(run.sys.dim))
-         - gmm.tau * np.kron(np.eye(16), run.sys.dense_D()))
-    ev = np.linalg.eigvals(np.linalg.solve(P, system.materialize()))
+         - gmm.tau * np.kron(np.eye(16), dense_D(run.sys)))
+    ev = np.linalg.eigvals(np.linalg.solve(P, materialize(system)))
     outliers = int(np.sum(np.abs(ev - 1.0) > 1e-8))
     ok = outliers <= 2 * run.sys.dim * 2
     _report(5, ok, f"{outliers} outliers of {ev.size} (bound 64)")

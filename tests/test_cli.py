@@ -1,4 +1,5 @@
 import json
+import threading
 from dataclasses import asdict
 
 import numpy as np
@@ -298,7 +299,7 @@ def test_sweep_threads_capped_at_cpu_count(tmp_path, monkeypatch):
         seen.append(max_workers)
         return pool(max_workers=max_workers)
 
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
     cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
                         h_sweep=[1.0, 0.5], tau_over_h=0.25,
@@ -321,7 +322,6 @@ def test_sweep_threads_share_the_cpus_with_the_row_blocks(tmp_path, monkeypatch)
     monkeypatch.setattr(krylov, "BLOCK_BYTES", 1)
     monkeypatch.setattr(krylov, "usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(cli, "gmres_solve", recording(cli.gmres_solve))
     cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
                         h_sweep=[1.0, 0.5], tau_over_h=0.25,
@@ -332,6 +332,30 @@ def test_sweep_threads_share_the_cpus_with_the_row_blocks(tmp_path, monkeypatch)
         assert rc == cli.EXIT_OK
         assert len(reports) == 4 and {r.threads for r in reports} == {threads}
         reports.clear()
+
+
+def test_sweep_threads_are_capped_by_the_cpu_affinity(tmp_path, monkeypatch):
+    # an affinity of one CPU (as under taskset -c 0): --workers 2 runs its
+    # points one after another on one sweep thread, each solve inline
+    reports, sweep_threads = [], set()
+
+    def recording(*args, **kwargs):
+        sweep_threads.add(threading.get_ident())
+        reports.append(solve(*args, **kwargs))
+        return reports[-1]
+    solve = cli.gmres_solve
+    monkeypatch.setattr(krylov, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(krylov, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cli, "gmres_solve", recording)
+    cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
+                        h_sweep=[1.0, 0.5], tau_over_h=0.25,
+                        solver={"tol": 1e-10, "max_iter": 300})
+    rc = cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "s"),
+                   "--workers", "2"])
+    assert rc == cli.EXIT_OK
+    assert len(reports) == 4 and {r.threads for r in reports} == {1}
+    assert len(sweep_threads) == 1
 
 
 @pytest.mark.parametrize("command", ["solve", "spectrum", "schrodinger"])

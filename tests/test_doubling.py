@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hilbert_reference import hilbert_quadrature_oracle
 from scipy.integrate import solve_ivp
 
 import halfbvm as hb
@@ -35,7 +36,7 @@ def test_initial_state_zero():
 
 
 def _quadrature_hilbert_dx(profile, x):
-    return np.array([ht.hilbert_quadrature_oracle(profile.dx, xi) for xi in x])
+    return np.array([hilbert_quadrature_oracle(profile.dx, xi) for xi in x])
 
 
 def test_initial_state_spot_check_against_quadrature():

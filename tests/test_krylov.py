@@ -2,7 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import ToySystem, assert_multiset_close, materialize_omega_circulant
+from conftest import (A_dense, ToySystem, assert_multiset_close, dense_D, materialize,
+                      materialize_omega_circulant)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +23,17 @@ def _setup(name="half_diffusion_manufactured", m=9, N=8, T=2.0, **kw):
 
 def _materialized_preconditioner(gmm, sys, theta=np.pi):
     W = materialize_omega_circulant(gmm, np.exp(1j * theta))
-    D = sys.dense_D()
+    D = dense_D(sys)
     return (np.kron(W, np.eye(sys.dim))
             - gmm.tau * np.kron(np.eye(gmm.n_steps), D))
+
+
+def _omega_preconditioner(N, theta):
+    """The preconditioner of N steps at the given theta, on a small walls
+    system whose spectrum keeps clear of every lam_j."""
+    g = spatial.Grid(length=4.0, m=4, boundary=spatial.DIRICHLET)
+    sys = spatial.assemble_discrete_system(g, 1.0, spatial.OperatorKind("zero"))
+    return krylov.build_preconditioner(build_gmm(N, 1.0), sys, theta=theta)
 
 
 @pytest.mark.parametrize("N", [4, 16, 64])
@@ -32,7 +41,8 @@ def _materialized_preconditioner(gmm, sys, theta=np.pi):
 def test_omega_circulant_reconstruction(N, theta):
     gmm = build_gmm(N, 1.0)
     omega = np.exp(1j * theta)
-    lam, scaling = krylov.build_omega_circulant(gmm, omega)
+    pre = _omega_preconditioner(N, theta)
+    lam, scaling = pre.lambda_omega, pre.theta_scaling
     W = materialize_omega_circulant(gmm, omega)
     s = np.arange(N)
     F = np.exp(-2j * np.pi * np.outer(s, s) / N) / np.sqrt(N)
@@ -47,14 +57,14 @@ def test_omega_circulant_frozen_two_by_two():
     gmm = build_gmm(2, 1.0)
     W = materialize_omega_circulant(gmm, -1.0 + 0j)
     assert np.abs(W - np.array([[0.0, 1.0], [-1.0, 0.0]])).max() < 1e-15
-    lam, _ = krylov.build_omega_circulant(gmm, -1.0 + 0j)
+    lam = _omega_preconditioner(2, np.pi).lambda_omega
     assert_multiset_close(lam, [1j, -1j], 1e-14)
     assert_multiset_close(np.linalg.eigvals(W), lam, 1e-14)
 
 
 def test_omega_one_reduces_to_plain_circulant():
-    gmm = build_gmm(8, 1.0)
-    lam, scaling = krylov.build_omega_circulant(gmm, 1.0 + 0j)
+    pre = _omega_preconditioner(8, 0.0)
+    lam, scaling = pre.lambda_omega, pre.theta_scaling
     assert np.all(scaling == 1.0)
     c = np.zeros(8, dtype=complex)
     c[1], c[7] = -0.5, 0.5
@@ -64,15 +74,10 @@ def test_omega_one_reduces_to_plain_circulant():
 def test_omega_circulant_difference_rank_two():
     gmm = build_gmm(8, 1.0)
     W = materialize_omega_circulant(gmm, np.exp(1j * np.pi))
-    diff = W - gmm.A_dense()
+    diff = W - A_dense(gmm)
     rows = sorted(set(np.nonzero(np.abs(diff) > 1e-14)[0].tolist()))
     assert rows == [0, 7]
     assert np.linalg.matrix_rank(diff) == 2
-
-
-def test_omega_must_be_unimodular():
-    with pytest.raises(ValueError):
-        krylov.build_omega_circulant(build_gmm(4, 1.0), 0.5 + 0j)
 
 
 @pytest.mark.parametrize("name,m", [("half_diffusion_manufactured", 9),
@@ -103,7 +108,7 @@ def test_frequency_block_with_zero_operators_divides_by_lambda():
     # preconditioner exactly
     g = spatial.Grid(length=4.0, m=5, boundary=spatial.DIRICHLET)
     sys = spatial.assemble_discrete_system(g, 0.0, spatial.OperatorKind("zero"))
-    assert not sys.dense_D()[sys.n:].any()
+    assert not dense_D(sys)[sys.n:].any()
     gmm = build_gmm(4, 1.0)
     pre = krylov.build_preconditioner(gmm, sys)
     rng = np.random.default_rng(3)
@@ -120,7 +125,7 @@ def test_frequency_block_solves():
     pb, run, gmm, system = _setup(m=5, N=6)
     pre = krylov.build_preconditioner(gmm, run.sys)
     rng = np.random.default_rng(4)
-    D = run.sys.dense_D()
+    D = dense_D(run.sys)
     for j in (0, 3, 5):
         v1 = rng.normal(size=run.sys.dim) + 1j * rng.normal(size=run.sys.dim)
         v2 = krylov.solve_frequency_block(pre, j, v1)
@@ -143,12 +148,11 @@ def test_frequency_blocks_order_independent():
     assert np.all(out == ref)
     # the batched mode-space path (all frequencies as the last axis of the
     # mode array, solved in place) agrees with the per-block path
-    sys = run.sys
-    modes = sys.to_modes(V1.reshape(8, 2, sys.n)).transpose(2, 1, 0)
-    tables = krylov._block_tables(pre.lambda_omega, sys.p_hat[:, None],
-                                  sys.q_hat[:, None], pre.tau)
-    krylov._solve_blocks(pre.lambda_omega, *tables, pre.tau, modes)
-    batch = sys.from_modes(modes.transpose(2, 1, 0)).reshape(8, -1)
+    modes = run.sys.modes()
+    V = modes.forward(V1.reshape(8, 2, modes.n)).transpose(2, 1, 0)
+    tables = krylov._block_tables(pre.lambda_omega, modes, pre.tau)
+    krylov._solve_blocks(pre.lambda_omega, *tables, pre.tau, V)
+    batch = modes.inverse(V.transpose(2, 1, 0)).reshape(8, -1)
     assert np.abs(batch - ref).max() < 1e-11
 
 
@@ -204,7 +208,7 @@ def test_derived_theta_inverts_materialized_property(m, N, periodic, data):
 
 
 def _check_direct_against_dense(system):
-    M = system.materialize()
+    M = materialize(system)
     xd = np.linalg.solve(M, system.rhs)
     rep = krylov.direct_solve(system)
     scale = np.linalg.cond(M) * np.linalg.norm(xd)
@@ -265,7 +269,7 @@ def test_direct_solve_root_split_matches_dense(N):
     y = r.copy()
     assert krylov._scalar_sweeps(y, c) == 5            # |z1| = 1 for c on [-i, i]
     for k in range(c.size):
-        ref = np.linalg.solve(gmm.A_dense() - c[k] * np.eye(N), r[:, k])
+        ref = np.linalg.solve(A_dense(gmm) - c[k] * np.eye(N), r[:, k])
         assert np.linalg.norm(y[:, k] - ref) <= 1e-13 * np.linalg.norm(ref)
     g = spatial.Grid(length=4.0, m=6, boundary=spatial.DIRICHLET)
     sys = spatial.assemble_discrete_system(g, 0.0, spatial.OperatorKind("zero"))
@@ -320,7 +324,7 @@ def test_singular_block_at_pi_moves_theta():
     g = spatial.Grid(length=4.0, m=4, boundary=spatial.DIRICHLET)
     sys = spatial.assemble_discrete_system(g, 0.0, spatial.OperatorKind("zero"))
     gmm = build_gmm(5, 1.0)
-    lam, _ = krylov.build_omega_circulant(gmm, np.exp(1j * np.pi))
+    lam = krylov._frequencies(5, np.pi)
     assert np.abs(lam).min() < 1e-15
     with pytest.raises(ValueError, match="GAP_MIN"):
         krylov.build_preconditioner(gmm, sys, theta=np.pi)
@@ -340,7 +344,7 @@ def test_near_singular_blocks_match_brute_force(N, theta):
     # the sorted search for the gap between the lam_j and a point set agrees
     # with all pairwise distances, points planted on a lam_j included (sin is
     # symmetric, so lam_j values come in equal pairs)
-    lam, _ = krylov.build_omega_circulant(build_gmm(N, 1.0), np.exp(1j * theta))
+    lam = krylov._frequencies(N, theta)
     rng = np.random.default_rng(N)
     noise = np.concatenate([rng.normal(size=20) + 1j * rng.uniform(-1, 1, 20),
                             [2j, -2j, 0.0]])
@@ -400,7 +404,7 @@ def test_gmres_reports_non_convergence():
 def test_preconditioned_spectrum_clusters_at_one():
     pb, run, gmm, system = _setup(m=9, N=8)
     P = _materialized_preconditioner(gmm, run.sys)
-    M = system.materialize()
+    M = materialize(system)
     ev = np.linalg.eigvals(np.linalg.solve(P, M))
     outliers = int(np.sum(np.abs(ev - 1.0) > 1e-8))
     assert outliers <= 2 * run.sys.dim * 2
@@ -434,7 +438,7 @@ def test_preconditioned_and_unpreconditioned_agree():
                                     ("schrodinger_single_mode", 12)])
 def test_direct_solve_matches_dense(name, m):
     pb, run, gmm, system = _setup(name, m=m, N=6, T=1.5)
-    xd = np.linalg.solve(system.materialize(), system.rhs)
+    xd = np.linalg.solve(materialize(system), system.rhs)
     rep = krylov.direct_solve(system)
     assert rep.converged
     assert np.abs(rep.solution - xd).max() < 1e-12

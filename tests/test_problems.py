@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from hilbert_reference import hilbert_quadrature_oracle
 
 import halfbvm as hb
 from halfbvm import problems
-from halfbvm.hilbert import hilbert_quadrature_oracle
 from halfbvm.spatial import ConfigurationError
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from conftest import assert_multiset_close, derivative_matrix, laplacian_matrix
+from conftest import assert_multiset_close, dense_D, derivative_matrix, laplacian_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,7 +98,7 @@ def test_derivative_skew_symmetric():
 def test_assemble_zero_operator_matches_laplacian():
     g = spatial.Grid(length=4.0, m=4)
     sys = spatial.assemble_discrete_system(g, 1.0, spatial.OperatorKind("zero"))
-    D = sys.dense_D()
+    D = dense_D(sys)
     assert np.allclose(D[3:, :3], [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     assert np.abs(D[3:, 3:]).max() == 0.0
     assert np.allclose(D[:3, 3:], np.eye(3))
@@ -111,14 +111,14 @@ def test_scalar_delta_zero_is_zero_operator():
     b = spatial.assemble_discrete_system(g, 0.5, spatial.OperatorKind("scalar", 0.0))
     assert a.p_stencil == b.p_stencil
     assert a.q_stencil == b.q_stencil
-    assert np.array_equal(a.dense_D(), b.dense_D())
+    assert np.array_equal(dense_D(a), dense_D(b))
 
 
 def test_advection_matrices_commute():
     g = spatial.Grid(length=8.0, m=8, boundary=spatial.PERIODIC)
     sys = spatial.assemble_discrete_system(g, 0.01,
                                            spatial.OperatorKind("advection", 0.2))
-    D, n = sys.dense_D(), sys.n
+    D, n = dense_D(sys), sys.n
     # sparse products sum only the stencil terms; BLAS rounds the zeros apart
     P, Q = sp.csr_matrix(D[n:, :n]), sp.csr_matrix(D[n:, n:])
     comm = (P @ Q - Q @ P).toarray()
@@ -146,9 +146,9 @@ def test_apply_D_matches_dense():
                                            spatial.OperatorKind("advection", 0.7))
     rng = np.random.default_rng(0)
     x = rng.normal(size=sys.dim)
-    assert np.allclose(sys.apply_D(x), sys.dense_D() @ x)
+    assert np.allclose(sys.apply_D(x), dense_D(sys) @ x)
     X = rng.normal(size=(5, sys.dim))
-    assert np.allclose(sys.apply_D(X), X @ sys.dense_D().T)
+    assert np.allclose(sys.apply_D(X), X @ dense_D(sys).T)
 
 
 @pytest.mark.parametrize("m", [3, 11])
@@ -166,7 +166,7 @@ def test_dense_D_matches_reference_matrices(m, periodic, eps, delta):
     n = sys.n
     lop = delta * (derivative_matrix(g).toarray() if periodic else np.eye(n))
     eps_k = (eps ** 2).real * laplacian_matrix(g).toarray()
-    D = sys.dense_D()
+    D = dense_D(sys)
     scale = np.abs(eps_k).max() + np.abs(lop @ lop).max()
     assert np.abs(D[n:, :n] - (eps_k - lop @ lop)).max() <= 1e-15 * scale
     assert np.abs(D[n:, n:] - 2.0 * lop).max() <= 1e-15 * np.abs(lop).max()
@@ -176,7 +176,7 @@ def test_dense_D_matches_reference_matrices(m, periodic, eps, delta):
 def test_imaginary_epsilon_keeps_real_matrices():
     g = spatial.Grid(length=4.0, m=8)
     sys = spatial.assemble_discrete_system(g, 0.25j, spatial.OperatorKind("zero"))
-    P = sys.dense_D()[sys.n:, : sys.n]
+    P = dense_D(sys)[sys.n:, : sys.n]
     assert np.isrealobj(P)
     # eps^2 < 0 flips the sign: P approximates +gamma^2 * Laplacian
     assert sla.eigvalsh(P).max() < 0
@@ -188,15 +188,15 @@ def test_symbols_match_dense_eigenvalues():
         g = spatial.Grid(length=4.0, m=12, boundary=boundary)
         sys = spatial.assemble_discrete_system(g, 0.05,
                                                spatial.OperatorKind(model, 0.4))
-        n = sys.n
-        # row k of from_modes(I) is the k-th basis vector: an eigenvector of
+        n, modes = sys.n, sys.modes()
+        # row k of inverse(I) is the k-th basis vector: an eigenvector of
         # P and Q with the paired symbol values
-        B = sys.from_modes(np.eye(n)).T
-        D = sys.dense_D()
-        for M, lam in ((D[n:, :n], sys.p_hat), (D[n:, n:], sys.q_hat)):
+        B = modes.inverse(np.eye(n)).T
+        D = dense_D(sys)
+        for M, lam in ((D[n:, :n], modes.p), (D[n:, n:], modes.q)):
             assert np.abs(M @ B - B * lam[None, :]).max() < 1e-10
         X = np.random.default_rng(0).normal(size=(3, n)) * (1 + 1j)
-        assert np.abs(sys.from_modes(sys.to_modes(X)) - X).max() < 1e-13
+        assert np.abs(modes.inverse(modes.forward(X)) - X).max() < 1e-13
 
 
 @settings(max_examples=25)
@@ -216,19 +216,55 @@ def test_closed_form_symbols_diagonalise_materialised_operators(m, periodic,
     delta = data.draw(st.floats(-1.0, 1.0))
     g = spatial.Grid(length=data.draw(st.floats(1.0, 10.0)), m=m, boundary=boundary)
     sys = spatial.assemble_discrete_system(g, eps, spatial.OperatorKind(model, delta))
-    B = sys.from_modes(np.eye(sys.n)).T
-    D = sys.dense_D()
+    modes = sys.modes()
+    B = modes.inverse(np.eye(sys.n)).T
+    D = dense_D(sys)
     P, Q = D[sys.n:, : sys.n], D[sys.n:, sys.n:]
     # P = eps^2 (-Lap_h) - Lop_h^2 can cancel: its two terms set the round-off
     eps_k = (eps ** 2).real * laplacian_matrix(g).toarray()
-    for M, lam, size in ((P, sys.p_hat, np.abs(eps_k) + np.abs(eps_k - P)),
-                         (Q, sys.q_hat, np.abs(Q))):
+    for M, lam, size in ((P, modes.p, np.abs(eps_k) + np.abs(eps_k - P)),
+                         (Q, modes.q, np.abs(Q))):
         scale = size.sum(axis=1).max() * np.abs(B).max()
         assert np.abs(M @ B - B * lam[None, :]).max() <= 1e-13 * max(scale, 1e-300)
     # the constant mode of a torus is a Jordan block of D: eigvals resolves it
     # only to sqrt(machine epsilon)
     assert_multiset_close(spectrum.eigenvalues_of_D(sys), np.linalg.eigvals(D),
                           1e-6 * max(1.0, np.abs(D).max()))
+
+
+@settings(max_examples=40)
+@given(m=st.integers(3, 12), periodic=st.booleans(), real=st.booleans(),
+       data=st.data())
+def test_modes_invert_keep_the_norm_and_diagonalise_each_mode(m, periodic, real,
+                                                              data):
+    # walls and torus, odd and even n, real and complex data: the transforms
+    # invert each other, the weight makes the coefficients' norm the
+    # physical one (pinning the constant and Nyquist weights), and mu holds
+    # the eigenvalues of each 2x2 D_k
+    if periodic:
+        boundary, model = spatial.PERIODIC, "advection"
+    else:
+        boundary = spatial.DIRICHLET
+        model = data.draw(st.sampled_from(["zero", "scalar"]))
+    eps = data.draw(st.floats(0.05, 1.0)) * (1j if data.draw(st.booleans()) else 1.0)
+    g = spatial.Grid(length=data.draw(st.floats(1.0, 10.0)), m=m, boundary=boundary)
+    sys = spatial.assemble_discrete_system(
+        g, eps, spatial.OperatorKind(model, data.draw(st.floats(-1.0, 1.0))))
+    modes = sys.modes(real)
+    assert modes.half == (real and periodic)
+    rng = np.random.default_rng(m)
+    x = rng.normal(size=(3, sys.n))
+    if not real:
+        x = x + 1j * rng.normal(size=x.shape)
+    y = modes.forward(x)
+    assert y.shape == (3, modes.weight.size) == (3, modes.mu.shape[1])
+    assert np.abs(modes.inverse(y) - x).max() < 1e-13
+    assert np.allclose(np.linalg.norm(modes.weight * y, axis=-1),
+                       np.linalg.norm(x, axis=-1), rtol=1e-13, atol=0.0)
+    for p, q, mu in zip(modes.p, modes.q, modes.mu.T):
+        assert_multiset_close(mu, np.linalg.eigvals([[0.0, 1.0], [p, q]]),
+                              1e-12 * (1.0 + abs(p) + abs(q)))
+    assert np.array_equal(spectrum.eigenvalues_of_D(sys), sys.modes().mu.ravel())
 
 
 def test_operator_rejects_complex_delta():
