@@ -43,7 +43,6 @@ class SolverSettings:
     method: str = "gmres"      # "gmres" or "direct" (spatial eigenbasis solve)
     tol: float = 1e-10
     max_iter: int = 500
-    restart: int = None
     precondition: bool = True
     workers: int = 0
 
@@ -104,7 +103,6 @@ class ExperimentConfig:
         for name, value, least in (("n_steps", self.n_steps, 2), ("m", self.m, 3),
                                    ("mode", self.mode, 1), ("n_max", self.n_max, 1),
                                    ("solver.max_iter", self.solver.max_iter, 1),
-                                   ("solver.restart", self.solver.restart, 1),
                                    ("solver.workers", self.solver.workers, 0)):
             if value is not None and not (isinstance(value, int) and value >= least):
                 raise ConfigError(f"{name}: must be an integer of at least {least}")
@@ -186,8 +184,7 @@ def _solve_once(cfg, pb, h=None, m=None, precondition=None, threads=None):
         use_pre = cfg.solver.precondition if precondition is None else precondition
         pre = build_preconditioner(gmm, run.sys) if use_pre else None
         report = gmres_solve(system, pre, tol=cfg.solver.tol,
-                             max_iter=cfg.solver.max_iter,
-                             restart=cfg.solver.restart, threads=threads)
+                             max_iter=cfg.solver.max_iter, threads=threads)
     traj = extract_trajectory(report.solution, system)
     return report, run, gmm, traj
 

@@ -308,8 +308,7 @@ def _update(basis, cols, g):
     return _combine(y, basis[:, : len(cols)])
 
 
-def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, restart=None,
-          residual=None):
+def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, residual=None):
     """Left-preconditioned GMRES on a batch of independent systems, in lockstep.
 
     B is (K, L), one rhs per system; ``apply_op(X, idx)`` and ``precond(X,
@@ -318,11 +317,12 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, restart=None,
     Arnoldi basis (CGS2), Hessenberg columns and Givens rotations.  All take
     one step per iteration and stop together when sqrt(sum_k |g_k|^2), g_k
     system k's residual estimate, reaches tol times the 2-norm of the whole
-    preconditioned rhs (``rhs_norm``).  A system whose residual is exactly
-    zero (a zero rhs) or whose Krylov space closes exactly (hk = 0) leaves
-    the batch; its last residual still counts.  A basis grows with the
-    iterations taken, to at most min(restart, L) vectors; restart defaults
-    to max_iter.
+    preconditioned rhs (``rhs_norm``), or after min(max_iter, L) steps.  A
+    system whose residual is exactly zero (a zero rhs) or whose Krylov space
+    closes exactly (hk = 0) leaves the batch; its last residual still counts.
+    A basis grows with the iterations taken, to at most min(max_iter, L)
+    vectors, in one cycle: after L steps a system's Krylov space is all of
+    it, so a second cycle would have nothing left to do.
 
     The true residual is formed once, at exit, by ``residual(X)``, by default
     ||B - AX|| / ||B|| over the whole batch; the solve has converged only if
@@ -330,8 +330,6 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, restart=None,
     SolveReport whose solution has B's shape; non-convergence is reported,
     not raised.
     """
-    if restart is not None and restart < 1:
-        raise ValueError(f"restart must be at least 1, got {restart}")
     t0 = time.perf_counter()
     b = np.asarray(B)
     if b.ndim == 1:
@@ -349,34 +347,21 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, restart=None,
     true_max = max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol)
     MB = precond(Bk, every) if precond is not None else Bk
     work = np.result_type(MB.dtype, float)
-    res2 = np.linalg.norm(MB, axis=1) ** 2       # squared residuals
+    beta = np.linalg.norm(MB, axis=1)
+    res2 = beta ** 2                   # squared residuals
     beta0 = float(np.sqrt(res2.sum()))
-    restart = min(max_iter if restart is None else min(restart, max_iter), L)
+    steps = min(max_iter, L)
     X = np.zeros((K, L), dtype=work)
-    live = np.ones(K, dtype=bool)
     history = [1.0 if beta0 > 0 else 0.0]
-    total = 0
-    converged = beta0 == 0.0
-    while not converged and total < max_iter and live.any():
-        idx = np.flatnonzero(live)
-        if total:
-            AX = apply_op(X[idx], idx)
-            R = MB[idx] - (precond(AX, idx) if precond is not None else AX)
-        else:
-            R = MB[idx]
-        beta = np.linalg.norm(R, axis=1)
-        res2[idx] = beta ** 2
-        if np.sqrt(res2.sum()) / beta0 <= tol:
-            converged = True
-            break
-        live[idx] = beta > 0
-        idx, R, beta = idx[beta > 0], R[beta > 0], beta[beta > 0]
+    if history[0] > tol and steps > 0:
+        idx = np.flatnonzero(beta > 0)     # a zero rhs is solved by X = 0
         frozen = res2.sum() - res2[idx].sum()
-        basis = np.empty((len(idx), min(8, restart), L), dtype=work)
-        basis[:, 0] = R / beta[:, None]
+        beta = beta[idx]
+        basis = np.empty((len(idx), min(8, steps), L), dtype=work)
+        basis[:, 0] = MB[idx] / beta[:, None]
         cplx = np.iscomplexobj(basis)
         g, cols, rot = [beta.astype(work)], [], []
-        for j in range(restart):
+        for j in range(steps):
             v = apply_op(basis[:, j], idx)
             if precond is not None:
                 v = precond(v, idx)
@@ -405,32 +390,28 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, restart=None,
             rot.append((c, s, s.conj()))
             g.append(-s.conj() * g[j])
             g[j] = c * g[j]
-            total += 1
             res2[idx] = np.abs(g[j + 1]) ** 2
             history.append(float(np.sqrt(frozen + res2[idx].sum()) / beta0))
             closed = hk == 0
-            if (history[-1] <= tol or total >= max_iter or j + 1 == restart
-                    or closed.all()):
+            if history[-1] <= tol or j + 1 == steps or closed.all():
                 break
             if closed.any():           # these systems are solved: they leave
                 X[idx[closed]] += _update(basis[closed], [x[closed] for x in cols],
                                           [x[closed] for x in g])
-                live[idx[closed]] = False
                 frozen += res2[idx[closed]].sum()
                 keep = ~closed
                 idx, basis, v, hk = idx[keep], basis[keep], v[keep], hk[keep]
                 cols, g = [x[keep] for x in cols], [x[keep] for x in g]
                 rot = [tuple(x[keep] for x in r) for r in rot]
             if j + 1 == basis.shape[1]:    # grow the bases with the iterations
-                grown = np.empty((len(idx), min(2 * (j + 1), restart), L), dtype=work)
+                grown = np.empty((len(idx), min(2 * (j + 1), steps), L), dtype=work)
                 grown[:, : j + 1] = basis
                 basis = grown
             basis[:, j + 1] = v / hk[:, None]
         X[idx] += _update(basis, cols, g)
-        live[idx[closed]] = False
-        converged = history[-1] <= tol
     res = residual(X)
-    return SolveReport(solution=X.reshape(b.shape), iterations=total,
+    converged = history[-1] <= tol
+    return SolveReport(solution=X.reshape(b.shape), iterations=len(history) - 1,
                        residual_history=history, true_residual=res,
                        converged=converged and res <= true_max,
                        wall_time=time.perf_counter() - t0, modes=K,
@@ -452,12 +433,12 @@ def _apply_modes(gmm: GmmMatrices, p_k, q_k, X):
 
 def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
                 tol: float = 1e-10, max_iter: int = 500,
-                restart: int = None, threads: int = None) -> SolveReport:
+                threads: int = None) -> SolveReport:
     """Solve the all-at-once system by lockstep GMRES over its spatial modes,
     optionally omega-circulant preconditioned (module docstring).
 
-    ``iterations`` counts lockstep steps and ``modes`` the batch.  Above 2e5
-    unknowns each basis is capped at 50 vectors per cycle to bound memory.
+    ``iterations`` counts lockstep steps and ``modes`` the batch.  Each mode
+    holds at most min(max_iter, 2N) basis vectors.
     Under a preconditioner, ``preconditioned_residual`` checks the lockstep
     stopping norm in physical space: ||P^{-1} r|| through
     ``apply_preconditioner`` over the lockstep ``rhs_norm`` = ||P^{-1} b||,
@@ -465,8 +446,6 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     ``_RowBlocks`` of at most ``threads`` threads (default ``usable_cpus()``).
     """
     t0 = time.perf_counter()
-    if restart is None and system.shape[0] > 200_000:
-        restart = 50
     sys_, gmm = system.sys, system.gmm
     N, n = gmm.n_steps, sys_.n
     rhs = np.asarray(system.rhs)
@@ -513,7 +492,7 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
         t1 = time.perf_counter()
         timings["transform"] = t1 - t0
         report = gmres(op, B.reshape(K, 2 * N), pre, tol=tol, max_iter=max_iter,
-                       restart=restart, residual=residual)
+                       residual=residual)
     t2 = time.perf_counter()
     timings["orthogonalisation"] = (t2 - t1) - sum(timings[s] for s in (
         "operator", "preconditioner", "inverse_transform", "true_residual"))

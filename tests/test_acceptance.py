@@ -5,7 +5,6 @@ suite doubles as a report; tolerances are fixed here, not tuned per run.
 """
 
 import numpy as np
-import pytest
 from conftest import (assert_multiset_close, dense_D, derivative_matrix,
                       fitted_slope, laplacian_matrix, materialize,
                       materialize_omega_circulant)
@@ -23,7 +22,7 @@ def _report(num, ok, detail):
     assert ok, detail
 
 
-def _solve(pb, h, N, T, method, tol=1e-10, max_iter=800, restart=None):
+def _solve(pb, h, N, T, method, tol=1e-10, max_iter=800):
     run = hb.setup_run(pb, h=h)
     gmm = hb.build_gmm(N, T)
     system = hb.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
@@ -31,8 +30,7 @@ def _solve(pb, h, N, T, method, tol=1e-10, max_iter=800, restart=None):
         rep = direct_solve(system)
     else:
         pre = build_preconditioner(gmm, run.sys) if method == "gmres" else None
-        rep = hb.gmres_solve(system, pre, tol=tol, max_iter=max_iter,
-                             restart=restart)
+        rep = hb.gmres_solve(system, pre, tol=tol, max_iter=max_iter)
     return run, gmm, rep, hb.extract_trajectory(rep.solution, system)
 
 
@@ -159,7 +157,7 @@ def test_criterion_6_preconditioner_efficacy():
     run, gmm, rep_pre, traj = _solve(pb, 0.1, N, T, "gmres", tol=tol,
                                      max_iter=600)
     run2, gmm2, rep_no, traj2 = _solve(pb, 0.1, N, T, "none", tol=tol,
-                                       max_iter=1500, restart=1500)
+                                       max_iter=1500)
     agree = float(np.linalg.norm(rep_pre.solution - rep_no.solution)
                   / np.linalg.norm(rep_pre.solution))
     ok = (rep_pre.converged and rep_no.converged

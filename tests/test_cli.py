@@ -55,8 +55,9 @@ PROBLEM_ONLY = ({"problem": "half_diffusion_manufactured", "delta": 0.1},
 
 
 @pytest.mark.parametrize("setting", [
-    {"solver": {"restart": 0}},          # the inner GMRES loop never ran
+    {"solver": {"restart": 0}},          # GMRES runs one cycle: no such field
     {"solver": {"restart": -1}},
+    {"solver": {"restart": 50}},         # ran with 50-vector cycles
     {"solver": {"theta": np.pi}},        # derived from the spectrum instead
     {"tau": 0.0, "n_steps": None},
     {"tau": -0.1, "n_steps": None},      # ran with N = 2

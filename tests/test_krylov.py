@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import (A_dense, ToySystem, assert_multiset_close, dense_D, materialize,
+from conftest import (A_dense, assert_multiset_close, dense_D, materialize,
                       materialize_omega_circulant)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import halfbvm as hb
 from halfbvm import krylov, spatial
 from halfbvm.bvm import AllAtOnceSystem, build_gmm
-from halfbvm.doubling import ZERO_SOURCE, DoubledState
 
 
 def _setup(name="half_diffusion_manufactured", m=9, N=8, T=2.0, **kw):
@@ -379,19 +378,6 @@ def test_gmres_small_dense_system():
     assert rep.residual_history[-1] <= 1e-12
 
 
-def test_gmres_restarted_still_converges():
-    rng = np.random.default_rng(9)
-    A = np.eye(15) + 0.2 * rng.normal(size=(15, 15))
-    b = rng.normal(size=15)
-    rep = krylov.gmres(lambda x: A @ x, b, tol=1e-10, max_iter=200, restart=4)
-    assert rep.converged
-    assert np.abs(rep.solution - np.linalg.solve(A, b)).max() < 1e-8
-    # a cycle with no inner step would never end
-    for restart in (0, -1):
-        with pytest.raises(ValueError, match="restart"):
-            krylov.gmres(lambda x: A @ x, b, restart=restart)
-
-
 def test_gmres_reports_non_convergence():
     rng = np.random.default_rng(10)
     A = np.eye(30) + rng.normal(size=(30, 30))
@@ -484,7 +470,8 @@ def test_lockstep_gmres_property(m, N, periodic, complex_rhs, data):
     # per mode P_k^{-1} M_k = I + (rank <= 4), so the lockstep batch ends
     # within 5 iterations, never later than one GMRES on the whole system,
     # and its stopping norm is the physical preconditioned residual (the
-    # rfft pair weights included)
+    # rfft pair weights included).  Unpreconditioned, a mode's Krylov space
+    # is all of it after 2N steps, so one cycle of 2N is always enough
     sys = _random_system(data, m, periodic)
     gmm = build_gmm(N, data.draw(st.floats(0.5, 4.0)))
     rng = np.random.default_rng(m * 10 + N)
@@ -496,13 +483,16 @@ def test_lockstep_gmres_property(m, N, periodic, complex_rhs, data):
     rep = krylov.gmres_solve(system, pre, tol=1e-12, max_iter=50)
     one = krylov.gmres(system.apply, rhs, precond=pre.apply, tol=1e-12,
                        max_iter=N * sys.dim + 1)
+    bare = krylov.gmres_solve(system, None, tol=1e-12, max_iter=2 * N)
     direct = krylov.direct_solve(system)
     assert rep.converged and rep.iterations <= 5
     assert rep.iterations <= one.iterations and one.modes == 1
+    assert bare.converged and bare.iterations <= 2 * N
     assert rep.half_spectrum == (periodic and not complex_rhs and pre.real)
     assert rep.modes == (sys.n // 2 + 1 if rep.half_spectrum else sys.n)
-    gap = np.linalg.norm(rep.solution - direct.solution)
-    assert gap <= 1e-6 * np.linalg.norm(direct.solution)
+    for r in (rep, bare):
+        gap = np.linalg.norm(r.solution - direct.solution)
+        assert gap <= 1e-6 * np.linalg.norm(direct.solution)
     assert np.iscomplexobj(rep.solution) == complex_rhs
     assert rep.preconditioned_residual == pytest.approx(
         _physical_stopping_norm(system, pre, rep.solution), rel=1e-9, abs=1e-15)
@@ -539,10 +529,6 @@ def test_gmres_batch_systems_leave_and_the_rest_iterate():
     assert np.all(rep.solution[0] == 0.0) and rep.solution[1, 0] == 1.5
     for k in (2, 3):
         assert np.allclose(rep.solution[k], np.linalg.solve(A[k], B[k]), atol=1e-12)
-    # systems that left stay out of the restarted cycles' residuals too
-    calls.clear()
-    rep = krylov.gmres(apply_op, B, tol=1e-12, max_iter=200, restart=4)
-    assert rep.converged and set(calls[1:-1]) == {(2, 3)}
     for k in range(1, L):
         early = krylov.gmres(apply_op, B, tol=1e-12, max_iter=k)
         R = B - np.matmul(A, early.solution[:, :, None])[:, :, 0]
@@ -554,8 +540,8 @@ def test_gmres_batch_systems_leave_and_the_rest_iterate():
 def test_gmres_solve_basis_grows_with_the_iterations_taken():
     # five lockstep iterations keep at most 8 basis vectors per mode: with
     # the preconditioner's block tables and complex temporaries the solve
-    # peaks at 19.5 rhs sizes, where one GMRES over the system with the
-    # default restart reserved max_iter + 1 = 501 of them
+    # peaks at 19.5 rhs sizes, where one GMRES over the system reserved
+    # max_iter + 1 = 501 of them
     g = spatial.Grid(length=20.0, m=200, boundary=spatial.DIRICHLET)
     sys = spatial.assemble_discrete_system(g, 0.1, spatial.OperatorKind("zero"))
     gmm = build_gmm(100, 4.0)
