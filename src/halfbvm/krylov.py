@@ -14,23 +14,31 @@ Applying P_k^{-1} costs a Theta-scaled FFT across time, one closed-form 2x2
 solve (lam_j I - tau D_k) per frequency and an inverse FFT.
 
 omega(A) differs from A only in the first-row corner entry and the final
-(backward Euler) row, so P_k - M_k has rank <= 4 and P_k^{-1} M_k = I + (rank
-<= 4).  Its minimal polynomial has degree <= 5: GMRES on one mode ends within
-5 iterations.  ``gmres_solve`` therefore moves the rhs once into the
-orthonormal modes (the half spectrum for real data on a torus under a real
-omega), scales each by the basis's pair ``weight``, runs one GMRES over
-the batch of modes (``gmres``) and moves the solution back once.  The modes
-iterate in lockstep and stop together on sqrt(sum_k |g_k|^2) / beta0 <= tol:
-the weighted transform keeps the 2-norm, so that is the preconditioned
-residual of the whole system in physical space.  ``direct_solve`` works in
-the same orthonormal modes, without the weight.  One GMRES on the whole
-system stops on the same test, and its Krylov space projected onto mode k
-lies in that mode's own, so the lockstep count is never above it.  The true
-residual ||b - Mx|| / ||b|| is formed in physical space from the operator's
-stencils and coefficient table, one block of time rows at a time
-(``_true_residual``).  A GMRES report's ``timings`` are the stages
-``GMRES_STAGES``: transform, operator, preconditioner, orthogonalisation,
-inverse_transform and true_residual.
+(backward Euler) row: E = omega(A) - A is nonzero in time rows 0 and N-1
+only, so P_k - M_k = E (x) I_2 has rank <= 4 and P_k^{-1} M_k = I -
+P_k^{-1} (E (x) I_2).  Its minimal polynomial has degree <= 5: GMRES on one
+mode ends within 5 iterations.  GMRES runs on that form from P^{-1} b, with
+P^{-1} applied once to the rhs.  E X is zero outside time rows 0 and N-1, so
+its Theta-scaled FFT across time is a closed-form broadcast, and a step costs
+the 2x2 solves and one inverse FFT: no operator apply and no forward FFT.
+Under a real omega P^{-1} keeps real data real, and one complex IFFT of
+u + i v gives both components.  ``gmres_solve`` therefore moves the rhs
+once into the orthonormal modes (the half spectrum for real data on a torus
+under a real omega), scales each by the basis's pair ``weight``, runs one
+GMRES over the batch of modes (``gmres``) and moves the solution back once.
+The modes iterate in lockstep and stop together on sqrt(sum_k |g_k|^2) /
+beta0 <= tol: the weighted transform keeps the 2-norm, so that is the
+preconditioned residual of the whole system in physical space.
+``direct_solve`` works in the same orthonormal modes, without the weight.
+One GMRES on the whole system stops on the same test, and its Krylov space
+projected onto mode k lies in that mode's own, so the lockstep count is
+never above it.  The true residual ||b - Mx|| / ||b|| is formed in physical
+space from the operator's stencils and coefficient table, one block of time
+rows at a time (``_true_residual``).  A GMRES report's ``timings`` are the stages
+``GMRES_STAGES``: transform, operator (M, or P^{-1} M under the
+preconditioner), preconditioner (its block tables and P^{-1} b),
+orthogonalisation, inverse_transform, true_residual and
+preconditioned_residual (the physical check of ``gmres_solve``).
 
 Block j is singular where lam_j = i sin((2 pi j - theta)/N) meets tau*spec(D),
 as at theta = pi for odd N on a torus.  Both sets are closed forms: theta is pi
@@ -45,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .bvm import FINAL, AllAtOnceSystem, GmmMatrices
+from .bvm import FINAL, INTERIOR, AllAtOnceSystem, GmmMatrices
 from .spectrum import eigenvalues_of_D, gmm_polynomials
 
 TRUE_RESIDUAL_MAX = 1e-8   # ||b - Mx|| / ||b|| above which a direct solve failed
@@ -63,7 +71,7 @@ GAP_MIN = 5e-5
 # pi * (1 + k/64), k = 0, -1, 1, ..., 63: nearest pi first, as argmax ties go
 THETA_GRID = np.pi * (1.0 + np.array(sorted(range(-63, 64), key=abs)) / 64.0)
 GMRES_STAGES = ("transform", "operator", "preconditioner", "orthogonalisation",
-                "inverse_transform", "true_residual")
+                "inverse_transform", "true_residual", "preconditioned_residual")
 # The direct solve's row-independent stages (spatial transforms, 2x2
 # rotations, coupling update) and every true residual take the N time rows in
 # blocks of about BLOCK_BYTES, one core's L2.  On a 2-core Xeon VM (2 MB L2
@@ -142,41 +150,90 @@ def build_preconditioner(gmm: GmmMatrices, sys,
 
 
 def _block_tables(lam, modes, tau):
-    """The (K, F) tables shift = lam - tau q and denom = lam shift - tau^2 p
-    of ``_solve_blocks``, for the K ``modes`` and frequencies lam."""
+    """The reciprocal (K, F) tables ta = shift/denom and tb = tau/denom of
+    ``_solve_blocks``, shift = lam - tau q and denom = lam shift - tau^2 p,
+    for the K ``modes`` and frequencies lam."""
     shift = lam - tau * modes.q[:, None]
-    return shift, lam * shift - tau ** 2 * modes.p[:, None]
+    denom = lam * shift - tau ** 2 * modes.p[:, None]
+    shift /= denom
+    return shift, np.divide(tau, denom, out=denom)
 
 
-def _solve_blocks(lam, shift, denom, tau, V):
+def _solve_blocks(lam, ta, tb, tau, V, packed=False):
     """Overwrite V (K, 2, F) with the solutions (u, v) of (lam_f I - tau D_k)
     (u, v) = (r1, r2) = V[k, :, f], D_k = [[0, 1], [p_k, q_k]], for every mode
     k and frequency f, given ``_block_tables``.  The first row gives v = (lam
     u - r1)/tau; put into the second, it leaves [lam (lam - tau q) - tau^2 p]
-    u = tau r2 + (lam - tau q) r1."""
-    u = shift * V[:, 0]
-    u += np.multiply(tau, V[:, 1], out=V[:, 1])
-    u /= denom
-    v = V[:, 1]
-    np.multiply(lam, u, out=v)
+    u = tau r2 + (lam - tau q) r1, so u = ta r1 + tb r2.  ``packed`` leaves
+    u + i v = (1 + i lam/tau) u - (i/tau) r1 in V[:, 0] instead, V[:, 1]
+    spent: the lam are imaginary, so that factor of u is real."""
+    u = ta * V[:, 0]
+    u += np.multiply(tb, V[:, 1], out=V[:, 1])
+    if packed:
+        u *= 1.0 - lam.imag / tau
+        V[:, 0] *= -1j / tau
+        V[:, 0] += u
+        return V
+    v = np.multiply(lam, u, out=V[:, 1])
     v -= V[:, 0]
     v /= tau
     V[:, 0] = u
     return V
 
 
+def _invert_spectra(p: OmegaPreconditioner, tables, V, real: bool):
+    """P_k^{-1} R_k from the Theta-scaled FFTs V (K, 2, N) of mode vectors R,
+    V spent: the 2x2 frequency blocks, the inverse FFT, the Theta untwist.
+    ``real`` (a real omega and real R) makes P^{-1} R real: one complex IFFT
+    of u + i v (K, N) then gives both components, as its real and imaginary
+    parts, in a new real array."""
+    _solve_blocks(p.lambda_omega, *tables, p.tau, V, packed=real)
+    if not real:
+        V = ifft(V, axis=-1, overwrite_x=True)
+        V *= p.theta_scaling
+        return V
+    W = ifft(V[:, 0], axis=-1, overwrite_x=True)
+    W *= p.theta_scaling
+    Z = np.empty(V.shape, float)
+    Z[:, 0], Z[:, 1] = W.real, W.imag
+    return Z
+
+
 def _precondition_modes(p: OmegaPreconditioner, tables, R):
     """P_k^{-1} R_k for mode vectors R (K, 2, N), time last, given the
-    modes' ``_block_tables``: the Theta-scaled FFT across time, the 2x2
-    frequency blocks, the inverse FFT.  No spatial transform; real R stays
-    real under a real omega."""
+    modes' ``_block_tables``: the Theta-scaled FFT across time, then
+    ``_invert_spectra``.  No spatial transform; real R stays real under a
+    real omega."""
     V = fft(R * np.conj(p.theta_scaling), axis=-1, overwrite_x=True)
-    V = ifft(_solve_blocks(p.lambda_omega, *tables, p.tau, V), axis=-1,
-             overwrite_x=True)
-    V *= p.theta_scaling
-    if p.real and not np.iscomplexobj(R):
-        return np.ascontiguousarray(V.real)
-    return V
+    return _invert_spectra(p, tables, V, p.real and not np.iscomplexobj(R))
+
+
+def _omega_difference(p: OmegaPreconditioner):
+    """The entries (E[0, N-1], E[N-1, 0], E[N-1, N-2], E[N-1, N-1]) of E =
+    omega(A) - A, from the coefficient table: omega(A) wraps the interior
+    row past both corners, omega = e^{i theta}, and carries it into the last
+    row, where A has FINAL.  E is zero elsewhere."""
+    omega = np.cos(p.theta) if p.real else np.exp(1j * p.theta)
+    return (omega * INTERIOR[0], np.conj(omega) * INTERIOR[2],
+            INTERIOR[0] - FINAL[0], INTERIOR[1] - FINAL[1])
+
+
+def _preconditioned_step(p: OmegaPreconditioner, tables, X):
+    """P_k^{-1} M_k X_k = X_k - P_k^{-1} E X_k for mode vectors X (K, 2, N),
+    time last, given the modes' ``_block_tables``.  Each (mode, component)
+    row of E X is a in time row 0 and b in row N-1, so its Theta-scaled FFT
+    is a + b phi_j, phi_j = conj(Theta_{N-1}) e^{-2 pi i j (N-1)/N} =
+    e^{i (theta (N-1) + 2 pi j)/N}: no operator apply and no forward FFT,
+    then ``_invert_spectra``."""
+    N = X.shape[-1]
+    e0, e1, e2, e3 = _omega_difference(p)
+    a = e0 * X[..., N - 1]
+    b = e1 * X[..., 0] + e2 * X[..., N - 2] + e3 * X[..., N - 1]
+    phi = np.exp(1j * (p.theta * (N - 1) + 2.0 * np.pi * np.arange(N)) / N)
+    V = np.multiply(b[..., None], phi)
+    V += a[..., None]
+    Z = _invert_spectra(p, tables, V, p.real and not np.iscomplexobj(X))
+    return np.subtract(X, Z, out=Z)
 
 
 def solve_frequency_block(p: OmegaPreconditioner, j: int, v1: np.ndarray) -> np.ndarray:
@@ -189,13 +246,16 @@ def solve_frequency_block(p: OmegaPreconditioner, j: int, v1: np.ndarray) -> np.
     return modes.inverse(V).ravel()
 
 
-def apply_preconditioner(p: OmegaPreconditioner, r: np.ndarray) -> np.ndarray:
+def apply_preconditioner(p: OmegaPreconditioner, r: np.ndarray,
+                         tables=None) -> np.ndarray:
     """z = P^{-1} r in physical space: into the spatial modes, the mode-space
-    solve of ``_precondition_modes``, back."""
+    solve of ``_precondition_modes``, back.  ``tables``, when given, are
+    those modes' ``_block_tables``."""
     modes = p.sys.modes(p.real and not np.iscomplexobj(r))
+    if tables is None:
+        tables = _block_tables(p.lambda_omega, modes, p.tau)
     R = modes.forward(np.asarray(r).reshape(p.n_steps, 2, modes.n))
-    Z = _precondition_modes(p, _block_tables(p.lambda_omega, modes, p.tau),
-                            R.transpose(2, 1, 0))
+    Z = _precondition_modes(p, tables, R.transpose(2, 1, 0))
     return modes.inverse(Z.transpose(2, 1, 0)).ravel()
 
 
@@ -308,21 +368,23 @@ def _update(basis, cols, g):
     return _combine(y, basis[:, : len(cols)])
 
 
-def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, residual=None):
-    """Left-preconditioned GMRES on a batch of independent systems, in lockstep.
+def gmres(apply_op, B, tol=1e-10, max_iter=500, residual=None):
+    """GMRES on a batch of independent systems, in lockstep.
 
-    B is (K, L), one rhs per system; ``apply_op(X, idx)`` and ``precond(X,
-    idx)`` map the rows X (len(idx), L) of the systems ``idx``.  A 1-D b is a
-    batch of one, and both then map one vector.  Each system has its own
-    Arnoldi basis (CGS2), Hessenberg columns and Givens rotations.  All take
-    one step per iteration and stop together when sqrt(sum_k |g_k|^2), g_k
-    system k's residual estimate, reaches tol times the 2-norm of the whole
-    preconditioned rhs (``rhs_norm``), or after min(max_iter, L) steps.  A
-    system whose residual is exactly zero (a zero rhs) or whose Krylov space
-    closes exactly (hk = 0) leaves the batch; its last residual still counts.
-    A basis grows with the iterations taken, to at most min(max_iter, L)
-    vectors, in one cycle: after L steps a system's Krylov space is all of
-    it, so a second cycle would have nothing left to do.
+    B is (K, L), one rhs per system; ``apply_op(X, idx)`` maps the rows X
+    (len(idx), L) of the systems ``idx`` to a new array, which GMRES then
+    overwrites, or to a view of X.  A 1-D b is a batch of one, and
+    ``apply_op`` then maps one vector.  A preconditioned system comes in
+    preconditioned: the operator P^{-1} A and the rhs P^{-1} b.  Each system
+    has its own Arnoldi basis (CGS2), Hessenberg columns and Givens
+    rotations.  All take one step per iteration and stop together when
+    sqrt(sum_k |g_k|^2), g_k system k's residual estimate, reaches tol times
+    the 2-norm of the whole rhs (``rhs_norm``), or after min(max_iter, L)
+    steps.  A system whose residual is exactly zero (a zero rhs) or whose
+    Krylov space closes exactly (hk = 0) leaves the batch; its last residual
+    still counts.  A basis grows with the iterations taken, to at most
+    min(max_iter, L) vectors, in one cycle: after L steps a system's Krylov
+    space is all of it, so a second cycle would have nothing left to do.
 
     The true residual is formed once, at exit, by ``residual(X)``, by default
     ||B - AX|| / ||B|| over the whole batch; the solve has converged only if
@@ -333,10 +395,8 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, residual=None):
     t0 = time.perf_counter()
     b = np.asarray(B)
     if b.ndim == 1:
-        op_1, pre_1 = apply_op, precond
+        op_1 = apply_op
         apply_op = lambda X, idx: op_1(X[0])[None]            # noqa: E731
-        if pre_1 is not None:
-            precond = lambda X, idx: pre_1(X[0])[None]        # noqa: E731
     Bk = b.reshape(-1, b.shape[-1])
     K, L = Bk.shape
     every = np.arange(K)
@@ -345,9 +405,8 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, residual=None):
             r = Bk - apply_op(X, every)
             return float(np.linalg.norm(r) / max(np.linalg.norm(Bk), 1e-300))
     true_max = max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol)
-    MB = precond(Bk, every) if precond is not None else Bk
-    work = np.result_type(MB.dtype, float)
-    beta = np.linalg.norm(MB, axis=1)
+    work = np.result_type(Bk.dtype, float)
+    beta = np.linalg.norm(Bk, axis=1)
     res2 = beta ** 2                   # squared residuals
     beta0 = float(np.sqrt(res2.sum()))
     steps = min(max_iter, L)
@@ -358,14 +417,13 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, residual=None):
         frozen = res2.sum() - res2[idx].sum()
         beta = beta[idx]
         basis = np.empty((len(idx), min(8, steps), L), dtype=work)
-        basis[:, 0] = MB[idx] / beta[:, None]
+        basis[:, 0] = Bk[idx] / beta[:, None]
         cplx = np.iscomplexobj(basis)
         g, cols, rot = [beta.astype(work)], [], []
         for j in range(steps):
             v = apply_op(basis[:, j], idx)
-            if precond is not None:
-                v = precond(v, idx)
-            v = v.astype(work, copy=True)
+            # orthogonalised in place: copied only where it views the basis
+            v = v.astype(work, copy=np.may_share_memory(v, basis))
             # classical Gram-Schmidt, repeated once (CGS2), batched over systems
             Vj = basis[:, : j + 1]
             h = _project(Vj, v, cplx)
@@ -407,7 +465,8 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, residual=None):
                 grown = np.empty((len(idx), min(2 * (j + 1), steps), L), dtype=work)
                 grown[:, : j + 1] = basis
                 basis = grown
-            basis[:, j + 1] = v / hk[:, None]
+            np.divide(v, hk[:, None], out=basis[:, j + 1])
+            del v                      # free while the next step is applied
         X[idx] += _update(basis, cols, g)
     res = residual(X)
     converged = history[-1] <= tol
@@ -420,14 +479,18 @@ def gmres(apply_op, B, precond=None, tol=1e-10, max_iter=500, residual=None):
 
 def _apply_modes(gmm: GmmMatrices, p_k, q_k, X):
     """M_k X_k for mode vectors X (K, 2, N), time last: -tau D_k within each
-    time slice, plus A's coefficient table along time (``apply_A``)."""
+    time slice, plus A's coefficient table along the contiguous time axis."""
     tau, N = gmm.tau, gmm.n_steps
     out = np.empty(X.shape, np.result_type(X, p_k, q_k))
     np.multiply(X[:, 1], -tau, out=out[:, 0])
     np.multiply(p_k, X[:, 0], out=out[:, 1])
     out[:, 1] += q_k * X[:, 1]
     out[:, 1] *= -tau
-    gmm.apply_A(X.reshape(-1, N).T, out.reshape(-1, N).T)
+    for d, a in zip((-1, 0, 1), INTERIOR):     # rows 0..N-2; row 0 has no
+        if a:                                  # slice before it
+            s = max(0, -d)
+            out[..., s: N - 1] += a * X[..., s + d: N - 1 + d]
+    out[..., N - 1] += FINAL[0] * X[..., N - 2] + FINAL[1] * X[..., N - 1]
     return out
 
 
@@ -438,8 +501,9 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     optionally omega-circulant preconditioned (module docstring).
 
     ``iterations`` counts lockstep steps and ``modes`` the batch.  Each mode
-    holds at most min(max_iter, 2N) basis vectors.
-    Under a preconditioner, ``preconditioned_residual`` checks the lockstep
+    holds at most min(max_iter, 2N) basis vectors.  Under a preconditioner,
+    P^{-1} is applied once to the rhs, and GMRES runs on P_k^{-1} M_k by
+    ``_preconditioned_step``; ``preconditioned_residual`` checks the lockstep
     stopping norm in physical space: ||P^{-1} r|| through
     ``apply_preconditioner`` over the lockstep ``rhs_norm`` = ||P^{-1} b||,
     which the weighted transform keeps.  The true residual runs on
@@ -455,27 +519,29 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     B *= modes.weight[:, None, None]   # the lockstep norm is then the physical one
     K = len(B)
     p_k, q_k = modes.p[:, None], modes.q[:, None]
-    # the preconditioner's block tables, built once and cut to the modes
-    # still in the batch as the others leave it
-    held = {"idx": np.arange(K), "tables": None if precond is None else
-            _block_tables(precond.lambda_omega, modes, precond.tau)}
     timings = dict.fromkeys(GMRES_STAGES, 0.0)
+    t1 = time.perf_counter()
+    held = {"idx": np.arange(K)}
+    if precond is not None:
+        # the block tables, built once and cut to the modes still in the
+        # batch as the others leave it
+        held["tables"] = tables = _block_tables(precond.lambda_omega, modes,
+                                                precond.tau)
+        B = _precondition_modes(precond, tables, B)
+        timings["preconditioner"] = time.perf_counter() - t1
 
-    def timed(stage, apply):
-        def run(X, idx):
-            t = time.perf_counter()
-            Y = apply(idx, X.reshape(len(idx), 2, N))
-            timings[stage] += time.perf_counter() - t
-            return Y.reshape(len(idx), -1)
-        return run
-
-    def precondition(idx, X):
-        if not np.array_equal(held["idx"], idx):
-            pos = np.searchsorted(held["idx"], idx)
-            held.update(idx=idx, tables=[t[pos] for t in held["tables"]])
-        return _precondition_modes(precond, held["tables"], X)
-    op = timed("operator", lambda idx, X: _apply_modes(gmm, p_k[idx], q_k[idx], X))
-    pre = None if precond is None else timed("preconditioner", precondition)
+    def op(X, idx):
+        t = time.perf_counter()
+        X = X.reshape(len(idx), 2, N)
+        if precond is None:
+            Y = _apply_modes(gmm, p_k[idx], q_k[idx], X)
+        else:
+            if not np.array_equal(held["idx"], idx):
+                pos = np.searchsorted(held["idx"], idx)
+                held.update(idx=idx, tables=[tab[pos] for tab in held["tables"]])
+            Y = _preconditioned_step(precond, held["tables"], X)
+        timings["operator"] += time.perf_counter() - t
+        return Y.reshape(len(idx), -1)
     kept = {}
     with _RowBlocks(N, rhs.nbytes // N, threads) as rows:
         def residual(Y):               # back to physical space, then b - Mx
@@ -483,31 +549,30 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
             Y /= modes.weight[:, None]     # GMRES's own copy, not read again
             x = modes.inverse(Y.reshape(K, 2, N).transpose(2, 1, 0)).ravel()
             kept["x"] = x = np.ascontiguousarray(x.real) if real else x
-            t2 = time.perf_counter()
+            tx = time.perf_counter()
             kept["r"] = np.empty(rhs.shape, np.result_type(rhs, x))
             res = _true_residual(system, x, rows, out=kept["r"])
-            timings["inverse_transform"] += t2 - t
-            timings["true_residual"] += time.perf_counter() - t2
+            timings["inverse_transform"] += tx - t
+            timings["true_residual"] += time.perf_counter() - tx
             return res
-        t1 = time.perf_counter()
-        timings["transform"] = t1 - t0
-        report = gmres(op, B.reshape(K, 2 * N), pre, tol=tol, max_iter=max_iter,
+        report = gmres(op, B.reshape(K, 2 * N), tol=tol, max_iter=max_iter,
                        residual=residual)
-    t2 = time.perf_counter()
-    timings["orthogonalisation"] = (t2 - t1) - sum(timings[s] for s in (
-        "operator", "preconditioner", "inverse_transform", "true_residual"))
+    t3 = time.perf_counter()
     if precond is not None:
         report.preconditioned_residual = float(
-            np.linalg.norm(apply_preconditioner(precond, kept["r"]))
+            np.linalg.norm(apply_preconditioner(precond, kept["r"], tables=tables))
             / max(report.rhs_norm, 1e-300))
         report.theta, report.gap = precond.theta, precond.gap
+    report.wall_time = time.perf_counter() - t0
+    timings.update(transform=t1 - t0,
+                   preconditioned_residual=report.wall_time - (t3 - t0))
+    timings["orthogonalisation"] = (t3 - t1) - sum(timings[s] for s in (
+        "operator", "preconditioner", "inverse_transform", "true_residual"))
+    report.timings = timings
     report.solution = kept["x"]
     report.path = "gmres+omega" if precond is not None else "gmres"
     report.half_spectrum = modes.half
     report.threads = rows.threads
-    report.wall_time = time.perf_counter() - t0
-    timings["true_residual"] += report.wall_time - (t2 - t0)
-    report.timings = timings
     return report
 
 

@@ -146,11 +146,11 @@ def test_report_records_discretisation_and_path(tmp_path):
             assert report["marginal_modes"] == 2
             assert report["modes"] is None
         else:
-            # GMRES times its six stages, summing to within 5% of the wall
+            # GMRES times its seven stages, summing to within 5% of the wall
             # time, and solves the 160 // 2 + 1 rfft modes as one batch
             assert set(report["timings"]) == {
                 "transform", "operator", "preconditioner", "orthogonalisation",
-                "inverse_transform", "true_residual"}
+                "inverse_transform", "true_residual", "preconditioned_residual"}
             assert sum(report["timings"].values()) == pytest.approx(
                 report["wall_time"], rel=0.05)
             assert all(t >= 0.0 for t in report["timings"].values())
@@ -161,6 +161,7 @@ def test_report_records_discretisation_and_path(tmp_path):
         if path == "gmres+omega":
             assert report["theta"] == np.pi and report["gap"] >= GAP_MIN
             assert report["timings"]["preconditioner"] > 0.0
+            assert report["timings"]["preconditioned_residual"] > 0.0
             assert 0.0 <= report["preconditioned_residual"] <= 1e-9
         else:
             assert report["theta"] is None and report["gap"] is None
