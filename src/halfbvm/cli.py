@@ -242,6 +242,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         "timings": report.timings,
         "marginal_modes": report.marginal_modes,
         "modes": report.modes,
+        "floored_modes": report.floored_modes,
         "threads": report.threads,
         "residual_history": report.residual_history,
         "rel_l2_error_at_T": err,

@@ -68,6 +68,13 @@ GMRES_SLACK = 1e3
 # residual 1e-7 below gaps of 1e-5 (advection_mms) and 6e-5 (transport_limit,
 # N = 5).  Singular blocks: <= 5.6e-17; criterion 9 converges at 6.1e-5.
 GAP_MIN = 5e-5
+# A system of a GMRES batch whose rhs norm is at most RHS_FLOOR * tol * beta0
+# / sqrt(K), beta0 the norm of all K rhs, is solved by X = 0 and never enters
+# the batch.  Together such systems hold at most RHS_FLOOR^2 = 1e-6 of
+# (tol beta0)^2, so they move the stopping test by at most 1 part in 1e6.
+# Symmetric data leaves the antisymmetric DST-I modes at rounding noise,
+# <= 2.5e-16 ||b||: at tol 1e-10 and K = 399 the floor is 5e-15 beta0.
+RHS_FLOOR = 1e-3
 # pi * (1 + k/64), k = 0, -1, 1, ..., 63: nearest pi first, as argmax ties go
 THETA_GRID = np.pi * (1.0 + np.array(sorted(range(-63, 64), key=abs)) / 64.0)
 GMRES_STAGES = ("transform", "operator", "preconditioner", "orthogonalisation",
@@ -254,8 +261,10 @@ def apply_preconditioner(p: OmegaPreconditioner, r: np.ndarray,
     modes = p.sys.modes(p.real and not np.iscomplexobj(r))
     if tables is None:
         tables = _block_tables(p.lambda_omega, modes, p.tau)
-    R = modes.forward(np.asarray(r).reshape(p.n_steps, 2, modes.n))
-    Z = _precondition_modes(p, tables, R.transpose(2, 1, 0))
+    # time contiguous, so that the FFTs across time run on the last axis
+    R = np.ascontiguousarray(modes.forward(
+        np.asarray(r).reshape(p.n_steps, 2, modes.n)).transpose(2, 1, 0))
+    Z = _precondition_modes(p, tables, R)
     return modes.inverse(Z.transpose(2, 1, 0)).ravel()
 
 
@@ -276,6 +285,7 @@ class SolveReport:
     timings: dict = field(default_factory=dict)   # stage -> seconds
     marginal_modes: int = None      # direct: mode components with tau*mu on [-i, i]
     modes: int = None               # GMRES: the batch size
+    floored_modes: int = None       # GMRES: modes solved by X = 0 without a step
     # GMRES: ||P^{-1} b|| (||b|| without a preconditioner), the residual
     # history's base, summed over the batch in lockstep
     rhs_norm: float = None
@@ -368,6 +378,13 @@ def _update(basis, cols, g):
     return _combine(y, basis[:, : len(cols)])
 
 
+def _grown(basis, size):
+    """A new (K, size, L) basis holding ``basis`` in its first vectors."""
+    grown = np.empty((basis.shape[0], size, basis.shape[2]), basis.dtype)
+    grown[:, : basis.shape[1]] = basis
+    return grown
+
+
 def gmres(apply_op, B, tol=1e-10, max_iter=500, residual=None):
     """GMRES on a batch of independent systems, in lockstep.
 
@@ -380,15 +397,19 @@ def gmres(apply_op, B, tol=1e-10, max_iter=500, residual=None):
     rotations.  All take one step per iteration and stop together when
     sqrt(sum_k |g_k|^2), g_k system k's residual estimate, reaches tol times
     the 2-norm of the whole rhs (``rhs_norm``), or after min(max_iter, L)
-    steps.  A system whose residual is exactly zero (a zero rhs) or whose
-    Krylov space closes exactly (hk = 0) leaves the batch; its last residual
-    still counts.  A basis grows with the iterations taken, to at most
-    min(max_iter, L) vectors, in one cycle: after L steps a system's Krylov
-    space is all of it, so a second cycle would have nothing left to do.
+    steps.  A system whose rhs norm is at most RHS_FLOOR * tol * rhs_norm /
+    sqrt(K) is solved by X = 0 and never enters the batch (``floored_modes``
+    counts them): all of them together move the stopping test by at most 1
+    part in 1e6.  A system whose Krylov space closes exactly (hk = 0) leaves
+    the batch.  The residuals of both still count.  A basis grows with the
+    iterations taken, to at most min(max_iter, L) vectors, in one cycle:
+    after L steps a system's Krylov space is all of it, so a second cycle
+    would have nothing left to do.
 
-    The true residual is formed once, at exit, by ``residual(X)``, by default
-    ||B - AX|| / ||B|| over the whole batch; the solve has converged only if
-    it is at most max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol) too.  Returns a
+    The true residual is formed once, at exit, with the bases freed, by
+    ``residual(X)``, by default ||B - AX|| / ||B|| over the whole batch; the
+    solve has converged only if it is at most max(TRUE_RESIDUAL_MAX,
+    GMRES_SLACK * tol) too.  Returns a
     SolveReport whose solution has B's shape; non-convergence is reported,
     not raised.
     """
@@ -412,9 +433,12 @@ def gmres(apply_op, B, tol=1e-10, max_iter=500, residual=None):
     steps = min(max_iter, L)
     X = np.zeros((K, L), dtype=work)
     history = [1.0 if beta0 > 0 else 0.0]
+    floored = K
     if history[0] > tol and steps > 0:
-        idx = np.flatnonzero(beta > 0)     # a zero rhs is solved by X = 0
-        frozen = res2.sum() - res2[idx].sum()
+        below = beta <= RHS_FLOOR * tol * beta0 / np.sqrt(K)   # solved by X = 0
+        idx = np.flatnonzero(~below)
+        floored = K - len(idx)
+        frozen = float(res2[below].sum())  # summed, not a difference of sums
         beta = beta[idx]
         basis = np.empty((len(idx), min(8, steps), L), dtype=work)
         basis[:, 0] = Bk[idx] / beta[:, None]
@@ -462,19 +486,18 @@ def gmres(apply_op, B, tol=1e-10, max_iter=500, residual=None):
                 cols, g = [x[keep] for x in cols], [x[keep] for x in g]
                 rot = [tuple(x[keep] for x in r) for r in rot]
             if j + 1 == basis.shape[1]:    # grow the bases with the iterations
-                grown = np.empty((len(idx), min(2 * (j + 1), steps), L), dtype=work)
-                grown[:, : j + 1] = basis
-                basis = grown
+                basis = _grown(basis, min(2 * (j + 1), steps))
             np.divide(v, hk[:, None], out=basis[:, j + 1])
             del v                      # free while the next step is applied
         X[idx] += _update(basis, cols, g)
+        del basis, Vj, v, cols, col, a     # the true residual runs without them
     res = residual(X)
     converged = history[-1] <= tol
     return SolveReport(solution=X.reshape(b.shape), iterations=len(history) - 1,
                        residual_history=history, true_residual=res,
                        converged=converged and res <= true_max,
                        wall_time=time.perf_counter() - t0, modes=K,
-                       rhs_norm=beta0)
+                       floored_modes=floored, rhs_norm=beta0)
 
 
 def _apply_modes(gmm: GmmMatrices, p_k, q_k, X):

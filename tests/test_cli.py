@@ -144,7 +144,7 @@ def test_report_records_discretisation_and_path(tmp_path):
                                               "inverse_transform", "true_residual"}
             assert sum(report["timings"].values()) == pytest.approx(report["wall_time"])
             assert report["marginal_modes"] == 2
-            assert report["modes"] is None
+            assert report["modes"] is None and report["floored_modes"] is None
         else:
             # GMRES times its seven stages, summing to within 5% of the wall
             # time, and solves the 160 // 2 + 1 rfft modes as one batch
@@ -156,6 +156,8 @@ def test_report_records_discretisation_and_path(tmp_path):
             assert all(t >= 0.0 for t in report["timings"].values())
             assert report["marginal_modes"] is None
             assert report["modes"] == 81
+            # no rfft mode of this data is below the floor of the rhs
+            assert report["floored_modes"] == 0
         # only the preconditioned path has a theta, its gap and a physical
         # preconditioned residual
         if path == "gmres+omega":
@@ -181,6 +183,26 @@ def test_report_records_discretisation_and_path(tmp_path):
         oracle = json.loads((out / "report.json").read_text())["oracle"]
         assert oracle["kind"] == kind and oracle["n_max"] == n_max
         assert oracle["wall_time"] > 0.0
+
+
+@pytest.mark.parametrize("h,n,floored", [(0.3125, 63, 31), (20.0 / 41, 40, 20)])
+def test_symmetric_walls_data_leaves_its_antisymmetric_modes_out(tmp_path, h, n,
+                                                                  floored):
+    # symmetric data between walls: the antisymmetric DST-I modes are exactly
+    # zero at odd n = 63 and rounding noise at even n = 40.  Both stay out of
+    # the batch, and the solve ends within 5 preconditioned iterations.
+    cfg = _base_solve_config(problem="half_diffusion_manufactured", h=h, n_steps=32)
+    cfg.pop("m")
+    for precondition in (True, False):
+        out = tmp_path / str(precondition)
+        path = _write_config(tmp_path, **dict(cfg, solver=dict(
+            cfg["solver"], precondition=precondition)))
+        assert cli.main(["solve", "--config", path, "--out", str(out)]) == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["n"] == report["modes"] == n
+        assert report["floored_modes"] == floored
+        assert report["iterations"] <= (5 if precondition else 64)
+        assert report["true_residual"] <= 1e-12
 
 
 @pytest.mark.parametrize("problem,h,grid", [
