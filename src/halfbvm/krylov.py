@@ -32,12 +32,13 @@ preconditioned residual of the whole system in physical space.
 ``direct_solve`` works in the same orthonormal modes, without the weight.
 One GMRES on the whole system stops on the same test, and its Krylov space
 projected onto mode k lies in that mode's own, so the lockstep count is
-never above it.  The true residual ||b - Mx|| / ||b|| is formed in physical
+never above it.  ``gmres`` is the lockstep loop alone, on one fixed batch;
+``gmres_solve`` alone forms the true residual ||b - Mx|| / ||b||, in physical
 space from the operator's stencils and coefficient table, one block of time
-rows at a time (``_true_residual``).  A GMRES report's ``timings`` are the stages
-``GMRES_STAGES``: transform, operator (M, or P^{-1} M under the
-preconditioner), preconditioner (its block tables and P^{-1} b),
-orthogonalisation, inverse_transform, true_residual and
+rows at a time (``_true_residual``), and gates convergence on it.  A GMRES
+report's ``timings`` are the stages ``GMRES_STAGES``: transform, operator
+(M, or P^{-1} M under the preconditioner), preconditioner (its block tables
+and P^{-1} b), orthogonalisation, inverse_transform, true_residual and
 preconditioned_residual (the physical check of ``gmres_solve``).
 
 Block j is singular where lam_j = i sin((2 pi j - theta)/N) meets tau*spec(D),
@@ -121,9 +122,6 @@ class OmegaPreconditioner:
     def real(self) -> bool:
         """omega = +-1: P is real, and so is P^{-1} r for real r."""
         return bool(abs(np.sin(self.theta)) < 1e-12)
-
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return apply_preconditioner(self, r)
 
 
 def _gap(lam, z) -> float:
@@ -370,10 +368,12 @@ def _combine(y, basis):
 
 def _update(basis, cols, g):
     """The correction sum_i y_i v_i of each system, R y = g by back
-    substitution on the rotated Hessenberg columns ``cols``."""
+    substitution on the rotated Hessenberg columns ``cols``.  A zero pivot,
+    a step after the system's Krylov space closed, leaves y_c at g_c = 0."""
     y = np.stack(g[: len(cols)], axis=1)
     for c in range(len(cols) - 1, -1, -1):
-        y[:, c] /= cols[c][:, c]
+        pivot = cols[c][:, c]
+        np.divide(y[:, c], pivot, out=y[:, c], where=pivot != 0)
         y[:, :c] -= cols[c][:, :c] * y[:, c: c + 1]
     return _combine(y, basis[:, : len(cols)])
 
@@ -385,13 +385,12 @@ def _grown(basis, size):
     return grown
 
 
-def gmres(apply_op, B, tol=1e-10, max_iter=500, residual=None):
-    """GMRES on a batch of independent systems, in lockstep.
+def gmres(apply_op, B, tol, max_iter):
+    """GMRES on one fixed batch of independent systems, in lockstep.
 
     B is (K, L), one rhs per system; ``apply_op(X, idx)`` maps the rows X
     (len(idx), L) of the systems ``idx`` to a new array, which GMRES then
-    overwrites, or to a view of X.  A 1-D b is a batch of one, and
-    ``apply_op`` then maps one vector.  A preconditioned system comes in
+    overwrites, or to a view of X.  A preconditioned system comes in
     preconditioned: the operator P^{-1} A and the rhs P^{-1} b.  Each system
     has its own Arnoldi basis (CGS2), Hessenberg columns and Givens
     rotations.  All take one step per iteration and stop together when
@@ -400,34 +399,22 @@ def gmres(apply_op, B, tol=1e-10, max_iter=500, residual=None):
     steps.  A system whose rhs norm is at most RHS_FLOOR * tol * rhs_norm /
     sqrt(K) is solved by X = 0 and never enters the batch (``floored_modes``
     counts them): all of them together move the stopping test by at most 1
-    part in 1e6.  A system whose Krylov space closes exactly (hk = 0) leaves
-    the batch.  The residuals of both still count.  A basis grows with the
-    iterations taken, to at most min(max_iter, L) vectors, in one cycle:
-    after L steps a system's Krylov space is all of it, so a second cycle
-    would have nothing left to do.
+    part in 1e6.  The others enter once, and ``idx`` is the same at every
+    step.  A system whose Krylov space closes exactly (hk = 0) stays in the
+    batch on zero vectors: its later Hessenberg columns and g_k are 0.  A
+    basis grows with the iterations taken, to at most min(max_iter, L)
+    vectors, in one cycle: after L steps a system's Krylov space is all of
+    it, so a second cycle would have nothing left to do.
 
-    The true residual is formed once, at exit, with the bases freed, by
-    ``residual(X)``, by default ||B - AX|| / ||B|| over the whole batch; the
-    solve has converged only if it is at most max(TRUE_RESIDUAL_MAX,
-    GMRES_SLACK * tol) too.  Returns a
-    SolveReport whose solution has B's shape; non-convergence is reported,
-    not raised.
+    Returns a SolveReport of the batch's solution X (K, L), the iterations,
+    the residual history and ``converged``, the stopping test alone: the
+    caller forms the true residual.  Non-convergence is reported, not
+    raised; the bases are freed on return.
     """
     t0 = time.perf_counter()
-    b = np.asarray(B)
-    if b.ndim == 1:
-        op_1 = apply_op
-        apply_op = lambda X, idx: op_1(X[0])[None]            # noqa: E731
-    Bk = b.reshape(-1, b.shape[-1])
-    K, L = Bk.shape
-    every = np.arange(K)
-    if residual is None:
-        def residual(X):
-            r = Bk - apply_op(X, every)
-            return float(np.linalg.norm(r) / max(np.linalg.norm(Bk), 1e-300))
-    true_max = max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol)
-    work = np.result_type(Bk.dtype, float)
-    beta = np.linalg.norm(Bk, axis=1)
+    K, L = B.shape
+    work = np.result_type(B.dtype, float)
+    beta = np.linalg.norm(B, axis=1)
     res2 = beta ** 2                   # squared residuals
     beta0 = float(np.sqrt(res2.sum()))
     steps = min(max_iter, L)
@@ -441,7 +428,7 @@ def gmres(apply_op, B, tol=1e-10, max_iter=500, residual=None):
         frozen = float(res2[below].sum())  # summed, not a difference of sums
         beta = beta[idx]
         basis = np.empty((len(idx), min(8, steps), L), dtype=work)
-        basis[:, 0] = Bk[idx] / beta[:, None]
+        basis[:, 0] = B[idx] / beta[:, None]
         cplx = np.iscomplexobj(basis)
         g, cols, rot = [beta.astype(work)], [], []
         for j in range(steps):
@@ -477,25 +464,14 @@ def gmres(apply_op, B, tol=1e-10, max_iter=500, residual=None):
             closed = hk == 0
             if history[-1] <= tol or j + 1 == steps or closed.all():
                 break
-            if closed.any():           # these systems are solved: they leave
-                X[idx[closed]] += _update(basis[closed], [x[closed] for x in cols],
-                                          [x[closed] for x in g])
-                frozen += res2[idx[closed]].sum()
-                keep = ~closed
-                idx, basis, v, hk = idx[keep], basis[keep], v[keep], hk[keep]
-                cols, g = [x[keep] for x in cols], [x[keep] for x in g]
-                rot = [tuple(x[keep] for x in r) for r in rot]
             if j + 1 == basis.shape[1]:    # grow the bases with the iterations
                 basis = _grown(basis, min(2 * (j + 1), steps))
-            np.divide(v, hk[:, None], out=basis[:, j + 1])
+            # a closed system's v is exactly 0, and so is its next vector
+            np.divide(v, np.where(closed, 1.0, hk)[:, None], out=basis[:, j + 1])
             del v                      # free while the next step is applied
         X[idx] += _update(basis, cols, g)
-        del basis, Vj, v, cols, col, a     # the true residual runs without them
-    res = residual(X)
-    converged = history[-1] <= tol
-    return SolveReport(solution=X.reshape(b.shape), iterations=len(history) - 1,
-                       residual_history=history, true_residual=res,
-                       converged=converged and res <= true_max,
+    return SolveReport(solution=X, iterations=len(history) - 1,
+                       residual_history=history, converged=history[-1] <= tol,
                        wall_time=time.perf_counter() - t0, modes=K,
                        floored_modes=floored, rhs_norm=beta0)
 
@@ -526,11 +502,15 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     ``iterations`` counts lockstep steps and ``modes`` the batch.  Each mode
     holds at most min(max_iter, 2N) basis vectors.  Under a preconditioner,
     P^{-1} is applied once to the rhs, and GMRES runs on P_k^{-1} M_k by
-    ``_preconditioned_step``; ``preconditioned_residual`` checks the lockstep
-    stopping norm in physical space: ||P^{-1} r|| through
-    ``apply_preconditioner`` over the lockstep ``rhs_norm`` = ||P^{-1} b||,
-    which the weighted transform keeps.  The true residual runs on
-    ``_RowBlocks`` of at most ``threads`` threads (default ``usable_cpus()``).
+    ``_preconditioned_step``, with the block tables of the modes that enter
+    the batch.  After ``gmres`` returns, the solution goes back to physical
+    space and the true residual is formed there, on ``_RowBlocks`` of at
+    most ``threads`` threads (default ``usable_cpus()``): the solve has
+    converged if the lockstep stopping test holds and the true residual is
+    at most max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol).
+    ``preconditioned_residual`` checks the stopping norm in physical space:
+    ||P^{-1} r|| through ``apply_preconditioner`` over the lockstep
+    ``rhs_norm`` = ||P^{-1} b||, which the weighted transform keeps.
     """
     t0 = time.perf_counter()
     sys_, gmm = system.sys, system.gmm
@@ -541,58 +521,49 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     B = np.ascontiguousarray(modes.forward(rhs.reshape(N, 2, n)).transpose(2, 1, 0))
     B *= modes.weight[:, None, None]   # the lockstep norm is then the physical one
     K = len(B)
-    p_k, q_k = modes.p[:, None], modes.q[:, None]
+    per_mode = (modes.p[:, None], modes.q[:, None])    # what the step reads
     timings = dict.fromkeys(GMRES_STAGES, 0.0)
     t1 = time.perf_counter()
-    held = {"idx": np.arange(K)}
     if precond is not None:
-        # the block tables, built once and cut to the modes still in the
-        # batch as the others leave it
-        held["tables"] = tables = _block_tables(precond.lambda_omega, modes,
-                                                precond.tau)
+        per_mode = tables = _block_tables(precond.lambda_omega, modes, precond.tau)
         B = _precondition_modes(precond, tables, B)
         timings["preconditioner"] = time.perf_counter() - t1
 
     def op(X, idx):
+        nonlocal per_mode
         t = time.perf_counter()
+        if len(per_mode[0]) != len(idx):   # the batch is fixed: cut once
+            per_mode = [a[idx] for a in per_mode]
         X = X.reshape(len(idx), 2, N)
-        if precond is None:
-            Y = _apply_modes(gmm, p_k[idx], q_k[idx], X)
-        else:
-            if not np.array_equal(held["idx"], idx):
-                pos = np.searchsorted(held["idx"], idx)
-                held.update(idx=idx, tables=[tab[pos] for tab in held["tables"]])
-            Y = _preconditioned_step(precond, held["tables"], X)
+        Y = (_apply_modes(gmm, *per_mode, X) if precond is None
+             else _preconditioned_step(precond, per_mode, X))
         timings["operator"] += time.perf_counter() - t
         return Y.reshape(len(idx), -1)
-    kept = {}
-    with _RowBlocks(N, rhs.nbytes // N, threads) as rows:
-        def residual(Y):               # back to physical space, then b - Mx
-            t = time.perf_counter()
-            Y /= modes.weight[:, None]     # GMRES's own copy, not read again
-            x = modes.inverse(Y.reshape(K, 2, N).transpose(2, 1, 0)).ravel()
-            kept["x"] = x = np.ascontiguousarray(x.real) if real else x
-            tx = time.perf_counter()
-            kept["r"] = np.empty(rhs.shape, np.result_type(rhs, x))
-            res = _true_residual(system, x, rows, out=kept["r"])
-            timings["inverse_transform"] += tx - t
-            timings["true_residual"] += time.perf_counter() - tx
-            return res
-        report = gmres(op, B.reshape(K, 2 * N), tol=tol, max_iter=max_iter,
-                       residual=residual)
+    report = gmres(op, B.reshape(K, 2 * N), tol, max_iter)
+    t2 = time.perf_counter()
+    Y = report.solution
+    Y /= modes.weight[:, None]
+    x = modes.inverse(Y.reshape(K, 2, N).transpose(2, 1, 0)).ravel()
+    report.solution = x = np.ascontiguousarray(x.real) if real else x
     t3 = time.perf_counter()
+    r = np.empty(rhs.shape, np.result_type(rhs, x))
+    with _RowBlocks(N, rhs.nbytes // N, threads) as rows:
+        report.true_residual = _true_residual(system, x, rows, out=r)
+    t4 = time.perf_counter()
+    report.converged = report.converged and report.true_residual <= max(
+        TRUE_RESIDUAL_MAX, GMRES_SLACK * tol)
     if precond is not None:
         report.preconditioned_residual = float(
-            np.linalg.norm(apply_preconditioner(precond, kept["r"], tables=tables))
+            np.linalg.norm(apply_preconditioner(precond, r, tables=tables))
             / max(report.rhs_norm, 1e-300))
         report.theta, report.gap = precond.theta, precond.gap
     report.wall_time = time.perf_counter() - t0
-    timings.update(transform=t1 - t0,
-                   preconditioned_residual=report.wall_time - (t3 - t0))
-    timings["orthogonalisation"] = (t3 - t1) - sum(timings[s] for s in (
-        "operator", "preconditioner", "inverse_transform", "true_residual"))
+    timings.update(transform=t1 - t0, inverse_transform=t3 - t2,
+                   true_residual=t4 - t3,
+                   preconditioned_residual=report.wall_time - (t4 - t0))
+    timings["orthogonalisation"] = (t2 - t1) - (timings["operator"]
+                                                + timings["preconditioner"])
     report.timings = timings
-    report.solution = kept["x"]
     report.path = "gmres+omega" if precond is not None else "gmres"
     report.half_spectrum = modes.half
     report.threads = rows.threads

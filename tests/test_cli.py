@@ -273,6 +273,26 @@ def test_solver_non_convergence_exit_code(tmp_path):
     assert rc == cli.EXIT_NO_CONVERGENCE
 
 
+@pytest.mark.parametrize("precondition", [True, False])
+def test_true_residual_gate_fails_a_solve_whose_stopping_test_holds(
+        tmp_path, monkeypatch, precondition):
+    # gmres_solve forms the true residual and applies the gate: at 1e-6,
+    # above max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol), the solve has not
+    # converged though the lockstep stopping test reached tol
+    monkeypatch.setattr(krylov, "_true_residual", lambda *args, **kw: 1e-6)
+    reports, solve = [], krylov.gmres_solve
+    monkeypatch.setattr(cli, "gmres_solve",
+                        lambda *a, **kw: reports.append(solve(*a, **kw)) or reports[-1])
+    cfg = _base_solve_config()
+    cfg["solver"] = {"tol": 1e-10, "max_iter": 200, "precondition": precondition}
+    path = _write_config(tmp_path, **cfg)
+    rc = cli.main(["solve", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_NO_CONVERGENCE
+    (rep,) = reports
+    assert rep.residual_history[-1] <= 1e-10 and rep.true_residual == 1e-6
+    assert not rep.converged
+
+
 def test_converge_sweep(tmp_path):
     cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
                         h_sweep=[1.0, 0.5], tau_over_h=0.25,

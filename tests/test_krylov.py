@@ -133,7 +133,7 @@ def test_preconditioner_is_exact_inverse(name, m):
     P = _materialized_preconditioner(gmm, run.sys)
     rng = np.random.default_rng(1)
     x = rng.normal(size=system.shape[0])
-    z = pre.apply(P @ x)
+    z = krylov.apply_preconditioner(pre, P @ x)
     assert np.abs(z - x).max() < 1e-10
 
 
@@ -143,7 +143,7 @@ def test_preconditioner_round_trip_random_rhs():
     P = _materialized_preconditioner(gmm, run.sys)
     rng = np.random.default_rng(2)
     r = rng.normal(size=system.shape[0])
-    assert np.abs(P @ pre.apply(r) - r).max() < 1e-10
+    assert np.abs(P @ krylov.apply_preconditioner(pre, r) - r).max() < 1e-10
 
 
 def test_frequency_block_with_zero_operators_divides_by_lambda():
@@ -162,7 +162,7 @@ def test_frequency_block_with_zero_operators_divides_by_lambda():
     assert np.abs(v2[n:] - v1[n:] / pre.lambda_omega[1]).max() < 1e-13
     P = _materialized_preconditioner(gmm, sys)
     r = rng.normal(size=4 * sys.dim)
-    assert np.abs(P @ pre.apply(r) - r).max() < 1e-11
+    assert np.abs(P @ krylov.apply_preconditioner(pre, r) - r).max() < 1e-11
 
 
 def test_frequency_block_solves():
@@ -230,7 +230,7 @@ def test_preconditioner_inverts_materialized_property(m, N, periodic, theta, dat
     pre = krylov.build_preconditioner(gmm, sys, theta=theta)
     P = _materialized_preconditioner(gmm, sys, theta)
     r = np.random.default_rng(m * 10 + N).normal(size=N * sys.dim)
-    z = pre.apply(r)
+    z = krylov.apply_preconditioner(pre, r)
     # backward error at round-off, whatever the conditioning of P
     assert np.linalg.norm(P @ z - r) <= 1e-13 * np.linalg.norm(P) * np.linalg.norm(z)
 
@@ -247,7 +247,7 @@ def test_derived_theta_inverts_materialized_property(m, N, periodic, data):
     assert pre.gap >= krylov.GAP_MIN
     P = _materialized_preconditioner(gmm, sys, pre.theta)
     r = np.random.default_rng(m * 10 + N).normal(size=N * sys.dim)
-    z = pre.apply(r)
+    z = krylov.apply_preconditioner(pre, r)
     assert np.linalg.norm(P @ z - r) <= 1e-13 * np.linalg.norm(P) * np.linalg.norm(z)
 
 
@@ -356,9 +356,9 @@ def test_reports_carry_true_residual_and_path():
         assert rep.path == path
         assert rep.true_residual == pytest.approx(res, rel=1e-6)
         assert rep.true_residual < krylov.TRUE_RESIDUAL_MAX
-    assert krylov.gmres(lambda x: x, np.zeros(3)).true_residual == 0.0
-    stalled = krylov.gmres(lambda x: 2.0 * x, np.ones(4), max_iter=0)
-    assert stalled.true_residual == 1.0 and not stalled.converged
+    stalled = krylov.gmres(lambda X, idx: 2.0 * X, np.ones((1, 4)), tol=1e-10,
+                           max_iter=0)
+    assert stalled.residual_history == [1.0] and not stalled.converged
 
 
 def test_singular_block_at_pi_moves_theta():
@@ -380,7 +380,7 @@ def test_singular_block_at_pi_moves_theta():
     assert np.min(np.abs(pre.lambda_omega)) == pytest.approx(pre.gap, rel=1e-12)
     P = _materialized_preconditioner(gmm, sys, pre.theta)
     r = np.random.default_rng(6).normal(size=5 * sys.dim)
-    assert np.abs(P @ pre.apply(r) - r).max() < 1e-12
+    assert np.abs(P @ krylov.apply_preconditioner(pre, r) - r).max() < 1e-12
 
 
 @pytest.mark.parametrize("N,theta", [(8, np.pi), (7, np.pi), (6, 1.0), (2, np.pi)])
@@ -400,15 +400,15 @@ def test_near_singular_blocks_match_brute_force(N, theta):
 
 
 def test_gmres_zero_rhs():
-    rep = krylov.gmres(lambda x: x, np.zeros(7))
+    rep = krylov.gmres(lambda X, idx: X, np.zeros((1, 7)), tol=1e-10, max_iter=500)
     assert rep.converged and rep.iterations == 0
     assert np.all(rep.solution == 0)
 
 
 def test_gmres_identity_converges_in_one_iteration():
     rng = np.random.default_rng(7)
-    b = rng.normal(size=12)
-    rep = krylov.gmres(lambda x: x, b, tol=1e-12)
+    b = rng.normal(size=(1, 12))
+    rep = krylov.gmres(lambda X, idx: X, b, tol=1e-12, max_iter=500)
     assert rep.converged and rep.iterations == 1
     assert np.abs(rep.solution - b).max() < 1e-12
 
@@ -417,17 +417,17 @@ def test_gmres_small_dense_system():
     rng = np.random.default_rng(8)
     A = np.eye(20) + 0.3 * rng.normal(size=(20, 20))
     b = rng.normal(size=20)
-    rep = krylov.gmres(lambda x: A @ x, b, tol=1e-12, max_iter=40)
+    rep = krylov.gmres(lambda X, idx: X @ A.T, b[None], tol=1e-12, max_iter=40)
     assert rep.converged
-    assert np.abs(rep.solution - np.linalg.solve(A, b)).max() < 1e-9
+    assert np.abs(rep.solution[0] - np.linalg.solve(A, b)).max() < 1e-9
     assert rep.residual_history[-1] <= 1e-12
 
 
 def test_gmres_reports_non_convergence():
     rng = np.random.default_rng(10)
     A = np.eye(30) + rng.normal(size=(30, 30))
-    b = rng.normal(size=30)
-    rep = krylov.gmres(lambda x: A @ x, b, tol=1e-14, max_iter=3)
+    b = rng.normal(size=(1, 30))
+    rep = krylov.gmres(lambda X, idx: X @ A.T, b, tol=1e-14, max_iter=3)
     assert not rep.converged
     assert rep.iterations == 3
 
@@ -503,8 +503,8 @@ def test_criterion_9_finest_solve_ends_within_five_lockstep_iterations():
 def _physical_stopping_norm(system, pre, x):
     """||P^{-1}(b - Mx)|| / ||P^{-1} b|| formed in physical space."""
     b = system.rhs
-    return (np.linalg.norm(pre.apply(b - system.apply(x)))
-            / np.linalg.norm(pre.apply(b)))
+    return (np.linalg.norm(krylov.apply_preconditioner(pre, b - system.apply(x)))
+            / np.linalg.norm(krylov.apply_preconditioner(pre, b)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -526,8 +526,10 @@ def test_lockstep_gmres_property(m, N, periodic, complex_rhs, data):
     system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs)
     pre = krylov.build_preconditioner(gmm, sys)
     rep = krylov.gmres_solve(system, pre, tol=1e-12, max_iter=50)
-    one = krylov.gmres(lambda x: pre.apply(system.apply(x)), pre.apply(rhs),
-                       tol=1e-12, max_iter=N * sys.dim + 1)
+    one = krylov.gmres(
+        lambda X, idx: krylov.apply_preconditioner(pre, system.apply(X[0]))[None],
+        krylov.apply_preconditioner(pre, rhs)[None], tol=1e-12,
+        max_iter=N * sys.dim + 1)
     bare = krylov.gmres_solve(system, None, tol=1e-12, max_iter=2 * N)
     direct = krylov.direct_solve(system)
     assert rep.converged and rep.iterations <= 5
@@ -558,11 +560,12 @@ def _batch_op(A, calls=None):
     return apply_op
 
 
-def test_gmres_batch_systems_leave_and_the_rest_iterate():
+def test_gmres_batch_is_fixed_and_a_closed_system_stays_on_zero_vectors():
     # system 0 has a zero rhs and never enters; system 1's Krylov space closes
-    # exactly after one step (2 I on e_1) and it leaves; systems 2 and 3 are
-    # dense and iterate to the full dimension.  The stopping norm counts
-    # every system at every iteration.
+    # exactly after one step (2 I on e_1), and it stays in the batch on zero
+    # vectors; systems 2 and 3 are dense and iterate to the full dimension.
+    # Every step applies the same batch, and the stopping norm counts every
+    # system at every iteration.
     L = 6
     rng = np.random.default_rng(11)
     A = np.stack([np.eye(L), 2.0 * np.eye(L),
@@ -575,9 +578,10 @@ def test_gmres_batch_systems_leave_and_the_rest_iterate():
     apply_op = _batch_op(A, calls)
     rep = krylov.gmres(apply_op, B, tol=1e-12, max_iter=50)
     assert rep.converged and rep.iterations == L and rep.modes == 4
-    assert calls[0] == (1, 2, 3) and set(calls[1:-1]) == {(2, 3)}
-    assert calls[-1] == (0, 1, 2, 3)            # the true residual, at exit
-    assert np.all(rep.solution[0] == 0.0) and rep.solution[1, 0] == 1.5
+    assert len(calls) == L and set(calls) == {(1, 2, 3)}
+    assert np.isfinite(rep.residual_history).all()
+    assert np.all(rep.solution[0] == 0.0)
+    assert rep.solution[1, 0] == 1.5 and np.all(rep.solution[1, 1:] == 0.0)
     for k in (2, 3):
         assert np.allclose(rep.solution[k], np.linalg.solve(A[k], B[k]), atol=1e-12)
     for k in range(1, L):
@@ -640,8 +644,8 @@ def test_gmres_rhs_below_the_floor_never_enters_the_batch():
     ref = krylov.gmres(_batch_op(A, zero_calls), B, tol=1e-10, max_iter=50)
     kept = [k for k in range(12) if k not in (2, 5, 9)]
     assert rep.converged and rep.floored_modes == ref.floored_modes == 3
-    assert all(set(c).isdisjoint((2, 5, 9)) for c in calls[:-1])
-    assert calls == zero_calls                 # the last is the true residual
+    assert all(set(c).isdisjoint((2, 5, 9)) for c in calls)
+    assert calls == zero_calls
     assert np.all(rep.solution[[2, 5, 9]] == 0.0)
     assert rep.iterations == ref.iterations
     assert np.array_equal(rep.solution[kept], ref.solution[kept])
@@ -667,9 +671,9 @@ def test_gmres_floor_bounds_the_left_out_share():
 def test_gmres_solve_basis_grows_with_the_iterations_taken():
     # five lockstep iterations keep at most 8 basis vectors per mode: with
     # the preconditioner's two block tables and the step's complex spectra
-    # the solve peaks at 16.2 rhs sizes, the basis freed before the true
-    # residual, where one GMRES over the system
-    # reserved max_iter + 1 = 501 of them
+    # the solve peaks at 16.1 rhs sizes, the basis freed when gmres returns,
+    # before the true residual, where one GMRES over the system reserved
+    # max_iter + 1 = 501 of them
     g = spatial.Grid(length=20.0, m=200, boundary=spatial.DIRICHLET)
     sys = spatial.assemble_discrete_system(g, 0.1, spatial.OperatorKind("zero"))
     gmm = build_gmm(100, 4.0)
@@ -765,7 +769,8 @@ def test_preconditioned_residual_check_applies_the_preconditioner_once(monkeypat
                         lambda *args: built.append(args) or tables(*args))
     rep = krylov.gmres_solve(system, pre, tol=1e-10)
     assert rep.converged and len(calls) == 1 and len(built) == 1
-    assert rep.rhs_norm == pytest.approx(np.linalg.norm(pre.apply(system.rhs)), rel=1e-12)
+    assert rep.rhs_norm == pytest.approx(
+        np.linalg.norm(krylov.apply_preconditioner(pre, system.rhs)), rel=1e-12)
     assert rep.preconditioned_residual == pytest.approx(
         _physical_stopping_norm(system, pre, rep.solution), rel=1e-9)
 
