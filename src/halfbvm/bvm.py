@@ -118,14 +118,15 @@ def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,
     """Build the right-hand side for initial state (u0, v0) and source spec.
 
     Every Hilbert-transformed spatial profile in the source is evaluated once
-    and reused at all N time nodes.
+    and reused at all N time nodes; tau scales each spatial vector, not the
+    N x 2n rhs.
     """
     U0 = u0v0.stack()
     if U0.size != sys.dim:
         raise ValueError(f"initial state has size {U0.size}, expected {sys.dim}")
-    cache = None if src.is_zero else source_block_values(src, sys)
+    cache = None if src.is_zero else [
+        (time_fn, gmm.tau * G) for time_fn, G in source_block_values(src, sys)]
     rhs = doubled_source(src, sys, gmm.times, _cache=cache)   # a new array
-    rhs *= gmm.tau
     rhs = rhs.astype(np.result_type(rhs, U0), copy=False)
     rhs[0] -= gmm.a0[0] * U0               # -a0 (x) U0: a0 is zero past row 0
     return AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs.ravel(), initial=u0v0)

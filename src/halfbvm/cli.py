@@ -248,6 +248,9 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         "rel_l2_error_at_T": err,
         "error_norm_flagged_absolute": flagged,
         "oracle": oracle,
+        # how H[f'] of each profile was formed, and the torus it was wrapped on
+        "hilbert": {"periodisation": pb.torus, "u0": pb.u0.hilbert_route(),
+                    "source": [t.space.hilbert_route() for t in pb.source.terms]},
     }
     (out_dir / "report.json").write_text(json.dumps(manifest, indent=2))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -323,8 +326,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
     pb = cfg.build_problem()
-    run = problems.setup_run(pb, h=cfg.h, m=cfg.m)
-    lam = eigenvalues_of_D(run.sys)
+    lam = eigenvalues_of_D(problems.discrete_system(pb, h=cfg.h, m=cfg.m))
     _write_csv(out_dir / "spectrum.csv", ["re", "im", "label"],
                (lam.real, lam.imag, [pb.name] * len(lam)), cfg)
     return EXIT_OK

@@ -12,12 +12,13 @@ into the first-order system
 Singular integrals appear only in the initial state and in the source data,
 never during time stepping, so H[u0'] and H[f_x] are one-time data steps:
 each profile's closed form when it has one, else one spectral fit of its
-derivative at the fixed ``FIT_ORDER``.  They are evaluated once per spatial
-profile here and cached by the all-at-once assembly.
+derivative at the fixed ``FIT_ORDER``, which the profile keeps.  They are
+evaluated once per spatial profile here and cached by the all-at-once
+assembly.
 """
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -67,19 +68,33 @@ class LineProfile:
 
     def hilbert_dx_evaluator(self):
         """Vectorized H[f']: ``hilbert_dx`` when the profile has a closed
-        form, else one spectral fit of ``dx`` at ``FIT_ORDER``, taken real
-        when ``dx`` is."""
+        form, else the profile's spectral fit of ``dx``, taken real when
+        its samples were."""
         if self.hilbert_dx is not None:
             return self.hilbert_dx
+        fit, c = self._fit, self.center
+        if fit.real:
+            return lambda x: ht.weideman_eval(fit, np.asarray(x) - c).real
+        return lambda x: ht.weideman_eval(fit, np.asarray(x) - c)
+
+    @cached_property
+    def _fit(self) -> ht.WeidemanExpansion:
+        """The one spectral fit of ``dx`` at ``FIT_ORDER``, made on first use."""
         if self.dx is None:
             raise ht.UnsupportedFunctionError(
                 "profile has neither a closed-form H[f'] nor a derivative to fit")
         c = self.center
-        centered = lambda t: np.asarray(self.dx(t + c))
-        fit = ht.weideman_fit(centered, FIT_ORDER, tail=0.0)
-        if np.iscomplexobj(centered(np.zeros(1))):
-            return lambda x: ht.weideman_eval(fit, np.asarray(x) - c)
-        return lambda x: ht.weideman_eval(fit, np.asarray(x) - c).real
+        return ht.weideman_fit(lambda t: np.asarray(self.dx(t + c)), FIT_ORDER,
+                               tail=0.0)
+
+    def hilbert_route(self) -> dict:
+        """How H[f'] is formed, for the run record: ``closed_form``, or
+        ``fit`` at its order with the ``one_sided`` Horner sum of a real fit
+        or the ``two_sided`` one of a complex fit."""
+        if self.hilbert_dx is not None:
+            return {"route": "closed_form"}
+        return {"route": "fit", "order": self._fit.order,
+                "sum": "one_sided" if self._fit.real else "two_sided"}
 
 
 def profile_from_catalog(f: ht.CatalogFunction) -> LineProfile:

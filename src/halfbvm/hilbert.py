@@ -187,11 +187,14 @@ class WeidemanExpansion:
 
     ``coefficients[k]`` holds a_n for n = k - N, n = -N .. N-1, built from
     samples at the nodes x_j = tan(theta_j / 2), theta_j = j pi / N.
-    Immutable after construction and safe to share across threads.
+    ``real`` marks an expansion of real samples, whose coefficients pair up
+    as a_{-n-1} = conj(a_n).  Immutable after construction and safe to share
+    across threads.
     """
 
     order: int
     coefficients: np.ndarray = field(repr=False)
+    real: bool = False
 
     def __post_init__(self):
         if self.coefficients.shape != (2 * self.order,):
@@ -228,15 +231,19 @@ def weideman_fit(f, N: int, tail=None) -> WeidemanExpansion:
     full = np.fft.fft(g) / (2.0 * N)
     ns = np.arange(-N, N)
     coeffs = np.where(ns % 2 == 0, 1.0, -1.0) * full[np.mod(ns, 2 * N)]
-    return WeidemanExpansion(order=N, coefficients=coeffs)
+    return WeidemanExpansion(order=N, coefficients=coeffs,
+                             real=not np.iscomplexobj(fx))
 
 
 def weideman_eval(e: WeidemanExpansion, x):
     """Evaluate the approximate transform of the expanded function at x.
 
-    Returns sum_n (-i sgn(n+1/2)) a_n z^n / (1-ix), z = (1+ix)/(1-ix); for
-    real input samples the result is real up to round-off.  Horner's rule sums
-    the n >= 0 terms in z and the n < 0 ones in 1/z = conj(z), in O(len(x)) memory.
+    Returns sum_n (-i sgn(n+1/2)) a_n z^n / (1-ix), z = (1+ix)/(1-ix), as a
+    complex value, by Horner's rule in O(len(x)) memory.  The basis pairs as
+    conj(z^n / (1-ix)) = z^(-n-1) / (1-ix), so for real samples, where
+    a_{-n-1} = conj(a_n), the sum is 2 Im(sum_{n>=0} a_n z^n / (1-ix)): one
+    Horner sum of N terms, and an imaginary part of exactly 0.  Complex
+    samples take both sums, the n < 0 terms in 1/z = conj(z).
     """
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -251,6 +258,10 @@ def weideman_eval(e: WeidemanExpansion, x):
         return acc
     N, c = e.order, e.coefficients
     z = np.exp(2j * np.arctan(x))
-    out = horner(c[:N], z.conj()) * z.conj() - horner(c[:N - 1:-1], z)
-    out *= 1j / (1.0 - 1j * x)
+    ahead = horner(c[:N - 1:-1], z)                 # sum_{n>=0} a_n z^n
+    if e.real:
+        out = (2.0 * (ahead / (1.0 - 1j * x)).imag).astype(complex)
+    else:
+        out = horner(c[:N], z.conj()) * z.conj() - ahead
+        out *= 1j / (1.0 - 1j * x)
     return complex(out[0]) if scalar else out

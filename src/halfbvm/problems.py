@@ -26,10 +26,11 @@ from .doubling import (LineProfile, SourceSpec, SourceTerm, ZERO_SOURCE,
                        profile_from_catalog)
 from .hilbert import LORENTZIAN, SINE, SQUARED_LORENTZIAN, CatalogFunction
 from .spatial import (ADVECTION, DIRICHLET, PERIODIC, SCALAR, ZERO,
-                      ConfigurationError, Grid, OperatorKind,
+                      ConfigurationError, DiscreteSystem, Grid, OperatorKind,
                       assemble_discrete_system)
 
-__all__ = ["Problem", "catalog", "build_problem", "setup_run"]
+__all__ = ["Problem", "catalog", "build_problem", "discrete_system",
+           "setup_run"]
 
 MODELS = ("half_diffusion", "mass_transfer", "advection", "schrodinger")
 
@@ -152,6 +153,11 @@ class Problem:
     @property
     def boundary(self) -> str:
         return PERIODIC if self.model == "advection" else DIRICHLET
+
+    @property
+    def torus(self):
+        """The periodization a run applies: None between walls."""
+        return self.periodization if self.boundary == PERIODIC else None
 
     def physical_state(self, state, t: float):
         """Map a solved state at time t to physical fields.
@@ -357,28 +363,31 @@ class RunSetup:
     source: SourceSpec
 
 
-def setup_run(problem: Problem, h: float = None, m: int = None) -> RunSetup:
-    """Discretize in space; drift models double the torus and reflect data.
-
-    The mesh width h refers to the physical domain (0, L) in either case.
-    """
+def discrete_system(problem: Problem, h: float = None,
+                    m: int = None) -> DiscreteSystem:
+    """The grid rule: drift models on the odd-doubled torus get [0, 2L) with
+    2m cells, every other run (0, L) with m.  The mesh width h refers to the
+    physical domain (0, L) in either case."""
     if (h is None) == (m is None):
         raise ConfigurationError("space grid: give exactly one of h, m")
     if m is None:
         m = int(round(problem.L / h))
-    if problem.boundary == PERIODIC and problem.periodization == "odd_doubled":
+    if problem.torus == "odd_doubled":
         grid = Grid(length=2.0 * problem.L, m=2 * m, boundary=PERIODIC)
-        u0 = odd_reflection(problem.u0, problem.L)
+    else:
+        grid = Grid(length=problem.L, m=m, boundary=problem.boundary)
+    return assemble_discrete_system(grid, problem.eps, problem.operator())
+
+
+def setup_run(problem: Problem, h: float = None, m: int = None) -> RunSetup:
+    """Discretize in space; on the odd-doubled torus the data is reflected."""
+    sys = discrete_system(problem, h=h, m=m)
+    u0, src = problem.u0, problem.source
+    if problem.torus == "odd_doubled":
+        u0 = odd_reflection(u0, problem.L)
         src = SourceSpec(terms=tuple(
             SourceTerm(time=t.time, space=odd_reflection(t.space, problem.L))
-            for t in problem.source.terms))
-    elif problem.boundary == PERIODIC:
-        grid = Grid(length=problem.L, m=m, boundary=PERIODIC)
-        u0, src = problem.u0, problem.source
-    else:
-        grid = Grid(length=problem.L, m=m, boundary=DIRICHLET)
-        u0, src = problem.u0, problem.source
-
-    sys = assemble_discrete_system(grid, problem.eps, problem.operator())
+            for t in src.terms))
     u0v0 = doubled_initial_state(u0, sys)
-    return RunSetup(problem=problem, grid=grid, sys=sys, u0v0=u0v0, source=src)
+    return RunSetup(problem=problem, grid=sys.grid, sys=sys, u0v0=u0v0,
+                    source=src)

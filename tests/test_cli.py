@@ -5,8 +5,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from halfbvm import cli, krylov
+from halfbvm import cli, krylov, problems
+from halfbvm import hilbert as ht
+from halfbvm.doubling import FIT_ORDER
 from halfbvm.krylov import GAP_MIN
+from halfbvm.spectrum import eigenvalues_of_D
 
 
 def _write_config(tmp_path, **kw):
@@ -113,7 +116,7 @@ def test_direct_solver_method(tmp_path):
             cli.load_config(_write_config(tmp_path, **dict(_base_solve_config(), solver=bad)))
 
 
-def test_report_records_discretisation_and_path(tmp_path):
+def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
     # tau = 0.27 does not divide T = 1: the run uses N = 4, tau = 0.25
     cfg = _base_solve_config(problem="advection_manufactured", h=0.25, tau=0.27)
     for key in ("m", "n_steps"):
@@ -173,16 +176,34 @@ def test_report_records_discretisation_and_path(tmp_path):
         assert report["oracle"]["kind"] == "series"
         assert report["oracle"]["n_max"] == 400
         assert report["oracle"]["wall_time"] > 0.0
-    # the stated closed form where a problem has one, else the series
-    for problem, kind, n_max in (("half_diffusion_manufactured", "closed_form", None),
-                                 ("advection_gaussian_quartic", "series", 400)):
+    # the stated closed form where a problem has one, else the series; the
+    # Hilbert route of u0 and each source term, and the torus they were put on:
+    # between walls every profile has its closed form, while the drift data
+    # states none, so its u0 and source term are each fit once, from real
+    # samples, on the odd-doubled torus
+    fits = []
+    fit = ht.weideman_fit
+    monkeypatch.setattr(ht, "weideman_fit",
+                        lambda f, N, **kw: fits.append(N) or fit(f, N, **kw))
+    fitted = {"route": "fit", "order": FIT_ORDER, "sum": "one_sided"}
+    closed = {"route": "closed_form"}
+    for problem, kind, n_max, torus, routes in (
+            ("half_diffusion_manufactured", "closed_form", None, None, [closed] * 3),
+            ("advection_gaussian_quartic", "series", 400, "odd_doubled", [fitted] * 2)):
         out = tmp_path / problem
         path_cfg = _write_config(tmp_path, **_base_solve_config(
             problem=problem, m=40, solver={"method": "direct"}))
+        fits.clear()
         assert cli.main(["solve", "--config", path_cfg, "--out", str(out)]) == cli.EXIT_OK
-        oracle = json.loads((out / "report.json").read_text())["oracle"]
+        report = json.loads((out / "report.json").read_text())
+        oracle = report["oracle"]
         assert oracle["kind"] == kind and oracle["n_max"] == n_max
         assert oracle["wall_time"] > 0.0
+        record = report["hilbert"]
+        assert record["periodisation"] == torus
+        assert [record["u0"], *record["source"]] == routes
+        # the record reads the fits the run made, and makes none of its own
+        assert fits == [FIT_ORDER] * routes.count(fitted)
 
 
 @pytest.mark.parametrize("h,n,floored", [(0.3125, 63, 31), (20.0 / 41, 40, 20)])
@@ -448,6 +469,27 @@ def test_converge_requires_sweep(tmp_path):
     cfg = _write_config(tmp_path, **_base_solve_config())
     with pytest.raises(cli.ConfigError):
         cli.run_convergence(cli.load_config(cfg), tmp_path)
+
+
+def test_spectrum_evaluates_no_transform(tmp_path, monkeypatch):
+    # the spectrum needs the discrete system alone: no initial state or source
+    # data, so no Hilbert fit or evaluation, even for data without a closed form
+    calls = []
+    for name in ("weideman_fit", "weideman_eval"):
+        fn = getattr(ht, name)
+        monkeypatch.setattr(ht, name, lambda *a, _fn=fn, _name=name, **kw:
+                            calls.append(_name) or _fn(*a, **kw))
+    path = _write_config(tmp_path, problem="advection_gaussian_quartic",
+                         n_steps=4, h=0.5, T=1.0)
+    rc = cli.main(["spectrum", "--config", path, "--out", str(tmp_path / "sp")])
+    assert rc == cli.EXIT_OK and calls == []
+    cfg = cli.load_config(path)
+    run = problems.setup_run(cfg.build_problem(), h=cfg.h)
+    lam = eigenvalues_of_D(run.sys)
+    cli._write_csv(tmp_path / "ref.csv", ["re", "im", "label"],
+                   (lam.real, lam.imag, [cfg.problem] * len(lam)), cfg)
+    assert (tmp_path / "sp" / "spectrum.csv").read_text() \
+        == (tmp_path / "ref.csv").read_text()
 
 
 def test_spectrum_dump(tmp_path):

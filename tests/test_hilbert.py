@@ -230,3 +230,37 @@ def test_weideman_eval_matches_dense_series(N, f):
         val = ht.weideman_eval(e, x)
         assert isinstance(val, complex)
         assert abs(val - _weideman_eval_dense(e, x)[0]) <= 1e-12 * np.abs(ref).max()
+
+
+_REAL_DECAYING = ("lorentzian", "quartic", "squared_lorentzian", "gaussian",
+                  "odd_lorentzian")
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(_REAL_DECAYING), alpha=st.floats(0.5, 3.0),
+       shift=st.floats(-3.0, 3.0), scale=st.floats(0.1, 10.0),
+       sign=st.sampled_from([-1.0, 1.0]), N=st.sampled_from([32, 64, 256]))
+def test_real_fit_takes_the_one_sided_sum(kind, alpha, shift, scale, sign, N):
+    # a_{-n-1} = conj(a_n) for real samples: the one-sided Horner sum is the
+    # dense two-sided series, and its imaginary part is exactly zero
+    f = ht.CatalogFunction(kind, alpha=alpha, shift=shift, scale=sign * scale)
+    e = ht.weideman_fit(f, N, tail=f.function_tail())
+    assert e.real
+    xs = np.concatenate([XS, [-1e6, -40.0, 40.0, 1e6]])
+    ref = _weideman_eval_dense(e, xs)
+    vals = ht.weideman_eval(e, xs)
+    assert np.iscomplexobj(vals) and np.all(vals.imag == 0.0)
+    assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("sample", [
+    lambda x: ht.CatalogFunction("lorentzian")(x) + 0j,
+    lambda x: ht.CatalogFunction("lorentzian", shift=1.0)(x)
+    + 1j * ht.CatalogFunction("gaussian", alpha=2.0)(x),
+], ids=["complex-dtype", "complex-valued"])
+def test_complex_samples_take_the_two_sided_sum(sample):
+    # the real mark follows the samples' type, never their values
+    e = ht.weideman_fit(sample, 64)
+    assert not e.real
+    ref = _weideman_eval_dense(e, XS)
+    assert np.abs(ht.weideman_eval(e, XS) - ref).max() <= 1e-12 * np.abs(ref).max()
