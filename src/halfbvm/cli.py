@@ -3,7 +3,8 @@
 Configuration is one JSON document; outputs are CSV files plus a JSON
 manifest, each embedding the fully resolved configuration so a run can be
 reproduced from any of its artifacts.  Exit codes: 0 success, 2 bad
-configuration, 3 solver non-convergence.
+configuration, 3 solver non-convergence, 4 solver error (no preconditioner
+clears GAP_MIN).
 """
 
 import argparse
@@ -11,7 +12,6 @@ import json
 import math
 import sys as _sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -19,7 +19,8 @@ import numpy as np
 
 from . import problems, spectrum
 from .bvm import assemble_all_at_once, build_gmm, extract_trajectory
-from .krylov import build_preconditioner, direct_solve, gmres_solve, usable_cpus
+from .krylov import PreconditionerError, build_preconditioner, direct_solve, \
+    gmres_solve, usable_cpus
 from .oracles import FourierSeriesSolution, relative_l2_error
 from .spatial import ConfigurationError, GridTooSmallError
 from .spectrum import boundary_locus, eigenvalues_of_D, lmm_catalog, \
@@ -32,6 +33,7 @@ __all__ = ["ExperimentConfig", "ConfigError", "load_config", "run_solve",
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
+EXIT_SOLVER = 4
 
 
 class ConfigError(ValueError):
@@ -44,7 +46,7 @@ class SolverSettings:
     tol: float = 1e-10
     max_iter: int = 500
     precondition: bool = True
-    workers: int = 0
+    workers: int = 0           # threads per solve at most; 0: usable_cpus()
 
 
 @dataclass
@@ -171,9 +173,12 @@ def _write_csv(path: Path, header, columns, cfg):
     path.write_text(head + "\n" + ",".join(header) + "\n" + body)
 
 
-def _solve_once(cfg, pb, h=None, m=None, precondition=None, threads=None):
+def _solve_once(cfg, pb, h=None, m=None, precondition=None):
     """One discretize-assemble-solve pass; returns (report, run, gmm, traj).
-    ``threads`` bounds the solver's row-block threads."""
+    The solver's row blocks run on at most ``solver.workers`` threads (0:
+    all), never more than the usable CPUs."""
+    cpus = usable_cpus()
+    threads = min(cfg.solver.workers or cpus, cpus)
     run = problems.setup_run(pb, h=h, m=m)
     N = cfg.time_steps(h=h if h is not None else pb.L / m)
     gmm = build_gmm(N, cfg.T)
@@ -256,7 +261,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def _sweep_point(cfg, pb, h=None, tau=None, threads=None):
+def _sweep_point(cfg, pb, h=None, tau=None):
     t0 = time.perf_counter()
     if tau is not None:
         cfg = replace(cfg, tau=tau, n_steps=None)
@@ -266,8 +271,7 @@ def _sweep_point(cfg, pb, h=None, tau=None, threads=None):
         else (("pre", True), ("nopre", False))
     for label, precondition in variants:
         report, run, gmm, traj = _solve_once(cfg, pb, h=h,
-                                             precondition=precondition,
-                                             threads=threads)
+                                             precondition=precondition)
         err = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)[0]
         # h, tau and N as solved
         rows[label] = (report, err, run.grid.h, gmm.tau, gmm.n_steps)
@@ -284,14 +288,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         points = [{"h": h} for h in cfg.h_sweep]
     else:
         points = [{"tau": tau} for tau in cfg.tau_sweep]
-    # the sweep's threads share the CPUs with each solve's row-block threads
-    cpus = usable_cpus()
-    workers = min(max(1, cfg.solver.workers), cpus)
-    threads = max(1, cpus // workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_point, cfg, pb, threads=threads, **pt)
-                   for pt in points]
-        results = [fut.result() for fut in futures]
+    results = [_sweep_point(cfg, pb, **pt) for pt in points]
     rows, solved = [], []
     failed = False
     comparison_failed = False
@@ -306,7 +303,8 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
         failed = failed or not pre_rep.converged
         rows.append((h, tau, pre_err, pre_rep.iterations, no_iters))
         solved.append({"h": h, "tau": tau, "n_steps": n_steps,
-                       "theta": pre_rep.theta, "wall_time": wall_time,
+                       "theta": pre_rep.theta, "threads": pre_rep.threads,
+                       "wall_time": wall_time,
                        "iterations_pre": pre_rep.iterations,
                        "iterations_nopre": no_iters})
     slope = None
@@ -363,7 +361,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--workers", type=int, default=None,
-                        help="concurrent sweep points")
+                        help="threads per solve at most (0: all usable CPUs)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
@@ -385,6 +383,9 @@ def main(argv=None) -> int:
     except (ConfigError, ConfigurationError, GridTooSmallError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
+    except PreconditionerError as exc:
+        print(f"solver error: {exc}", file=_sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -93,7 +93,7 @@ MAX_THREADS = 2
 
 __all__ = [
     "TRUE_RESIDUAL_MAX", "GMRES_SLACK", "OmegaPreconditioner", "SolveReport",
-    "build_preconditioner", "apply_preconditioner",
+    "PreconditionerError", "build_preconditioner", "apply_preconditioner",
     "solve_frequency_block", "gmres", "gmres_solve", "direct_solve",
     "usable_cpus",
 ]
@@ -132,11 +132,15 @@ def _gap(lam, z) -> float:
     return float(np.abs(1j * near - z).min())
 
 
+class PreconditionerError(ValueError):
+    """No theta keeps every block at least GAP_MIN from singular."""
+
+
 def build_preconditioner(gmm: GmmMatrices, sys,
                          theta: float = None) -> OmegaPreconditioner:
     """Pick theta (module docstring) unless given, then Lambda and Theta;
-    ValueError if the gap is below GAP_MIN.  Nothing N x n is formed: the
-    block solve reads the symbols on each apply."""
+    PreconditionerError if the gap is below GAP_MIN.  Nothing N x n is
+    formed: the block solve reads the symbols on each apply."""
     N, tau = gmm.n_steps, gmm.tau
     z = tau * eigenvalues_of_D(sys)
 
@@ -147,7 +151,8 @@ def build_preconditioner(gmm: GmmMatrices, sys,
     theta = np.pi if theta is None else float(theta)
     g = gap(theta)
     if not g >= GAP_MIN:
-        raise ValueError(f"theta = {theta:.6g}: block gap {g:.3g} < GAP_MIN")
+        raise PreconditionerError(
+            f"theta = {theta:.6g}: block gap {g:.3g} < GAP_MIN")
     scaling = np.exp(-1j * theta * np.arange(N) / N)   # Theta, omega^{-s/N}
     return OmegaPreconditioner(theta=theta, gap=g, n_steps=N, tau=tau,
                                theta_scaling=scaling,
@@ -328,7 +333,10 @@ class _RowBlocks:
 
 
 def _sumsq(a) -> float:
-    return float(np.vdot(a, a).real)
+    """sum |a_i|^2 by einsum's loop: on a pool thread, a BLAS dot would
+    start BLAS threads of its own."""
+    x = np.ravel(a).view(np.float64)
+    return float(np.einsum("i,i->", x, x))
 
 
 def _true_residual(system: AllAtOnceSystem, x, rows: _RowBlocks, out=None) -> float:
@@ -366,22 +374,37 @@ def _combine(y, basis):
     return np.matmul(y[:, None, :], basis)[:, 0]
 
 
-def _update(basis, cols, g):
+def _update(basis, H, rot, g):
     """The correction sum_i y_i v_i of each system, R y = g by back
-    substitution on the rotated Hessenberg columns ``cols``.  A zero pivot,
-    a step after the system's Krylov space closed, leaves y_c at g_c = 0."""
-    y = np.stack(g[: len(cols)], axis=1)
-    for c in range(len(cols) - 1, -1, -1):
-        pivot = cols[c][:, c]
-        np.divide(y[:, c], pivot, out=y[:, c], where=pivot != 0)
-        y[:, :c] -= cols[c][:, :c] * y[:, c: c + 1]
-    return _combine(y, basis[:, : len(cols)])
+    substitution.  H holds each system's raw Hessenberg columns, packed
+    (``_packed``).  Rotation i (c, s) turns row i, carried in w, and the raw
+    row i + 1 over all their columns at once: row i is then R's, and goes
+    back into H.  A zero pivot, a step after the system's Krylov space
+    closed, leaves y_k at g_k = 0."""
+    n = len(rot)
+    start = _packed(np.arange(n))
+    w = H[:, start]
+    for i, (c, s) in enumerate(rot):
+        z = H[:, start[i:] + i + 1]
+        H[:, start[i:] + i] = c[:, None] * w + s[:, None] * z
+        w = (c[:, None] * z - s.conj()[:, None] * w)[:, 1:]
+    y = np.stack(g[:n], axis=1)
+    for k in range(n - 1, -1, -1):
+        col = H[:, start[k]: start[k] + k + 1]
+        np.divide(y[:, k], col[:, k], out=y[:, k], where=col[:, k] != 0)
+        y[:, :k] -= col[:, :k] * y[:, k: k + 1]
+    return _combine(y, basis[:, :n])
 
 
-def _grown(basis, size):
-    """A new (K, size, L) basis holding ``basis`` in its first vectors."""
-    grown = np.empty((basis.shape[0], size, basis.shape[2]), basis.dtype)
-    grown[:, : basis.shape[1]] = basis
+def _packed(j):
+    """Where Hessenberg column j, its j + 2 entries, starts in a packed row."""
+    return j * (j + 3) // 2
+
+
+def _grown(a, size):
+    """A new (K, size, ...) array holding ``a`` in its first entries."""
+    grown = np.empty((a.shape[0], size) + a.shape[2:], a.dtype)
+    grown[:, : a.shape[1]] = a
     return grown
 
 
@@ -393,7 +416,11 @@ def gmres(apply_op, B, tol, max_iter):
     overwrites, or to a view of X.  A preconditioned system comes in
     preconditioned: the operator P^{-1} A and the rhs P^{-1} b.  Each system
     has its own Arnoldi basis (CGS2), Hessenberg columns and Givens
-    rotations.  All take one step per iteration and stop together when
+    rotations G_i.  Step j needs of the earlier rotations only q, row j of
+    G_{j-1} ... G_0: the new column's rotated diagonal is a_j = sum_i q_i
+    h_ij, and after G_j, q becomes [-conj(s_j) q, c_j].  The raw columns are
+    kept, packed, and ``_update`` rotates them into R once, at the end.  All
+    systems take one step per iteration and stop together when
     sqrt(sum_k |g_k|^2), g_k system k's residual estimate, reaches tol times
     the 2-norm of the whole rhs (``rhs_norm``), or after min(max_iter, L)
     steps.  A system whose rhs norm is at most RHS_FLOOR * tol * rhs_norm /
@@ -429,8 +456,9 @@ def gmres(apply_op, B, tol, max_iter):
         beta = beta[idx]
         basis = np.empty((len(idx), min(8, steps), L), dtype=work)
         basis[:, 0] = B[idx] / beta[:, None]
+        H = np.empty((len(idx), _packed(basis.shape[1])), dtype=work)
         cplx = np.iscomplexobj(basis)
-        g, cols, rot = [beta.astype(work)], [], []
+        g, rot, q = [beta.astype(work)], [], np.ones((len(idx), 1), work)
         for j in range(steps):
             v = apply_op(basis[:, j], idx)
             # orthogonalised in place: copied only where it views the basis
@@ -441,23 +469,20 @@ def gmres(apply_op, B, tol, max_iter):
             v -= _combine(h, Vj)
             h2 = _project(Vj, v, cplx)
             v -= _combine(h2, Vj)
-            col = h + h2
-            hk = np.linalg.norm(v, axis=1)
-            for i, (c, s, sc) in enumerate(rot):
-                t = c * col[:, i] + s * col[:, i + 1]
-                col[:, i + 1] = c * col[:, i + 1] - sc * col[:, i]
-                col[:, i] = t
-            a = col[:, j]
+            col = H[:, _packed(j): _packed(j + 1)]
+            np.add(h, h2, out=col[:, : j + 1])
+            col[:, j + 1] = hk = np.linalg.norm(v, axis=1)
+            a = np.einsum("ki,ki->k", q, col[:, : j + 1])
             aa = np.abs(a)
             ok = aa > 0
             safe = np.where(ok, aa, 1.0)
             denom = np.hypot(safe, hk)
             c = np.where(ok, aa / denom, 0.0)
             s = np.where(ok, (a / safe) * (hk / denom), 1.0)
-            col[:, j] = c * a + s * hk
-            cols.append(col)
-            rot.append((c, s, s.conj()))
-            g.append(-s.conj() * g[j])
+            sc = s.conj()
+            q = np.concatenate((q * -sc[:, None], c[:, None]), axis=1)
+            rot.append((c, s))
+            g.append(-sc * g[j])
             g[j] = c * g[j]
             res2[idx] = np.abs(g[j + 1]) ** 2
             history.append(float(np.sqrt(frozen + res2[idx].sum()) / beta0))
@@ -466,10 +491,11 @@ def gmres(apply_op, B, tol, max_iter):
                 break
             if j + 1 == basis.shape[1]:    # grow the bases with the iterations
                 basis = _grown(basis, min(2 * (j + 1), steps))
+                H = _grown(H, _packed(basis.shape[1]))
             # a closed system's v is exactly 0, and so is its next vector
             np.divide(v, np.where(closed, 1.0, hk)[:, None], out=basis[:, j + 1])
             del v                      # free while the next step is applied
-        X[idx] += _update(basis, cols, g)
+        X[idx] += _update(basis, H, rot, g)
     return SolveReport(solution=X, iterations=len(history) - 1,
                        residual_history=history, converged=history[-1] <= tol,
                        wall_time=time.perf_counter() - t0, modes=K,

@@ -348,55 +348,83 @@ def test_converge_records_and_fits_the_solved_discretisation(tmp_path):
     assert all(t > 0 for t in times)
     assert manifest["points"] == [
         {"h": 20.0 / 67, "tau": 1.0 / 13, "n_steps": 13, "theta": np.pi,
+         "threads": 1,
          "iterations_pre": iterations[0][0], "iterations_nopre": iterations[0][1]},
         {"h": 20.0 / 133, "tau": 1.0 / 27, "n_steps": 27, "theta": np.pi,
+         "threads": 1,
          "iterations_pre": iterations[1][0], "iterations_nopre": iterations[1][1]}]
     assert min(min(it) for it in iterations) > 0
     slope = np.polyfit(np.log(rows[:, 0]), np.log(rows[:, 2]), 1)[0]
     assert manifest["fitted_slope"] == pytest.approx(slope, rel=1e-12)
 
 
-def test_sweep_threads_capped_at_cpu_count(tmp_path, monkeypatch):
-    seen = []
-    pool = cli.ThreadPoolExecutor
+def _recording(solve, reports, threads=None):
+    """``solve``, appending each report to ``reports`` and the calling
+    thread's id to ``threads``."""
+    def recorded(*args, **kwargs):
+        if threads is not None:
+            threads.append(threading.get_ident())
+        reports.append(solve(*args, **kwargs))
+        return reports[-1]
+    return recorded
 
-    def recording_pool(max_workers):
-        seen.append(max_workers)
-        return pool(max_workers=max_workers)
 
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+def test_converge_solves_every_point_on_the_calling_thread_in_order(tmp_path,
+                                                                   monkeypatch):
+    # no sweep pool: both solves of each point, coarse to fine, on the
+    # thread that called main
+    reports, threads = [], []
+    monkeypatch.setattr(cli, "gmres_solve",
+                        _recording(cli.gmres_solve, reports, threads))
     cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
-                        h_sweep=[1.0, 0.5], tau_over_h=0.25,
+                        h_sweep=[1.0, 0.5, 0.25], tau_over_h=0.25,
                         solver={"tol": 1e-10, "max_iter": 300})
-    for asked, used in (("64", 2), ("1", 1), ("0", 1)):
-        rc = cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "s"),
-                       "--workers", asked])
-        assert rc == cli.EXIT_OK
-        assert seen.pop() == used
+    rc = cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "s"),
+                   "--workers", "2"])
+    assert rc == cli.EXIT_OK
+    assert set(threads) == {threading.get_ident()}
+    assert [r.path for r in reports] == ["gmres+omega", "gmres"] * 3
+    sizes = [r.solution.size for r in reports]
+    assert sizes[::2] == sizes[1::2] and sizes[0] < sizes[2] < sizes[4]
 
 
-def test_sweep_threads_share_the_cpus_with_the_row_blocks(tmp_path, monkeypatch):
-    # one-row blocks make every solve of the sweep pooled: on two CPUs two
-    # sweep threads each solve inline, and one sweep thread solves on two
+def test_workers_caps_the_row_block_threads_of_each_solve(tmp_path, monkeypatch):
+    # one-row blocks make every solve pooled: on two CPUs, --workers 2, 1
+    # and 64 give each solve 2, 1 and 2 threads, and the same iterations
     reports = []
-
-    def recording(solve):
-        return lambda *args, **kwargs: reports.append(solve(*args, **kwargs)) \
-            or reports[-1]
     monkeypatch.setattr(krylov, "BLOCK_BYTES", 1)
     monkeypatch.setattr(krylov, "usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "gmres_solve", recording(cli.gmres_solve))
+    monkeypatch.setattr(cli, "gmres_solve", _recording(cli.gmres_solve, reports))
     cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
                         h_sweep=[1.0, 0.5], tau_over_h=0.25,
                         solver={"tol": 1e-10, "max_iter": 300})
-    for workers, threads in (("2", 1), ("1", 2)):
-        rc = cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "s"),
+    tables = set()
+    for workers, threads in (("2", 2), ("1", 1), ("64", 2)):
+        out = tmp_path / workers
+        rc = cli.main(["converge", "--config", cfg, "--out", str(out),
                        "--workers", workers])
         assert rc == cli.EXIT_OK
         assert len(reports) == 4 and {r.threads for r in reports} == {threads}
+        points = json.loads((out / "convergence.json").read_text())["points"]
+        assert [p["threads"] for p in points] == [threads] * 2
+        lines = (out / "convergence.csv").read_text().splitlines()[2:]
+        tables.add(tuple(line.split(",", 3)[3] for line in lines))
         reports.clear()
+    assert len(tables) == 1
+
+
+def test_solve_workers_one_runs_inline(tmp_path, monkeypatch):
+    monkeypatch.setattr(krylov, "BLOCK_BYTES", 1)
+    monkeypatch.setattr(krylov, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+    path = _write_config(tmp_path, **_base_solve_config())
+    for workers, threads in (("1", 1), ("0", 2)):
+        out = tmp_path / workers
+        rc = cli.main(["solve", "--config", path, "--out", str(out),
+                       "--workers", workers])
+        assert rc == cli.EXIT_OK
+        assert json.loads((out / "report.json").read_text())["threads"] == threads
 
 
 def test_sweep_threads_are_capped_by_the_cpu_affinity(tmp_path, monkeypatch):
@@ -589,3 +617,15 @@ def test_csv_columns_write_the_rowwise_bytes(tmp_path, monkeypatch, command, cfg
     assert rc == cli.EXIT_OK and written
     for got, ref in written:
         assert got == ref
+
+
+def test_preconditioner_without_gap_exits_solver_error(tmp_path, capsys):
+    # purely dispersive data with many modes: no single theta clears
+    # GAP_MIN, and the run ends in one line on stderr, not a traceback
+    path = _write_config(tmp_path, problem="schrodinger_two_lorentzian", T=2.0,
+                         n_steps=49, h=0.125)
+    rc = cli.main(["schrodinger", "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_SOLVER == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: theta = ") and "GAP_MIN" in err
+    assert "Traceback" not in err and err.count("\n") == 1

@@ -1,5 +1,7 @@
+import threading
 import tracemalloc
 
+import krylov_reference
 import numpy as np
 import pytest
 from conftest import (A_dense, assert_multiset_close, dense_D, materialize,
@@ -224,7 +226,7 @@ def test_preconditioner_inverts_materialized_property(m, N, periodic, theta, dat
     if periodic and theta == np.pi and N % 2:
         # odd N puts lam_j = 0 at theta = pi, where it meets the constant
         # mode of a periodic D: P is singular, and an explicit theta is refused
-        with pytest.raises(ValueError, match="GAP_MIN"):
+        with pytest.raises(krylov.PreconditionerError, match="GAP_MIN"):
             krylov.build_preconditioner(gmm, sys, theta=theta)
         return
     pre = krylov.build_preconditioner(gmm, sys, theta=theta)
@@ -370,7 +372,7 @@ def test_singular_block_at_pi_moves_theta():
     gmm = build_gmm(5, 1.0)
     lam = krylov._frequencies(5, np.pi)
     assert np.abs(lam).min() < 1e-15
-    with pytest.raises(ValueError, match="GAP_MIN"):
+    with pytest.raises(krylov.PreconditionerError, match="GAP_MIN"):
         krylov.build_preconditioner(gmm, sys, theta=np.pi)
     pre = krylov.build_preconditioner(gmm, sys)
     # tau*spec(D) = {0}: the gap is min |sin((2 pi j - theta)/5)|, largest
@@ -592,6 +594,57 @@ def test_gmres_batch_is_fixed_and_a_closed_system_stays_on_zero_vectors():
             np.linalg.norm(R) / np.linalg.norm(B), rel=1e-12)
 
 
+@settings(max_examples=30)
+@given(K=st.integers(1, 6), L=st.integers(2, 24), cplx=st.booleans(),
+       closes=st.integers(0, 3), seed=st.integers(0, 2 ** 16))
+def test_gmres_rotations_match_sequential_givens_property(K, L, cplx, closes,
+                                                         seed):
+    # the last row of the rotation product gives each new diagonal, and R is
+    # rotated once at the end: the same histories, iteration counts and
+    # verdict as rotating every column through all earlier rotations.  With
+    # ``closes`` > 0, system 0 has that many distinct eigenvalues, so its
+    # Krylov space closes (hk = 0) and it stays in the batch on zero vectors
+    rng = np.random.default_rng(seed)
+    A = np.eye(L) + 0.4 * rng.normal(size=(K, L, L))
+    B = rng.normal(size=(K, L))
+    if cplx:
+        A = A + 0.4j * rng.normal(size=(K, L, L))
+        B = B + 1j * rng.normal(size=(K, L))
+    if closes:
+        A[0] = np.diag(1.0 + np.arange(L) % closes)
+    for tol, max_iter in ((1e-12, 2 * L), (1e-12, L // 2 + 1), (1e-3, L)):
+        rep = krylov.gmres(_batch_op(A), B, tol, max_iter)
+        ref = krylov_reference.gmres(_batch_op(A), B, tol, max_iter)
+        assert rep.iterations == ref.iterations
+        assert rep.converged == ref.converged
+        assert rep.residual_history == pytest.approx(ref.residual_history,
+                                                     rel=1e-13, abs=0)
+        assert np.allclose(rep.solution, ref.solution, rtol=0,
+                           atol=1e-10 * np.abs(ref.solution).max())
+
+
+@pytest.mark.parametrize("h,N", [(0.5, 8), (0.25, 15), (0.25, 16)])
+@pytest.mark.parametrize("name", sorted(hb.problems.catalog()))
+def test_gmres_solve_matches_sequential_givens_on_the_catalog(monkeypatch,
+                                                             name, h, N):
+    # every catalog problem, with and without the preconditioner: the same
+    # iteration counts as the sequential rotations, and solutions within
+    # 1e-12 relative
+    pb = hb.build_problem(name)
+    run = hb.setup_run(pb, h=h)
+    gmm = build_gmm(N, 2.0)
+    system = hb.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
+    for pre in (krylov.build_preconditioner(gmm, run.sys), None):
+        rep = krylov.gmres_solve(system, pre, tol=1e-10, max_iter=1500)
+        with monkeypatch.context() as m:
+            m.setattr(krylov, "gmres", krylov_reference.gmres)
+            ref = krylov.gmres_solve(system, pre, tol=1e-10, max_iter=1500)
+        assert rep.converged and ref.converged
+        assert rep.iterations == ref.iterations
+        gap = np.linalg.norm(rep.solution - ref.solution)
+        assert gap <= 1e-12 * np.linalg.norm(ref.solution)
+
+
 def test_gmres_zero_rhs_among_many_systems_converges():
     # a zero rhs among more than 8 systems: its share of the stopping norm
     # is summed over the left-out systems, so it is exactly 0 and the
@@ -729,6 +782,34 @@ def test_blocked_true_residual_is_the_whole_apply(monkeypatch, name):
             assert np.array_equal(out, r)
             assert res == pytest.approx(ref, rel=1e-14)
             assert krylov._true_residual(system, x, rows) == res
+
+
+def test_true_residual_on_pool_threads_calls_no_blas(monkeypatch):
+    # the row blocks' squared norms take no BLAS dot, which would start BLAS
+    # threads inside each pool thread: 2 threads with numpy's dots failing
+    # off the main thread give the whole vector's residual
+    pb, run, gmm, system = _setup("schrodinger_two_lorentzian", m=32, N=40)
+    main, used = threading.get_ident(), set()
+
+    def main_thread_only(dot):
+        def guarded(*args, **kwargs):
+            assert threading.get_ident() == main, "a BLAS dot on a pool thread"
+            return dot(*args, **kwargs)
+        return guarded
+    x = np.random.default_rng(8).normal(size=system.rhs.size) + 0j
+    ref = np.linalg.norm(system.rhs - system.apply(x)) / np.linalg.norm(system.rhs)
+    monkeypatch.setattr(np, "vdot", main_thread_only(np.vdot))
+    monkeypatch.setattr(np, "dot", main_thread_only(np.dot))
+    monkeypatch.setattr(krylov, "BLOCK_BYTES", 3 * system.rhs.nbytes // 40)
+    monkeypatch.setattr(krylov, "usable_cpus", lambda: 2)
+    apply = AllAtOnceSystem.apply
+    monkeypatch.setattr(AllAtOnceSystem, "apply", lambda self, x, r: used.add(
+        threading.get_ident()) or apply(self, x, r))
+    with krylov._RowBlocks(40, system.rhs.nbytes // 40) as rows:
+        assert rows.threads == 2
+        res = krylov._true_residual(system, x, rows)
+    assert main not in used
+    assert res == pytest.approx(ref, rel=1e-14)
 
 
 @pytest.mark.parametrize("name,h,N,T,bare", [
