@@ -173,25 +173,26 @@ def _write_csv(path: Path, header, columns, cfg):
     path.write_text(head + "\n" + ",".join(header) + "\n" + body)
 
 
-def _solve_once(cfg, pb, h=None, m=None, precondition=None):
-    """One discretize-assemble-solve pass; returns (report, run, gmm, traj).
-    The solver's row blocks run on at most ``solver.workers`` threads (0:
-    all), never more than the usable CPUs."""
-    cpus = usable_cpus()
-    threads = min(cfg.solver.workers or cpus, cpus)
+def _assemble(cfg, pb, h=None, m=None):
+    """Discretize and assemble one point; returns (run, gmm, system)."""
     run = problems.setup_run(pb, h=h, m=m)
     N = cfg.time_steps(h=h if h is not None else pb.L / m)
     gmm = build_gmm(N, cfg.T)
-    system = assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
+    return run, gmm, assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
+
+
+def _solve(cfg, run, gmm, system, precondition=None):
+    """One solve of an assembled system.  The solver's row blocks run on at
+    most ``solver.workers`` threads (0: all), never more than the usable
+    CPUs."""
+    cpus = usable_cpus()
+    threads = min(cfg.solver.workers or cpus, cpus)
     if cfg.solver.method == "direct":
-        report = direct_solve(system, threads=threads)
-    else:
-        use_pre = cfg.solver.precondition if precondition is None else precondition
-        pre = build_preconditioner(gmm, run.sys) if use_pre else None
-        report = gmres_solve(system, pre, tol=cfg.solver.tol,
-                             max_iter=cfg.solver.max_iter, threads=threads)
-    traj = extract_trajectory(report.solution, system)
-    return report, run, gmm, traj
+        return direct_solve(system, threads=threads)
+    use_pre = cfg.solver.precondition if precondition is None else precondition
+    pre = build_preconditioner(gmm, run.sys) if use_pre else None
+    return gmres_solve(system, pre, tol=cfg.solver.tol,
+                       max_iter=cfg.solver.max_iter, threads=threads)
 
 
 def _error_at(cfg, pb, run, traj, t_index, gmm):
@@ -216,7 +217,9 @@ def _error_at(cfg, pb, run, traj, t_index, gmm):
 
 def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     pb = cfg.build_problem()
-    report, run, gmm, traj = _solve_once(cfg, pb, h=cfg.h, m=cfg.m)
+    run, gmm, system = _assemble(cfg, pb, h=cfg.h, m=cfg.m)
+    report = _solve(cfg, run, gmm, system)
+    traj = extract_trajectory(report.solution, system)
     x = run.grid.nodes
     times = cfg.snapshot_times or [0.0, cfg.T / 2.0, cfg.T]
     is_complex = pb.scalar_field == "complex"
@@ -237,6 +240,8 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         "n_steps": gmm.n_steps, "tau_effective": gmm.tau,
         "n": run.grid.n, "h_effective": run.grid.h,
         "unknowns": gmm.n_steps * run.sys.dim, "boundary": run.grid.boundary,
+        # the rhs's separable terms: one per source term, one for U0
+        "rhs_rank": len(system.vectors),
         "path": report.path, "half_spectrum": report.half_spectrum,
         "theta": report.theta, "gap": report.gap,
         "iterations": report.iterations,
@@ -262,21 +267,21 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 
 def _sweep_point(cfg, pb, h=None, tau=None):
+    """Assemble one point once and solve it with the preconditioner, then,
+    on the GMRES path and if that converged, without it for the iteration
+    count; the error is the preconditioned solve's."""
     t0 = time.perf_counter()
     if tau is not None:
         cfg = replace(cfg, tau=tau, n_steps=None)
         h = cfg.h if cfg.h is not None else pb.L / cfg.m
-    rows = {}
-    variants = (("pre", True),) if cfg.solver.method == "direct" \
-        else (("pre", True), ("nopre", False))
-    for label, precondition in variants:
-        report, run, gmm, traj = _solve_once(cfg, pb, h=h,
-                                             precondition=precondition)
-        err = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)[0]
-        # h, tau and N as solved
-        rows[label] = (report, err, run.grid.h, gmm.tau, gmm.n_steps)
-        if not report.converged:
-            break
+    run, gmm, system = _assemble(cfg, pb, h=h)
+    report = _solve(cfg, run, gmm, system, precondition=True)
+    traj = extract_trajectory(report.solution, system)
+    err = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)[0]
+    # h, tau and N as solved
+    rows = {"pre": (report, err, run.grid.h, gmm.tau, gmm.n_steps)}
+    if cfg.solver.method != "direct" and report.converged:
+        rows["nopre"] = _solve(cfg, run, gmm, system, precondition=False)
     return rows, time.perf_counter() - t0
 
 
@@ -295,7 +300,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     for res, wall_time in results:
         pre_rep, pre_err, h, tau, n_steps = res["pre"]
         if "nopre" in res:
-            no_rep = res["nopre"][0]
+            no_rep = res["nopre"]
             no_iters = no_rep.iterations
             comparison_failed = comparison_failed or not no_rep.converged
         else:

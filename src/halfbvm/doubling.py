@@ -13,8 +13,8 @@ Singular integrals appear only in the initial state and in the source data,
 never during time stepping, so H[u0'] and H[f_x] are one-time data steps:
 each profile's closed form when it has one, else one spectral fit of its
 derivative at the fixed ``FIT_ORDER``, which the profile keeps.  They are
-evaluated once per spatial profile here and cached by the all-at-once
-assembly.
+evaluated once per spatial profile here, and the all-at-once assembly keeps
+each source term's vector as a factor of its rhs.
 """
 
 from dataclasses import dataclass
@@ -204,8 +204,7 @@ def source_block_values(src: SourceSpec, sys: DiscreteSystem):
             for term in src.terms]
 
 
-def doubled_source(src: SourceSpec, sys: DiscreteSystem, t,
-                   _cache=None) -> np.ndarray:
+def doubled_source(src: SourceSpec, sys: DiscreteSystem, t) -> np.ndarray:
     """Stacked source G(t) = [f(.,t), Lop(f) - eps*H[f_x]](t) of size 2n.
 
     For an array of times the rows of the result are G at each time.
@@ -213,6 +212,5 @@ def doubled_source(src: SourceSpec, sys: DiscreteSystem, t,
     if src.is_zero:
         return np.zeros(np.shape(t) + (2 * sys.n,),
                         dtype=complex if sys.epsilon.imag != 0 else float)
-    cached = source_block_values(src, sys) if _cache is None else _cache
-    # a single term's product is returned as is, for the caller to scale in place
-    return reduce(np.add, (np.multiply.outer(time_fn(t), G) for time_fn, G in cached))
+    return reduce(np.add, (np.multiply.outer(time_fn(t), G)
+                           for time_fn, G in source_block_values(src, sys)))

@@ -44,17 +44,6 @@ _KINDS = (LORENTZIAN, QUARTIC, SQUARED_LORENTZIAN, GAUSSIAN, COSINE, SINE,
           ODD_LORENTZIAN)
 _NEEDS_POSITIVE_ALPHA = (GAUSSIAN, ODD_LORENTZIAN, COSINE, SINE)
 
-# Entries whose closed-form transform decays like 1/x; the coefficient of
-# that tail is needed for accurate re-expansion of the transform image.
-_IMAGE_TAIL = {
-    LORENTZIAN: 1.0,
-    QUARTIC: 1.0 / np.sqrt(2.0),
-    SQUARED_LORENTZIAN: 0.5,
-    GAUSSIAN: None,   # sqrt(pi/alpha)/pi, filled in per instance
-    ODD_LORENTZIAN: -1.0,
-}
-
-
 class UnsupportedFunctionError(ValueError):
     """Requested a closed-form transform that the catalog does not provide."""
 
@@ -165,20 +154,6 @@ class CatalogFunction:
         else:
             h = 2.0 * a * y / (y * y + a * a) ** 2
         return self.scale * h
-
-    def hilbert_tail(self):
-        """Coefficient c in H[f] ~ c/x as |x| -> oo (None when H[f] decays faster)."""
-        c = _IMAGE_TAIL.get(self.kind)
-        if self.kind == GAUSSIAN:
-            c = 1.0 / np.sqrt(np.pi * self.alpha)
-        return None if c is None else self.scale * c
-
-    def function_tail(self):
-        """lim x*f(x): zero except for the 1/x-decaying odd Lorentzian."""
-        if self.kind in (COSINE, SINE):
-            raise UnsupportedFunctionError(
-                f"kind {self.kind!r} does not decay; no tail coefficient")
-        return self.scale if self.kind == ODD_LORENTZIAN else 0.0
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ the 2x2 solves and one inverse FFT: no operator apply and no forward FFT.
 Under a real omega P^{-1} keeps real data real, and one complex IFFT of
 u + i v gives both components.  ``gmres_solve`` therefore moves the rhs
 once into the orthonormal modes (the half spectrum for real data on a torus
-under a real omega), scales each by the basis's pair ``weight``, runs one
+under a real omega), from its r transformed spatial vectors
+(``_mode_rhs``), scales each by the basis's pair ``weight``, runs one
 GMRES over the batch of modes (``gmres``) and moves the solution back once.
 The modes iterate in lockstep and stop together on sqrt(sum_k |g_k|^2) /
 beta0 <= tol: the weighted transform keeps the 2-norm, so that is the
@@ -54,7 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .bvm import FINAL, INTERIOR, AllAtOnceSystem, GmmMatrices
+from .bvm import (FINAL, INTERIOR, AllAtOnceSystem, GmmMatrices, _add_terms,
+                  _row_chunks)
 from .spectrum import eigenvalues_of_D, gmm_polynomials
 
 TRUE_RESIDUAL_MAX = 1e-8   # ||b - Mx|| / ||b|| above which a direct solve failed
@@ -344,22 +346,64 @@ def _true_residual(system: AllAtOnceSystem, x, rows: _RowBlocks, out=None) -> fl
 
     ``AllAtOnceSystem.apply`` forms each block's rows of Mx from the block
     and its halo rows.  b minus them goes into ``out`` (b's shape) when
-    given, else into the block's own apply output.  The squared norms of the
+    given, else into the block's own apply output, a ``_row_chunks`` chunk
+    at a time: each chunk of b is formed from the factors (``rhs_rows``)
+    just before it is used, with no BLAS call.  The squared norms of the
     blocks add up in block order, so the result does not depend on the
-    thread count.
+    thread count.  ||b||^2 = ||T S||_F^2 = sum (T^H T) o (S S^H)^T takes no
+    pass over b.
     """
     N = system.gmm.n_steps
-    B = np.asarray(system.rhs).reshape(N, -1)
+    T, S = system.times, system.vectors
     O = None if out is None else out.reshape(N, -1)
 
     def block(r):
-        Mx = system.apply(x, r).reshape(-1, B.shape[1])
-        dest = O[r] if O is not None else (Mx if np.can_cast(B.dtype, Mx.dtype)
-                                           else None)
-        return _sumsq(np.subtract(B[r], Mx, out=dest)), _sumsq(B[r])
-    parts = rows.map(block)
-    rr, bb = sum(r for r, _ in parts), sum(b for _, b in parts)
+        Mx = system.apply(x, r).reshape(-1, S.shape[1])
+        if O is not None:
+            dest = O[r]
+        elif np.can_cast(system.dtype, Mx.dtype):
+            dest = Mx
+        else:
+            dest = np.empty(Mx.shape, system.dtype)
+        chunks = _row_chunks(len(Mx), S.shape[1] * system.dtype.itemsize)
+        b = np.empty((chunks[0].stop, S.shape[1]), system.dtype)
+        for c in chunks:
+            rows_b = system.rhs_rows(slice(r.start + c.start, r.start + c.stop),
+                                     b[: c.stop - c.start])
+            np.subtract(rows_b, Mx[c], out=dest[c])
+        return _sumsq(dest)
+    rr = sum(rows.map(block))
+    bb = max(float(np.sum((T.conj().T @ T) * (S.conj() @ S.T)).real), 0.0)
     return float(np.sqrt(rr) / max(np.sqrt(bb), 1e-300))
+
+
+def _mode_rhs(system: AllAtOnceSystem, modes, rows: _RowBlocks, dtype, C=None):
+    """b in ``modes``, (N, 2, K) with time rows first, and C (2, 2, K), one
+    2x2 per mode, applied to each row when given (``_rotate``).  The r
+    spatial vectors are transformed (and rotated) once, and each row block
+    of the result is their sum with that block's time coefficients.  When r
+    >= N, as for a dense b, each block of b's rows is transformed instead."""
+    N, n = system.gmm.n_steps, system.sys.n
+    S = system.vectors
+    R = np.empty((N, 2, len(modes.p)), dtype)
+    if len(S) >= N:
+        def fill(r):
+            F = modes.forward(system.rhs_rows(r).reshape(-1, 2, n))
+            F = F.astype(dtype, copy=False)
+            if C is None:
+                R[r] = F
+            else:
+                _rotate(C, F, R[r])
+    else:
+        W = modes.forward(S.reshape(-1, 2, n)).astype(dtype, copy=False)
+        if C is not None:
+            _rotate(C, W)
+        W = W.reshape(len(S), -1)
+
+        def fill(r):
+            _add_terms(system.times[r], W, R[r].reshape(-1, W.shape[1]))
+    rows.map(fill)
+    return R
 
 
 def _project(basis, w, cplx):
@@ -540,11 +584,13 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     """
     t0 = time.perf_counter()
     sys_, gmm = system.sys, system.gmm
-    N, n = gmm.n_steps, sys_.n
-    rhs = np.asarray(system.rhs)
-    real = not np.iscomplexobj(rhs)      # P and Q are real by construction
+    N = gmm.n_steps
+    real = system.dtype.kind != "c"      # P and Q are real by construction
     modes = sys_.modes(real and (precond is None or precond.real))
-    B = np.ascontiguousarray(modes.forward(rhs.reshape(N, 2, n)).transpose(2, 1, 0))
+    row_bytes = sys_.dim * system.dtype.itemsize
+    with _RowBlocks(N, row_bytes, threads) as rows:
+        B = _mode_rhs(system, modes, rows, np.result_type(system.dtype, modes.dtype))
+    B = np.ascontiguousarray(B.transpose(2, 1, 0))
     B *= modes.weight[:, None, None]   # the lockstep norm is then the physical one
     K = len(B)
     per_mode = (modes.p[:, None], modes.q[:, None])    # what the step reads
@@ -572,8 +618,8 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     x = modes.inverse(Y.reshape(K, 2, N).transpose(2, 1, 0)).ravel()
     report.solution = x = np.ascontiguousarray(x.real) if real else x
     t3 = time.perf_counter()
-    r = np.empty(rhs.shape, np.result_type(rhs, x))
-    with _RowBlocks(N, rhs.nbytes // N, threads) as rows:
+    r = np.empty(x.size, np.result_type(system.dtype, x))
+    with _RowBlocks(N, row_bytes, threads) as rows:
         report.true_residual = _true_residual(system, x, rows, out=r)
     t4 = time.perf_counter()
     report.converged = report.converged and report.true_residual <= max(
@@ -663,29 +709,26 @@ def direct_solve(system: AllAtOnceSystem, threads: int = None) -> SolveReport:
     (``marginal_modes``) the true residual is the check.  All in place on
     the mode array.
 
-    The stages that treat each time row on its own run on ``_RowBlocks`` of
-    at most ``threads`` threads (default ``usable_cpus()``), a block at a
-    time: the transform with U^H into the mode array, the coupling update,
-    U, and the true residual.  The inverse transform runs on as many
-    ``scipy.fft`` workers, and the sweeps on this thread alone.
+    The rhs enters the mode array by ``_mode_rhs``: its r spatial vectors
+    are transformed and turned by U^H once.  The stages that treat each time
+    row on its own run on ``_RowBlocks`` of at most ``threads`` threads
+    (default ``usable_cpus()``), a block at a time: filling the mode array
+    from those vectors, the coupling update, U, and the true residual.  The
+    inverse transform runs on as many ``scipy.fft`` workers, and the sweeps
+    on this thread alone.
     """
     t0 = time.perf_counter()
     sys_, gmm = system.sys, system.gmm
-    N, n, tau = gmm.n_steps, sys_.n, gmm.tau
-    rhs = np.asarray(system.rhs)
-    real = not np.iscomplexobj(rhs)      # P and Q are real by construction
+    N, tau = gmm.n_steps, gmm.tau
+    real = system.dtype.kind != "c"      # P and Q are real by construction
     modes = sys_.modes(real)
     mu = modes.mu if modes.mu.imag.any() else modes.mu.real     # real D_k: real sweeps
     m1, m2 = mu
     s = 1.0 / np.sqrt(1.0 + abs(m1) ** 2)
-    X = rhs.reshape(N, 2, n)
-    R = np.empty((N, 2, m1.size), np.result_type(rhs, mu, modes.dtype))
-    with _RowBlocks(N, rhs.nbytes // N, threads) as rows:
+    with _RowBlocks(N, sys_.dim * system.dtype.itemsize, threads) as rows:
         C = np.array([[s, s * m1.conj()], [-s * m1, s]])         # U^H
-
-        def forward(r):
-            _rotate(C, modes.forward(X[r]).astype(R.dtype, copy=False), R[r])
-        rows.map(forward)
+        R = _mode_rhs(system, modes, rows,
+                      np.result_type(system.dtype, mu, modes.dtype), C)
         t1 = time.perf_counter()
         marginal = _scalar_sweeps(R[:, 1], tau * m2)
         coupling = tau * (1.0 + m1.conj() * m2)

@@ -3,7 +3,7 @@ import scipy.sparse as sp
 from hypothesis import settings
 
 import halfbvm as hb
-from halfbvm.bvm import INTERIOR
+from halfbvm.bvm import INTERIOR, AllAtOnceSystem
 from halfbvm.krylov import build_preconditioner, direct_solve
 
 # same examples on every run, no time limit: property tests cannot flake
@@ -21,6 +21,14 @@ class ToySystem:
 
     def apply_D(self, x, scale=1.0):
         return scale * (np.asarray(x) @ self.D.T)
+
+
+def dense_system(gmm, sys, rhs):
+    """The all-at-once system of a dense rhs: the identity as its time
+    coefficients and b's N rows as its spatial vectors."""
+    N = gmm.n_steps
+    return AllAtOnceSystem(gmm=gmm, sys=sys, times=np.eye(N),
+                           vectors=np.reshape(rhs, (N, -1)))
 
 
 def dense_D(sys):

@@ -4,12 +4,40 @@
 quadrature, independent of both routes the library takes (closed forms and
 the rational spectral fit).  ``hilbert_exact_twice`` gives H(H(f)) in closed
 form for the catalog kinds whose image is again in the catalog, so the
-skew-involution H^2 = -I can be checked.
+skew-involution H^2 = -I can be checked.  ``function_tail`` and
+``hilbert_tail`` give the 1/x tail coefficients that ``weideman_fit`` takes
+when it re-expands a catalog function or its transform image.
 """
 
 import numpy as np
 
 from halfbvm import hilbert as ht
+
+# Entries whose closed-form transform decays like 1/x; the coefficient of
+# that tail is needed for accurate re-expansion of the transform image.
+_IMAGE_TAIL = {
+    ht.LORENTZIAN: 1.0,
+    ht.QUARTIC: 1.0 / np.sqrt(2.0),
+    ht.SQUARED_LORENTZIAN: 0.5,
+    ht.GAUSSIAN: None,   # sqrt(pi/alpha)/pi, filled in per instance
+    ht.ODD_LORENTZIAN: -1.0,
+}
+
+
+def hilbert_tail(f: ht.CatalogFunction):
+    """Coefficient c in H[f] ~ c/x as |x| -> oo (None when H[f] decays faster)."""
+    c = _IMAGE_TAIL.get(f.kind)
+    if f.kind == ht.GAUSSIAN:
+        c = 1.0 / np.sqrt(np.pi * f.alpha)
+    return None if c is None else f.scale * c
+
+
+def function_tail(f: ht.CatalogFunction):
+    """lim x*f(x): zero except for the 1/x-decaying odd Lorentzian."""
+    if f.kind in (ht.COSINE, ht.SINE):
+        raise ht.UnsupportedFunctionError(
+            f"kind {f.kind!r} does not decay; no tail coefficient")
+    return f.scale if f.kind == ht.ODD_LORENTZIAN else 0.0
 
 
 def hilbert_exact_twice(f: ht.CatalogFunction, x):

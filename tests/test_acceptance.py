@@ -8,7 +8,7 @@ import numpy as np
 from conftest import (assert_multiset_close, dense_D, derivative_matrix,
                       fitted_slope, laplacian_matrix, materialize,
                       materialize_omega_circulant)
-from hilbert_reference import hilbert_exact_twice
+from hilbert_reference import function_tail, hilbert_exact_twice, hilbert_tail
 from series_reference import schrodinger_series
 
 import halfbvm as hb
@@ -49,13 +49,13 @@ def test_criterion_1_hilbert_identities():
     worst_fit = 0.0
     worst_inv = 0.0
     for f in entries:
-        fit = ht.weideman_fit(f, 256, tail=f.function_tail())
+        fit = ht.weideman_fit(f, 256, tail=function_tail(f))
         worst_fit = max(worst_fit,
                         float(np.abs(ht.weideman_eval(fit, xs) - f.hilbert(xs)).max()))
         try:
             h2 = hilbert_exact_twice(f, xs)
         except ht.UnsupportedFunctionError:
-            img = ht.weideman_fit(f.hilbert, 256, tail=f.hilbert_tail())
+            img = ht.weideman_fit(f.hilbert, 256, tail=hilbert_tail(f))
             h2 = ht.weideman_eval(img, xs).real
         worst_inv = max(worst_inv, float(np.abs(h2 + f(xs)).max()))
     # the oscillatory rows do not decay (outside the fit's domain); their

@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from conftest import A_dense, ToySystem, materialize
 
 import halfbvm as hb
 from halfbvm import bvm, spatial
-from halfbvm.doubling import DoubledState, ZERO_SOURCE, doubled_source
+from halfbvm.doubling import DoubledState, ZERO_SOURCE, doubled_source, source_block_values
 
 
 def test_gmm_matrices_frozen():
@@ -33,7 +34,7 @@ def test_operator_matches_materialized(N, d):
     rng = np.random.default_rng(N * d)
     sys = ToySystem(rng.normal(size=(d, d)))
     gmm = bvm.build_gmm(N, 0.7)
-    system = bvm.AllAtOnceSystem(gmm=gmm, sys=sys, rhs=np.zeros(N * d), initial=None)
+    system = bvm.AllAtOnceSystem(gmm=gmm, sys=sys)
     x = rng.normal(size=N * d)
     assert np.abs(system.apply(x) - materialize(system) @ x).max() < 1e-14
 
@@ -43,7 +44,7 @@ def test_apply_matches_materialized_on_every_catalog_problem(name):
     # the catalog spans walls and torus, eps = 0 (transport_limit) and
     # imaginary eps (schrodinger_*)
     run = hb.setup_run(hb.build_problem(name), m=6)
-    system = bvm.AllAtOnceSystem(gmm=bvm.build_gmm(5, 1.0), sys=run.sys, rhs=None)
+    system = bvm.AllAtOnceSystem(gmm=bvm.build_gmm(5, 1.0), sys=run.sys)
     M = materialize(system)
     rng = np.random.default_rng(0)
     x = rng.normal(size=system.shape[0])
@@ -56,7 +57,7 @@ def test_apply_matches_materialized_on_every_catalog_problem(name):
 def test_apply_rows_are_those_of_the_whole_apply(N):
     # every slice of rows, the first and last included, with its halo rows
     run = hb.setup_run(hb.build_problem("schrodinger_two_lorentzian"), m=6)
-    system = bvm.AllAtOnceSystem(gmm=bvm.build_gmm(N, 1.0), sys=run.sys, rhs=None)
+    system = bvm.AllAtOnceSystem(gmm=bvm.build_gmm(N, 1.0), sys=run.sys)
     rng = np.random.default_rng(N)
     x = rng.normal(size=system.shape[0]) + 1j * rng.normal(size=system.shape[0])
     whole = system.apply(x).reshape(N, -1)
@@ -69,7 +70,7 @@ def test_apply_peak_memory_is_output_and_half_scratch():
     # one output and a scratch half its size; the matrix route took 2.5x
     g = spatial.Grid(length=10.0, m=1024, boundary=spatial.PERIODIC)
     sys = spatial.assemble_discrete_system(g, 0.1, spatial.OperatorKind("advection", 0.3))
-    system = bvm.AllAtOnceSystem(gmm=bvm.build_gmm(128, 1.0), sys=sys, rhs=None)
+    system = bvm.AllAtOnceSystem(gmm=bvm.build_gmm(128, 1.0), sys=sys)
     x = np.random.default_rng(1).normal(size=system.shape[0])
     tracemalloc.start()
     try:
@@ -113,7 +114,7 @@ def test_scalar_toy_global_second_order(lam):
         sys = Complex1D()
         rhs = np.zeros(N, dtype=complex)
         rhs[0] = 0.5  # -a0 * u0 with u0 = 1
-        system = bvm.AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs, initial=None)
+        system = bvm.AllAtOnceSystem(gmm=gmm, sys=sys)
         x = np.linalg.solve(materialize(system), rhs)
         errs.append(abs(x[-1] - np.exp(lam * T)))
     slope = np.polyfit(np.log(T / np.asarray(Ns)), np.log(errs), 1)[0]
@@ -125,11 +126,9 @@ def test_two_step_toy_matches_hand_solution():
     tau = 0.1
     gmm = bvm.build_gmm(2, 2 * tau)
     sys = ToySystem([[-1.0]])
-    system = bvm.AllAtOnceSystem(gmm=gmm, sys=sys,
-                                 rhs=np.array([0.5, 0.0]), initial=None)
-    M = materialize(system)
+    M = materialize(bvm.AllAtOnceSystem(gmm=gmm, sys=sys))
     assert np.allclose(M, [[tau, 0.5], [-1.0, 1.0 + tau]])
-    x = np.linalg.solve(M, system.rhs)
+    x = np.linalg.solve(M, [0.5, 0.0])
     det = tau + tau * tau + 0.5
     assert x[0] == pytest.approx(0.5 * (1 + tau) / det)
     assert x[1] == pytest.approx(0.5 / det)
@@ -155,9 +154,57 @@ def test_assembled_rhs_structure():
     # the stability polynomials are the interior rows of A and of B
     mp = hb.gmm_polynomials()
     B = (A_dense(gmm) - materialize(bvm.AllAtOnceSystem(
-        gmm=gmm, sys=ToySystem([[1.0]]), rhs=None))) / gmm.tau
+        gmm=gmm, sys=ToySystem([[1.0]])))) / gmm.tau
     assert np.array_equal(A_dense(gmm)[1, :3], mp.rho)
     assert np.array_equal(B[1, :3], mp.sigma)
+
+
+def _dense_rhs(gmm, sys, src, u0v0):
+    """The rhs as one N x 2n array: each term's time values times its tau G,
+    the terms summed, then -a0 (x) U0 subtracted in row 0."""
+    U0 = u0v0.stack()
+    if src.is_zero:
+        rhs = np.zeros((gmm.n_steps, sys.dim),
+                       complex if sys.epsilon.imag != 0 else float)
+    else:
+        rhs = reduce(np.add, (np.multiply.outer(T(gmm.times), gmm.tau * G)
+                              for T, G in source_block_values(src, sys)))
+    rhs = rhs.astype(np.result_type(rhs, U0), copy=False)
+    rhs[0] -= gmm.a0[0] * U0
+    return rhs.ravel()
+
+
+@pytest.mark.parametrize("name", sorted(hb.catalog()))
+def test_factored_rhs_is_the_dense_assembly_bit_for_bit(name):
+    # one factor per source term and one for U0, at most 3 in the catalog;
+    # the terms add in the dense sum's order, so every bit agrees, also when
+    # r >= N
+    pb = hb.build_problem(name)
+    run = hb.setup_run(pb, m=12)
+    for N in (2, 3, 7, 40):
+        gmm = bvm.build_gmm(N, 1.3)
+        system = bvm.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
+        r = len(run.source.terms) + 1
+        assert r <= 3 and system.times.shape == (N, r)
+        assert system.vectors.shape == (r, run.sys.dim)
+        b, ref = system.rhs, _dense_rhs(gmm, run.sys, run.source, run.u0v0)
+        assert b.dtype == ref.dtype and np.array_equal(b, ref)
+        assert np.array_equal(system.rhs_rows(slice(1, N)), ref.reshape(N, -1)[1:])
+
+
+def test_assembly_forms_nothing_of_the_rhs_size():
+    # the drift run's fitted source: its vectors and Hilbert evaluations are
+    # about 16 vectors of n, 0.02 rhs sizes at N = 400; the dense assembly
+    # made the N x 2n rhs
+    run = hb.setup_run(hb.build_problem("advection_gaussian_quartic"), h=0.05)
+    gmm = bvm.build_gmm(400, 20.0)
+    tracemalloc.start()
+    try:
+        system = bvm.assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * system.shape[0] * system.dtype.itemsize
 
 
 def test_zero_data_gives_zero_solution():

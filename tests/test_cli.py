@@ -187,9 +187,13 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
                         lambda f, N, **kw: fits.append(N) or fit(f, N, **kw))
     fitted = {"route": "fit", "order": FIT_ORDER, "sum": "one_sided"}
     closed = {"route": "closed_form"}
-    for problem, kind, n_max, torus, routes in (
-            ("half_diffusion_manufactured", "closed_form", None, None, [closed] * 3),
-            ("advection_gaussian_quartic", "series", 400, "odd_doubled", [fitted] * 2)):
+    # the rhs has one separable term per source term and one for U0: 3 on the
+    # walls, 2 on the drift run, 1 on homogeneous data
+    for problem, kind, n_max, torus, routes, rank in (
+            ("half_diffusion_manufactured", "closed_form", None, None, [closed] * 3, 3),
+            ("advection_gaussian_quartic", "series", 400, "odd_doubled", [fitted] * 2,
+             2),
+            ("half_diffusion_homogeneous", "series", 400, None, [closed], 1)):
         out = tmp_path / problem
         path_cfg = _write_config(tmp_path, **_base_solve_config(
             problem=problem, m=40, solver={"method": "direct"}))
@@ -202,6 +206,7 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
         record = report["hilbert"]
         assert record["periodisation"] == torus
         assert [record["u0"], *record["source"]] == routes
+        assert report["rhs_rank"] == rank
         # the record reads the fits the run made, and makes none of its own
         assert fits == [FIT_ORDER] * routes.count(fitted)
 
@@ -386,6 +391,28 @@ def test_converge_solves_every_point_on_the_calling_thread_in_order(tmp_path,
     assert [r.path for r in reports] == ["gmres+omega", "gmres"] * 3
     sizes = [r.solution.size for r in reports]
     assert sizes[::2] == sizes[1::2] and sizes[0] < sizes[2] < sizes[4]
+
+
+def test_converge_assembles_each_point_once(tmp_path, monkeypatch):
+    # both solves of a point read one assembled system, and the error is
+    # the preconditioned solve's alone
+    assembled, solved, errors = [], [], []
+    assemble, solve, error = (cli.assemble_all_at_once, cli.gmres_solve,
+                              cli.relative_l2_error)
+    monkeypatch.setattr(cli, "assemble_all_at_once",
+                        lambda *a: assembled.append(assemble(*a)) or assembled[-1])
+    monkeypatch.setattr(cli, "gmres_solve",
+                        lambda system, *a, **kw: solved.append(system) or solve(
+                            system, *a, **kw))
+    monkeypatch.setattr(cli, "relative_l2_error",
+                        lambda *a, **kw: errors.append(a) or error(*a, **kw))
+    cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
+                        h_sweep=[1.0, 0.5, 0.25], tau_over_h=0.25,
+                        solver={"tol": 1e-10, "max_iter": 300})
+    assert cli.main(["converge", "--config", cfg, "--out", str(tmp_path / "s")]) \
+        == cli.EXIT_OK
+    assert len(assembled) == 3 and len(errors) == 3
+    assert [id(s) for s in solved] == [id(s) for s in assembled for _ in range(2)]
 
 
 def test_workers_caps_the_row_block_threads_of_each_solve(tmp_path, monkeypatch):

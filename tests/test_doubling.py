@@ -109,15 +109,6 @@ def test_complex_profile_fits_once(monkeypatch):
     assert np.abs(fitted - u0.hilbert_dx(x)).max() < 1e-5
 
 
-def test_uncached_source_matches_the_cache():
-    pb = hb.build_problem("advection_gaussian_quartic")
-    run = hb.setup_run(pb, h=0.5)
-    cache = source_block_values(run.source, run.sys)
-    for t in (0.0, 0.7):
-        assert np.array_equal(doubled_source(run.source, run.sys, t),
-                              doubled_source(run.source, run.sys, t, _cache=cache))
-
-
 def test_zero_source():
     sys = _system()
     g = doubled_source(doubling.ZERO_SOURCE, sys, 1.0)
@@ -126,17 +117,14 @@ def test_zero_source():
     assert doubled_source(doubling.ZERO_SOURCE, sys, np.ones(3)).shape == (3, sys.dim)
 
 
-def test_source_cache_matches_direct():
+def test_source_rows_at_an_array_of_times():
     pb = hb.build_problem("mass_transfer_manufactured")
     sys = _system(m=16, op=spatial.OperatorKind("scalar", 0.02))
-    cache = source_block_values(pb.source, sys)
     times = np.array([0.0, 0.4, 1.9])
-    rows = doubled_source(pb.source, sys, times, _cache=cache)
+    rows = doubled_source(pb.source, sys, times)
     assert rows.shape == (3, sys.dim)
     for t, row in zip(times, rows):
-        direct = doubled_source(pb.source, sys, t)
-        cached = doubled_source(pb.source, sys, t, _cache=cache)
-        assert np.array_equal(direct, cached) and np.array_equal(direct, row)
+        assert np.array_equal(doubled_source(pb.source, sys, t), row)
 
 
 def test_drift_needs_the_profile_derivative():
@@ -158,11 +146,10 @@ def test_round_trip_reproduces_manufactured_solution():
     errs = []
     for m in (100, 200):
         run = hb.setup_run(pb, m=m)
-        cache = source_block_values(run.source, run.sys)
+        blocks = source_block_values(run.source, run.sys)
 
         def f(t, y):
-            return run.sys.apply_D(y) + doubled_source(run.source, run.sys, t,
-                                                       _cache=cache)
+            return run.sys.apply_D(y) + sum(T(t) * G for T, G in blocks)
 
         sol = solve_ivp(f, (0.0, 1.0), run.u0v0.stack(), method="DOP853",
                         rtol=1e-10, atol=1e-12, t_eval=[1.0])

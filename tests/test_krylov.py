@@ -4,8 +4,8 @@ import tracemalloc
 import krylov_reference
 import numpy as np
 import pytest
-from conftest import (A_dense, assert_multiset_close, dense_D, materialize,
-                      materialize_omega_circulant)
+from conftest import (A_dense, assert_multiset_close, dense_D, dense_system,
+                      materialize, materialize_omega_circulant)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -275,7 +275,7 @@ def test_direct_solve_matches_dense_property(m, N, periodic, data):
     rhs = rng.normal(size=N * sys.dim)
     if kind == "complex_rhs":
         rhs = rhs + 1j * rng.normal(size=N * sys.dim)
-    rep = _check_direct_against_dense(AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs))
+    rep = _check_direct_against_dense(dense_system(gmm, sys, rhs))
     assert rep.half_spectrum == (periodic and kind == "real")
     assert np.iscomplexobj(rep.solution) == (kind != "real")
 
@@ -293,7 +293,7 @@ def test_gmres_matches_direct_solve_property(m, N, periodic, theta, data):
     sys = _random_system(data, m, periodic)
     gmm = build_gmm(N, data.draw(st.floats(0.5, 4.0)))
     rhs = np.random.default_rng(m * 10 + N).normal(size=N * sys.dim)
-    system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs)
+    system = dense_system(gmm, sys, rhs)
     pre = krylov.build_preconditioner(gmm, sys, theta=theta)
     it = krylov.gmres_solve(system, pre, tol=1e-12, max_iter=2 * sys.dim + 1)
     direct = krylov.direct_solve(system)
@@ -320,7 +320,7 @@ def test_direct_solve_root_split_matches_dense(N):
     g = spatial.Grid(length=4.0, m=6, boundary=spatial.DIRICHLET)
     sys = spatial.assemble_discrete_system(g, 0.0, spatial.OperatorKind("zero"))
     rhs = rng.normal(size=N * sys.dim)
-    rep = _check_direct_against_dense(AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs))
+    rep = _check_direct_against_dense(dense_system(gmm, sys, rhs))
     assert rep.marginal_modes == sys.dim
     pb, run, gmm, system = _setup("transport_limit", m=8, N=N, T=1.0)
     rep = _check_direct_against_dense(system)
@@ -336,7 +336,7 @@ def test_direct_solve_peak_memory_in_rhs_vectors(boundary, model, m):
     g = spatial.Grid(length=10.0, m=m, boundary=boundary)
     sys = spatial.assemble_discrete_system(g, 0.1, spatial.OperatorKind(model, 0.3))
     rhs = np.random.default_rng(1).normal(size=128 * sys.dim)
-    system = AllAtOnceSystem(gmm=build_gmm(128, 1.0), sys=sys, rhs=rhs)
+    system = dense_system(build_gmm(128, 1.0), sys, rhs)
     tracemalloc.start()
     try:
         rep = krylov.direct_solve(system)
@@ -525,7 +525,7 @@ def test_lockstep_gmres_property(m, N, periodic, complex_rhs, data):
     rhs = rng.normal(size=N * sys.dim)
     if complex_rhs:
         rhs = rhs + 1j * rng.normal(size=N * sys.dim)
-    system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs)
+    system = dense_system(gmm, sys, rhs)
     pre = krylov.build_preconditioner(gmm, sys)
     rep = krylov.gmres_solve(system, pre, tol=1e-12, max_iter=50)
     one = krylov.gmres(
@@ -731,7 +731,7 @@ def test_gmres_solve_basis_grows_with_the_iterations_taken():
     sys = spatial.assemble_discrete_system(g, 0.1, spatial.OperatorKind("zero"))
     gmm = build_gmm(100, 4.0)
     rhs = np.random.default_rng(12).normal(size=100 * sys.dim)
-    system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rhs)
+    system = dense_system(gmm, sys, rhs)
     pre = krylov.build_preconditioner(gmm, sys)
     tracemalloc.start()
     try:
@@ -866,7 +866,7 @@ def test_modes_leaving_the_batch_keep_their_preconditioner_tables(monkeypatch):
     rng = np.random.default_rng(2)
     const, alternating = rng.normal(size=(2, 12, 2, 1))
     rows = const + alternating * (-1.0) ** np.arange(8)
-    system = AllAtOnceSystem(gmm=gmm, sys=sys, rhs=rows.ravel())
+    system = dense_system(gmm, sys, rows.ravel())
     batches = []
     step = krylov._preconditioned_step
     monkeypatch.setattr(krylov, "_preconditioned_step", lambda p, tables, X: (
@@ -877,6 +877,50 @@ def test_modes_leaving_the_batch_keep_their_preconditioner_tables(monkeypatch):
     assert all(len(set(sizes)) == 1 for sizes in batches)
     gap = np.linalg.norm(rep.solution - direct.solution)
     assert gap <= 1e-10 * np.linalg.norm(direct.solution)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(hb.catalog())), m=st.integers(4, 12),
+       N=st.integers(2, 12))
+def test_factored_rhs_solves_as_its_dense_twin_property(name, m, N):
+    # the solvers transform the r vectors of the factored rhs (r rows when r
+    # >= N); the dense twin (I_N, b's rows) has its N rows transformed: the
+    # same solutions to rounding, in the same iterations
+    pb, run, gmm, system = _setup(name, m=m, N=N, T=1.0)
+    twin = dense_system(gmm, run.sys, system.rhs)
+    try:
+        pre = krylov.build_preconditioner(gmm, run.sys)
+    except krylov.PreconditionerError:
+        pre = None
+    solves = [krylov.direct_solve,
+              lambda s: krylov.gmres_solve(s, None, tol=1e-12, max_iter=2 * N)]
+    if pre is not None:
+        solves.append(lambda s: krylov.gmres_solve(s, pre, tol=1e-12, max_iter=50))
+    for solve in solves:
+        a, b = solve(system), solve(twin)
+        assert a.iterations == b.iterations and a.floored_modes == b.floored_modes
+        assert a.converged and b.converged
+        gap = np.linalg.norm(a.solution - b.solution)
+        assert gap <= 1e-12 * np.linalg.norm(b.solution)
+
+
+@pytest.mark.parametrize("name,m,N", [("advection_gaussian_quartic", 40, 24),
+                                      ("half_diffusion_manufactured", 39, 24)])
+def test_solvers_never_form_the_rhs(monkeypatch, name, m, N):
+    # a drift torus (rfft, fitted source) and walls (DST-I): every solver
+    # reads the rhs factors, never the N x 2n rhs
+    pb, run, gmm, system = _setup(name, m=m, N=N, T=2.0)
+    expected = system.rhs
+
+    def formed(self):
+        raise AssertionError("a solver formed the rhs")
+    monkeypatch.setattr(AllAtOnceSystem, "rhs", property(formed))
+    pre = krylov.build_preconditioner(gmm, run.sys)
+    reports = [krylov.direct_solve(system), krylov.gmres_solve(system, pre),
+               krylov.gmres_solve(system, None, max_iter=2 * N)]
+    for rep in reports:
+        res = np.linalg.norm(expected - system.apply(rep.solution))
+        assert rep.converged and res <= 1e-8 * np.linalg.norm(expected)
 
 
 def test_row_blocks_threads_are_capped_and_keep_block_order(monkeypatch):
