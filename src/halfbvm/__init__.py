@@ -15,7 +15,7 @@ from .bvm import AllAtOnceSystem, GmmMatrices, assemble_all_at_once, build_gmm, 
     extract_trajectory
 from .doubling import (DoubledState, LineProfile, SourceSpec, SourceTerm,
                        ZERO_SOURCE, doubled_initial_state, doubled_source,
-                       odd_reflection, profile_from_catalog)
+                       profile_from_catalog)
 from .hilbert import (CatalogFunction, InvalidSampleError,
                       UnsupportedFunctionError, WeidemanExpansion,
                       weideman_eval, weideman_fit)

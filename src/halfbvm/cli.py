@@ -215,6 +215,30 @@ def _error_at(cfg, pb, run, traj, t_index, gmm):
                           "wall_time": time.perf_counter() - t0}
 
 
+def _torus_gap(run):
+    """||H[u0'] - |k| u0|| / ||H[u0']|| on a torus, None between walls: the
+    H[u0'] the initial state took from the line data against the torus's own
+    half-Laplacian of u0, |k| on its modes.  The gap is the data mismatch a
+    torus run inherits from line data."""
+    sys, state = run.sys, run.u0v0
+    if not sys.is_circulant:
+        return None
+    modes = sys.modes(real=not np.iscomplexobj(state.u))
+    j = np.arange(modes.p.size)
+    k = (2.0 * np.pi / sys.grid.length) * np.minimum(j, sys.n - j)
+    torus = modes.inverse(k * modes.forward(state.u))
+    return float(np.linalg.norm(state.hilbert_dx - torus)
+                 / np.linalg.norm(state.hilbert_dx))
+
+
+def _stability(run, gmm) -> dict:
+    """The verdict of tau*spec(D) against the segment [-i, i]."""
+    verdict = spectrum.gmm_stability_verdict(run.sys, gmm.tau)
+    return {"stable": verdict.stable,
+            "offending_modes": int(verdict.offending.size),
+            "all_marginal": verdict.offending_are_marginal()}
+
+
 def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     pb = cfg.build_problem()
     run, gmm, system = _assemble(cfg, pb, h=cfg.h, m=cfg.m)
@@ -258,9 +282,12 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         "rel_l2_error_at_T": err,
         "error_norm_flagged_absolute": flagged,
         "oracle": oracle,
-        # how H[f'] of each profile was formed, and the torus it was wrapped on
+        # how H[f'] of each profile was formed, the torus it was wrapped on,
+        # and how far the line data's H[u0'] is from that torus's own
         "hilbert": {"periodisation": pb.torus, "u0": pb.u0.hilbert_route(),
-                    "source": [t.space.hilbert_route() for t in pb.source.terms]},
+                    "source": [t.space.hilbert_route() for t in pb.source.terms],
+                    "torus_gap": _torus_gap(run)},
+        "stability": _stability(run, gmm),
     }
     (out_dir / "report.json").write_text(json.dumps(manifest, indent=2))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE

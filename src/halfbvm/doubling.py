@@ -15,21 +15,28 @@ each profile's closed form when it has one, else one spectral fit of its
 derivative at the fixed ``FIT_ORDER``, which the profile keeps.  They are
 evaluated once per spatial profile here, and the all-at-once assembly keeps
 each source term's vector as a factor of its rhs.
+
+On the odd-doubled torus [0, 2c) the data is an ``OddImage``, f(x) - f(2c - x)
+of a profile f.  It is sampled, then reflected: f, f' and H[f'] are evaluated
+once at the m nodes x_j and at x = 2c, and node m - j stands for the mirror
+point 2c - x_j, which it is to a few ulps.  The image on the nodes is then
+F_j - F_{m-j} (F_j + F_{m-j} for f'), exactly odd (even) on the grid, and a
+fitted profile costs m + 1 Horner points, not 2m.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 import numpy as np
 
 from . import hilbert as ht
-from .spatial import SCALAR, ZERO, DiscreteSystem
+from .spatial import ADVECTION, SCALAR, ZERO, DiscreteSystem
 
 __all__ = [
     "FIT_ORDER",
     "LineProfile",
     "profile_from_catalog",
-    "odd_reflection",
+    "OddImage",
     "SourceTerm",
     "SourceSpec",
     "ZERO_SOURCE",
@@ -102,19 +109,16 @@ def profile_from_catalog(f: ht.CatalogFunction) -> LineProfile:
                        hilbert_dx=f.hilbert_derivative, center=f.shift)
 
 
-def odd_reflection(p: LineProfile, center: float) -> LineProfile:
-    """f(x) - f(2c - x): the odd image of a profile about x = c.
+@dataclass(frozen=True)
+class OddImage:
+    """f(x) - f(2c - x) of a profile f, its odd image about x = c: on [0, 2c)
+    the odd periodic extension of f restricted to (0, c), up to the decaying
+    tails of f.  It is data for the torus [0, 2c) and is only ever sampled
+    there (``_samples``), never evaluated pointwise; a spectral fit of f
+    happens in f's own frame and is kept by f."""
 
-    Sampled on [0, 2c) this is the odd periodic extension of f restricted to
-    (0, c), up to the decaying tails of f.  H[f'] composes from p's via
-    H[phi(2c - .)](x) = -(H phi)(2c - x), so a spectral fit happens once,
-    here, in p's own frame.
-    """
-    c2 = 2.0 * center
-    ev = p.hilbert_dx_evaluator()
-    value = lambda x: p.value(x) - p.value(c2 - x)
-    dx = None if p.dx is None else (lambda x: p.dx(x) + p.dx(c2 - x))
-    return LineProfile(value=value, dx=dx, hilbert_dx=lambda x: ev(x) - ev(c2 - x))
+    profile: LineProfile
+    center: float
 
 
 @dataclass(frozen=True)
@@ -146,10 +150,14 @@ ZERO_SOURCE = SourceSpec()
 
 @dataclass(frozen=True)
 class DoubledState:
-    """The pair (u, v) on the grid unknowns."""
+    """The pair (u, v) on the grid unknowns.  A state sampled from a profile
+    (``doubled_initial_state``) also keeps ``hilbert_dx``, the H[u0'] on the
+    nodes that v was built from, so the run record can compare the line data
+    with the torus the run is posed on."""
 
     u: np.ndarray
     v: np.ndarray
+    hilbert_dx: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.u.shape != self.v.shape or self.u.ndim != 1:
@@ -168,30 +176,61 @@ def _real_if_real(eps: complex):
     return eps.real if eps.imag == 0.0 else eps
 
 
-def _doubled_pair(profile: LineProfile, sys: DiscreteSystem):
-    """(F, Lop(F) - eps*H[F']) of one profile on the grid nodes."""
-    x = sys.grid.nodes
-    F = np.asarray(profile.value(x))
-    hdx = np.asarray(profile.hilbert_dx_evaluator()(x))
+def _profile_samples(p: LineProfile, x, need_dx: bool):
+    """(f, f', H[f']) of a profile at the points x; f' is None unless asked."""
+    F = np.asarray(p.value(x))
+    hdx = np.asarray(p.hilbert_dx_evaluator()(x))
+    if not need_dx:
+        return F, None, hdx
+    if p.dx is None:
+        raise ht.UnsupportedFunctionError(
+            "the drift operator needs the profile's derivative dx")
+    return F, np.asarray(p.dx(x)), hdx
+
+
+def _samples(profile, sys: DiscreteSystem):
+    """(f, f', H[f']) of a profile or an ``OddImage`` on the grid nodes; f'
+    only under the drift operator, else None.
+
+    An odd image about c samples its profile once at the nodes x_j = j h of
+    the torus [0, 2c) and at x_m = 2c, then reflects by index: node m - j is
+    the mirror point 2c - x_j.  So the value and H[f'] pieces are exactly odd
+    on the grid, F_j - F_{m-j}, and f' exactly even, F_j + F_{m-j}.
+    """
+    need_dx = sys.op.variant == ADVECTION
+    if not isinstance(profile, OddImage):
+        return _profile_samples(profile, sys.grid.nodes, need_dx)
+    grid = sys.grid
+    if not (sys.is_circulant and 2.0 * profile.center == grid.length):
+        raise ValueError(f"an odd image about x = {profile.center} is sampled on "
+                         f"the torus [0, {2.0 * profile.center}), not on this grid")
+    F, dF, hdx = _profile_samples(profile.profile,
+                                  np.append(grid.nodes, grid.length), need_dx)
+    # a[:0:-1][j] is a[m - j], the sample at the mirror point of node j
+    return (F[:-1] - F[:0:-1], None if dF is None else dF[:-1] + dF[:0:-1],
+            hdx[:-1] - hdx[:0:-1])
+
+
+def _doubled_pair(profile, sys: DiscreteSystem):
+    """(F, Lop(F) - eps*H[F'], H[F']) of a profile or an ``OddImage`` on the
+    grid nodes, each piece sampled once (``_samples``)."""
+    F, dF, hdx = _samples(profile, sys)
     if sys.op.variant == ZERO:
         lop = np.zeros_like(F)
     elif sys.op.variant == SCALAR:
         lop = sys.op.delta * F
-    elif profile.dx is None:
-        raise ht.UnsupportedFunctionError(
-            "the drift operator needs the profile's derivative dx")
     else:
-        lop = sys.op.delta * np.asarray(profile.dx(x))
-    return F, lop - _real_if_real(sys.epsilon) * hdx
+        lop = sys.op.delta * dF
+    return F, lop - _real_if_real(sys.epsilon) * hdx, hdx
 
 
 def doubled_initial_state(u0, sys: DiscreteSystem) -> DoubledState:
     """Sample u0 and build v0 = -eps*H[u0'] + Lop(u0) on the grid nodes."""
     if isinstance(u0, ht.CatalogFunction):
         u0 = profile_from_catalog(u0)
-    u, v = _doubled_pair(u0, sys)
+    u, v, hdx = _doubled_pair(u0, sys)
     dtype = complex if np.iscomplexobj(v) or np.iscomplexobj(u) else float
-    return DoubledState(u=u.astype(dtype), v=v.astype(dtype))
+    return DoubledState(u=u.astype(dtype), v=v.astype(dtype), hilbert_dx=hdx)
 
 
 def source_block_values(src: SourceSpec, sys: DiscreteSystem):
@@ -200,7 +239,7 @@ def source_block_values(src: SourceSpec, sys: DiscreteSystem):
     Time stepping only rescales these by T(t); no singular integral is
     evaluated after this point.
     """
-    return [(term.time, np.concatenate(_doubled_pair(term.space, sys)))
+    return [(term.time, np.concatenate(_doubled_pair(term.space, sys)[:2]))
             for term in src.terms]
 
 

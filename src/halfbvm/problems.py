@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracles
-from .doubling import (LineProfile, SourceSpec, SourceTerm, ZERO_SOURCE,
-                       doubled_initial_state, odd_reflection,
-                       profile_from_catalog)
+from .doubling import (LineProfile, OddImage, SourceSpec, SourceTerm,
+                       ZERO_SOURCE, doubled_initial_state, profile_from_catalog)
 from .hilbert import LORENTZIAN, SINE, SQUARED_LORENTZIAN, CatalogFunction
 from .spatial import (ADVECTION, DIRICHLET, PERIODIC, SCALAR, ZERO,
                       ConfigurationError, DiscreteSystem, Grid, OperatorKind,
@@ -380,13 +379,15 @@ def discrete_system(problem: Problem, h: float = None,
 
 
 def setup_run(problem: Problem, h: float = None, m: int = None) -> RunSetup:
-    """Discretize in space; on the odd-doubled torus the data is reflected."""
+    """Discretize in space.  On the odd-doubled torus [0, 2L) the data is each
+    profile's ``OddImage`` about x = L, which the initial state and the
+    assembly sample once per node and reflect by index."""
     sys = discrete_system(problem, h=h, m=m)
     u0, src = problem.u0, problem.source
     if problem.torus == "odd_doubled":
-        u0 = odd_reflection(u0, problem.L)
+        u0 = OddImage(u0, problem.L)
         src = SourceSpec(terms=tuple(
-            SourceTerm(time=t.time, space=odd_reflection(t.space, problem.L))
+            SourceTerm(time=t.time, space=OddImage(t.space, problem.L))
             for t in src.terms))
     u0v0 = doubled_initial_state(u0, sys)
     return RunSetup(problem=problem, grid=sys.grid, sys=sys, u0v0=u0v0,

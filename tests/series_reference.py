@@ -6,12 +6,15 @@ quadrature node, the mode coefficients of the source at each Duhamel node,
 and sin/cos matrices over the evaluation points.  The library factors each
 phase into small panel tables instead, so the two agree to round-off.
 ``schrodinger_series`` is the sine-series form of the dispersive model that
-criterion 9 checks the traveling-wave closed form against.
+criterion 9 checks the traveling-wave closed form against; it takes its sine
+coefficients from the library oracle, not from the dense ``sine_coefficients``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from halfbvm.oracles import FourierSeriesSolution
 
 HALF_DIFFUSION = "half_diffusion"
 MASS_TRANSFER = "mass_transfer"
@@ -110,8 +113,10 @@ class DenseSeriesSolution:
 
 def schrodinger_series(u0_value, gamma, V=0.0, L=50.0, n_max=1200, n_quad=8192):
     """Sine-series form: sum C_n sin(n pi x/L) e^{-i(gamma n pi/L + V) t}, with
-    C_n the sine coefficients of u0."""
-    C = sine_coefficients(u0_value, L, n_max, n_quad)
+    C_n the sine coefficients of u0 from the library oracle's panel tables:
+    its amplitudes at t = 0 are exactly those coefficients."""
+    C, _ = FourierSeriesSolution(u0=u0_value, source=None, eps=gamma, L=L,
+                                 n_max=n_max, n_quad=n_quad).mode_amplitudes(0.0)
     k = np.arange(1, n_max + 1) * np.pi / L
 
     def u(xq, t):

@@ -176,6 +176,12 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
         assert report["oracle"]["kind"] == "series"
         assert report["oracle"]["n_max"] == 400
         assert report["oracle"]["wall_time"] > 0.0
+        # every path records the torus gap of the line data and the stability
+        # verdict; on a torus the constant mode's two eigenvalues are 0, on
+        # the segment [-i, i]
+        assert 0.0 < report["hilbert"]["torus_gap"] < 1e-2
+        assert report["stability"] == {"stable": False, "offending_modes": 2,
+                                       "all_marginal": True}
     # the stated closed form where a problem has one, else the series; the
     # Hilbert route of u0 and each source term, and the torus they were put on:
     # between walls every profile has its closed form, while the drift data
@@ -188,12 +194,18 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
     fitted = {"route": "fit", "order": FIT_ORDER, "sum": "one_sided"}
     closed = {"route": "closed_form"}
     # the rhs has one separable term per source term and one for U0: 3 on the
-    # walls, 2 on the drift run, 1 on homogeneous data
-    for problem, kind, n_max, torus, routes, rank in (
-            ("half_diffusion_manufactured", "closed_form", None, None, [closed] * 3, 3),
+    # walls, 2 on the drift run, 1 on homogeneous data.  Between walls no
+    # eigenvalue of tau*D is on [-i, i] and there is no torus gap; the drift
+    # data's line H[u0'] is farther than 1e-2 from the torus's |k| u0, the
+    # mismatch behind that run's error floor
+    walls = {"stable": True, "offending_modes": 0, "all_marginal": True}
+    torus = {"stable": False, "offending_modes": 2, "all_marginal": True}
+    for problem, kind, n_max, periodisation, routes, rank, stability in (
+            ("half_diffusion_manufactured", "closed_form", None, None, [closed] * 3, 3,
+             walls),
             ("advection_gaussian_quartic", "series", 400, "odd_doubled", [fitted] * 2,
-             2),
-            ("half_diffusion_homogeneous", "series", 400, None, [closed], 1)):
+             2, torus),
+            ("half_diffusion_homogeneous", "series", 400, None, [closed], 1, walls)):
         out = tmp_path / problem
         path_cfg = _write_config(tmp_path, **_base_solve_config(
             problem=problem, m=40, solver={"method": "direct"}))
@@ -204,8 +216,13 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
         assert oracle["kind"] == kind and oracle["n_max"] == n_max
         assert oracle["wall_time"] > 0.0
         record = report["hilbert"]
-        assert record["periodisation"] == torus
+        assert record["periodisation"] == periodisation
         assert [record["u0"], *record["source"]] == routes
+        if periodisation is None:
+            assert record["torus_gap"] is None
+        else:
+            assert record["torus_gap"] > 1e-2
+        assert report["stability"] == stability
         assert report["rhs_rank"] == rank
         # the record reads the fits the run made, and makes none of its own
         assert fits == [FIT_ORDER] * routes.count(fitted)

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from doubling_reference import odd_reflection
 from hilbert_reference import hilbert_quadrature_oracle
 from scipy.integrate import solve_ivp
 
@@ -197,7 +198,7 @@ def test_transport_limit_of_drift_doubling():
 def test_odd_reflection_identities(monkeypatch):
     f = ht.CatalogFunction("squared_lorentzian", shift=6.0)
     base = doubling.profile_from_catalog(f)
-    refl = doubling.odd_reflection(base, 10.0)
+    refl = odd_reflection(base, 10.0)
     x = np.linspace(0.1, 19.9, 57)
     assert np.abs(refl.value(x) - (f(x) - f(20.0 - x))).max() < 1e-15
     assert np.abs(refl.dx(x) - (f.derivative(x) + f.derivative(20.0 - x))).max() < 1e-15
@@ -207,11 +208,92 @@ def test_odd_reflection_identities(monkeypatch):
     # without a closed form the base is fit once, in its own frame, when the
     # reflection is made; evaluating the reflection fits nothing more
     orders = _count_fits(monkeypatch)
-    fit = doubling.odd_reflection(dataclasses.replace(base, hilbert_dx=None), 10.0)
+    fit = odd_reflection(dataclasses.replace(base, hilbert_dx=None), 10.0)
     ev = fit.hilbert_dx_evaluator()
     assert np.abs(ev(x) - refl.hilbert_dx(x)).max() < 1e-9
     assert np.abs(ev(x[::14]) - _quadrature_hilbert_dx(refl, x[::14])).max() < 1e-3
     assert orders == [doubling.FIT_ORDER]
+
+
+ODD_DOUBLED = ("advection_gaussian_quartic", "advection_homogeneous",
+               "advection_manufactured", "advection_mms")
+
+
+def test_odd_doubled_catalog_problems():
+    assert tuple(sorted(name for name, make in hb.catalog().items()
+                        if make().torus == "odd_doubled")) == ODD_DOUBLED
+
+
+def _profiles(pb):
+    return [pb.u0] + [term.space for term in pb.source.terms]
+
+
+@pytest.mark.parametrize("name", ["advection_gaussian_quartic", "advection_mms"])
+def test_odd_doubled_data_evaluates_each_profile_once_per_node(name, monkeypatch):
+    # the fitted and the closed-form route alike: setup and assembly call each
+    # profile's H[f'] at the n torus nodes and at x = 2L, n + 1 points in all
+    points = {}
+    evaluator = doubling.LineProfile.hilbert_dx_evaluator
+
+    def counting(profile):
+        ev = evaluator(profile)
+
+        def count(x):
+            points[id(profile)] = points.get(id(profile), 0) + np.size(x)
+            return ev(x)
+        return count
+
+    monkeypatch.setattr(doubling.LineProfile, "hilbert_dx_evaluator", counting)
+    pb = hb.build_problem(name)
+    run = hb.setup_run(pb, h=0.25)
+    hb.assemble_all_at_once(hb.build_gmm(4, 1.0), run.sys, run.source, run.u0v0)
+    assert run.sys.n == 160
+    assert points == {id(p): run.sys.n + 1 for p in _profiles(pb)}
+
+
+@pytest.mark.parametrize("name", ODD_DOUBLED)
+def test_sampled_odd_image_is_odd_and_matches_the_pointwise_one(name):
+    # on the grid the value and H[f'] pieces are exactly odd and f' exactly
+    # even; each is within rounding of f(x) - f(2L - x) evaluated pointwise
+    pb = hb.build_problem(name)
+    sys = hb.setup_run(pb, h=0.25).sys
+    m = sys.n
+    for profile in _profiles(pb):
+        sampled = doubling._samples(doubling.OddImage(profile, pb.L), sys)
+        pointwise = doubling._samples(odd_reflection(profile, pb.L), sys)
+        for piece, a, ref in zip(("value", "dx", "hilbert_dx"), sampled, pointwise):
+            sign = 1.0 if piece == "dx" else -1.0
+            assert np.array_equal(a[m - 1:0:-1], sign * a[1:m]), piece
+            assert np.abs(a - ref).max() <= 1e-13 * np.abs(ref).max(), piece
+
+
+@pytest.mark.parametrize("name", ODD_DOUBLED)
+def test_sampled_odd_image_solves_as_the_pointwise_one(name):
+    # the pointwise odd images, each piece evaluated at x and at 2L - x
+    pb = hb.build_problem(name)
+    run = hb.setup_run(pb, h=0.25)
+    gmm = hb.build_gmm(16, 1.0)
+    u0v0 = doubling.doubled_initial_state(odd_reflection(pb.u0, pb.L), run.sys)
+    src = doubling.SourceSpec(terms=tuple(
+        doubling.SourceTerm(time=term.time, space=odd_reflection(term.space, pb.L))
+        for term in pb.source.terms))
+    assert np.abs(run.u0v0.hilbert_dx - u0v0.hilbert_dx).max() <= 1e-13 * np.abs(
+        u0v0.hilbert_dx).max()
+    x = hb.direct_solve(hb.assemble_all_at_once(
+        gmm, run.sys, run.source, run.u0v0)).solution
+    ref = hb.direct_solve(hb.assemble_all_at_once(gmm, run.sys, src, u0v0)).solution
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_odd_image_is_sampled_only_on_its_torus():
+    # node m - j is the mirror of node j only on the torus [0, 2c)
+    pb = hb.build_problem("advection_mms")
+    image = doubling.OddImage(pb.u0, pb.L)
+    drift = spatial.OperatorKind("advection", 0.2)
+    for sys in (_system(L=pb.L, m=40, op=drift, boundary=spatial.PERIODIC),
+                _system(L=2.0 * pb.L, m=80)):
+        with pytest.raises(ValueError, match="torus"):
+            doubling.doubled_initial_state(image, sys)
 
 
 def test_stack_unstack_round_trip():
