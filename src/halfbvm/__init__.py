@@ -28,7 +28,7 @@ from .spatial import (DIRICHLET, PERIODIC, ConfigurationError, DiscreteSystem,
                       Grid, GridTooSmallError, Modes, OperatorKind,
                       assemble_discrete_system)
 from .spectrum import (MethodPolynomials, StabilityVerdict, boundary_locus,
-                       classify_stability, eigenvalues_of_D, gmm_polynomials,
-                       gmm_stability_verdict, lmm_catalog, rk_boundary_points)
+                       eigenvalues_of_D, gmm_polynomials, gmm_stability_verdict,
+                       lmm_catalog, rk_boundary_points)
 
 __version__ = "0.1.0"

@@ -121,15 +121,19 @@ def _add_terms(T, S, out):
     """out = T @ S, T (rows, r) and S (r, d), by ufuncs term by term in
     order, each product after the first through one ``_row_chunks`` scratch:
     no BLAS call, so any thread may run it, no temporary of out's size, and
-    every row comes out the same bits however the rows are split."""
+    every row comes out the same bits however the rows are split.  A later
+    term is skipped over a chunk where its time coefficients are all zero,
+    as the U0 term's e_0 is outside row 0: that adds nothing but the sign
+    of a zero."""
     np.multiply(T[:, :1], S[0], out=out)
     if len(S) > 1:
         dtype = np.result_type(T, S)
         chunks = _row_chunks(len(T), S.shape[1] * dtype.itemsize)
+        live = np.logical_or.reduceat(T[:, 1:] != 0, [c.start for c in chunks])
         tmp = np.empty((chunks[0].stop, S.shape[1]), dtype)
-        for c in chunks:
+        for c, terms in zip(chunks, live):
             t = tmp[: c.stop - c.start]
-            for i in range(1, len(S)):
+            for i in np.flatnonzero(terms) + 1:
                 out[c] += np.multiply(T[c, i: i + 1], S[i], out=t)
     return out
 

@@ -4,10 +4,13 @@ Configuration is one JSON document; outputs are CSV files plus a JSON
 manifest, each embedding the fully resolved configuration so a run can be
 reproduced from any of its artifacts.  Exit codes: 0 success, 2 bad
 configuration, 3 solver non-convergence, 4 solver error (no preconditioner
-clears GAP_MIN).
+clears GAP_MIN; ``solve`` and ``schrodinger`` still write a report.json,
+with a null ``path`` and the failure).
 """
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import sys as _sys
@@ -173,6 +176,12 @@ def _write_csv(path: Path, header, columns, cfg):
     path.write_text(head + "\n" + ",".join(header) + "\n" + body)
 
 
+def _as_text(column) -> np.ndarray:
+    """A float column as the %.16g strings ``_write_csv`` writes for it: a
+    column that several tables share is formatted once."""
+    return np.array(["%.16g" % v for v in np.asarray(column, float).tolist()])
+
+
 def _assemble(cfg, pb, h=None, m=None):
     """Discretize and assemble one point; returns (run, gmm, system)."""
     run = problems.setup_run(pb, h=h, m=m)
@@ -239,12 +248,58 @@ def _stability(run, gmm) -> dict:
             "all_marginal": verdict.offending_are_marginal()}
 
 
+@functools.cache
+def _blas() -> tuple:
+    """(library, threads): the BLAS numpy was built with, and its thread
+    count where the loaded library reports one (OpenBLAS), else None.  Read
+    once per process: the maps scan takes about 0.6 ms."""
+    try:
+        info = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        library = f"{info.get('name')} {info.get('version')}"
+    except (TypeError, KeyError):
+        library = None
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "blas" in line.lower() and line.rstrip().endswith(".so")})
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            for sym in ("scipy_openblas_get_num_threads64_",
+                        "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+                if hasattr(lib, sym):
+                    get = getattr(lib, sym)
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    return library, int(get())
+    except OSError:
+        pass
+    return library, None
+
+
+def _discretisation(cfg, run, gmm, system) -> dict:
+    """The discretisation actually solved: T/tau and L/h are rounded."""
+    return {"config": asdict(cfg),
+            "n_steps": gmm.n_steps, "tau_effective": gmm.tau,
+            "n": run.grid.n, "h_effective": run.grid.h,
+            "unknowns": gmm.n_steps * run.sys.dim, "boundary": run.grid.boundary,
+            # the rhs's separable terms: one per source term, one for U0
+            "rhs_rank": len(system.vectors)}
+
+
 def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
+    """One solve and its record.  A preconditioner that cannot clear GAP_MIN
+    leaves a record of the failure, with no solver ``path``, and is raised
+    on: no other solver stands in for it."""
     pb = cfg.build_problem()
     run, gmm, system = _assemble(cfg, pb, h=cfg.h, m=cfg.m)
-    report = _solve(cfg, run, gmm, system)
+    try:
+        report = _solve(cfg, run, gmm, system)
+    except PreconditionerError as exc:
+        failure = {**_discretisation(cfg, run, gmm, system), "path": None,
+                   "error": str(exc), **exc.record}
+        (out_dir / "report.json").write_text(json.dumps(failure, indent=2))
+        raise
     traj = extract_trajectory(report.solution, system)
-    x = run.grid.nodes
+    x = _as_text(run.grid.nodes)
     times = cfg.snapshot_times or [0.0, cfg.T / 2.0, cfg.T]
     is_complex = pb.scalar_field == "complex"
     for t in times:
@@ -259,13 +314,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         _write_csv(out_dir / f"solution_t{j * gmm.tau:g}.csv", header, columns, cfg)
     err, flagged, oracle = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
     manifest = {
-        "config": asdict(cfg),
-        # the discretisation actually solved: T/tau and L/h are rounded
-        "n_steps": gmm.n_steps, "tau_effective": gmm.tau,
-        "n": run.grid.n, "h_effective": run.grid.h,
-        "unknowns": gmm.n_steps * run.sys.dim, "boundary": run.grid.boundary,
-        # the rhs's separable terms: one per source term, one for U0
-        "rhs_rank": len(system.vectors),
+        **_discretisation(cfg, run, gmm, system),
         "path": report.path, "half_spectrum": report.half_spectrum,
         "theta": report.theta, "gap": report.gap,
         "iterations": report.iterations,
@@ -288,6 +337,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
                     "source": [t.space.hilbert_route() for t in pb.source.terms],
                     "torus_gap": _torus_gap(run)},
         "stability": _stability(run, gmm),
+        "blas": dict(zip(("library", "threads"), _blas())),
     }
     (out_dir / "report.json").write_text(json.dumps(manifest, indent=2))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE

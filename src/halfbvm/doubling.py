@@ -21,7 +21,7 @@ of a profile f.  It is sampled, then reflected: f, f' and H[f'] are evaluated
 once at the m nodes x_j and at x = 2c, and node m - j stands for the mirror
 point 2c - x_j, which it is to a few ulps.  The image on the nodes is then
 F_j - F_{m-j} (F_j + F_{m-j} for f'), exactly odd (even) on the grid, and a
-fitted profile costs m + 1 Horner points, not 2m.
+fitted profile costs m + 1 evaluation points, not 2m.
 """
 
 from dataclasses import dataclass, field
@@ -96,7 +96,7 @@ class LineProfile:
 
     def hilbert_route(self) -> dict:
         """How H[f'] is formed, for the run record: ``closed_form``, or
-        ``fit`` at its order with the ``one_sided`` Horner sum of a real fit
+        ``fit`` at its order with the ``one_sided`` sum of a real fit
         or the ``two_sided`` one of a complex fit."""
         if self.hilbert_dx is not None:
             return {"route": "closed_form"}

@@ -126,16 +126,33 @@ class OmegaPreconditioner:
         return bool(abs(np.sin(self.theta)) < 1e-12)
 
 
+def _nearest(lam, z):
+    """(gap, i, j): the distance between the sets {lam_j} and z, and the
+    z_i and lam_j at that distance.  The lam_j lie on the imaginary axis, so
+    the nearest to a point of z is one of the two around its Im z."""
+    order = np.argsort(lam.imag)
+    s = lam.imag[order]
+    near = np.clip(np.searchsorted(s, z.imag) - [[1], [0]], 0, len(s) - 1)
+    dist = np.abs(1j * s[near] - z)
+    a, i = np.unravel_index(np.argmin(dist), dist.shape)
+    return float(dist[a, i]), int(i), int(order[near[a, i]])
+
+
 def _gap(lam, z) -> float:
-    """Distance between the sets {lam_j} and z: the lam_j lie on the imaginary
-    axis, so the nearest to a point of z is one of the two around its Im z."""
-    s = np.sort(lam.imag)
-    near = s[np.clip(np.searchsorted(s, z.imag) - [[1], [0]], 0, len(s) - 1)]
-    return float(np.abs(1j * near - z).min())
+    """Distance between the sets {lam_j} and z (``_nearest``)."""
+    return _nearest(lam, z)[0]
 
 
 class PreconditionerError(ValueError):
-    """No theta keeps every block at least GAP_MIN from singular."""
+    """No theta keeps every block at least GAP_MIN from singular.  ``record``
+    holds that theta, its gap and GAP_MIN, and under ``nearest`` where the
+    gap falls: the spatial ``mode`` k and the ``component`` c of its
+    eigenvalue pair (``tau_mu`` = tau mu[c, k], ``spatial.Modes``) nearest
+    the block frequency ``lam`` = lam_j, j = ``frequency``."""
+
+    def __init__(self, message, record=None):
+        super().__init__(message)
+        self.record = record or {}
 
 
 def build_preconditioner(gmm: GmmMatrices, sys,
@@ -151,14 +168,19 @@ def build_preconditioner(gmm: GmmMatrices, sys,
     if theta is None and gap(np.pi) < GAP_MIN:
         theta = THETA_GRID[np.argmax([gap(th) for th in THETA_GRID])]
     theta = np.pi if theta is None else float(theta)
-    g = gap(theta)
+    lam = _frequencies(N, theta)
+    g, i, j = _nearest(lam, z)
     if not g >= GAP_MIN:
+        K = z.size // 2                # z is mu (2, K) raveled
         raise PreconditionerError(
-            f"theta = {theta:.6g}: block gap {g:.3g} < GAP_MIN")
+            f"theta = {theta:.6g}: block gap {g:.3g} < GAP_MIN",
+            {"theta": theta, "gap": g, "gap_min": GAP_MIN,
+             "nearest": {"mode": i % K, "component": i // K,
+                         "tau_mu": [z[i].real, z[i].imag],
+                         "frequency": j, "lam": [lam[j].real, lam[j].imag]}})
     scaling = np.exp(-1j * theta * np.arange(N) / N)   # Theta, omega^{-s/N}
     return OmegaPreconditioner(theta=theta, gap=g, n_steps=N, tau=tau,
-                               theta_scaling=scaling,
-                               lambda_omega=_frequencies(N, theta), sys=sys)
+                               theta_scaling=scaling, lambda_omega=lam, sys=sys)
 
 
 def _block_tables(lam, modes, tau):

@@ -42,19 +42,26 @@ def _sq(y):
 
 
 def _sq_d(y):
-    return -4.0 * y / (1.0 + y * y) ** 3
+    q = 1.0 + y * y
+    return -4.0 * y / (q * q * q)
 
 
 def _sq_dd(y):
-    return -4.0 * (1.0 - 5.0 * y * y) / (1.0 + y * y) ** 4
+    y2 = y * y
+    q2 = (1.0 + y2) ** 2
+    return -4.0 * (1.0 - 5.0 * y2) / (q2 * q2)
 
 
 def _p3(y):
-    return (y ** 4 + 6.0 * y * y - 3.0) / (2.0 * (1.0 + y * y) ** 3)
+    y2 = y * y
+    q = 1.0 + y2
+    return (y2 * y2 + 6.0 * y2 - 3.0) / (2.0 * (q * q * q))
 
 
 def _p3_d(y):
-    return -y * (y ** 4 + 10.0 * y * y - 15.0) / (1.0 + y * y) ** 4
+    y2 = y * y
+    q2 = (1.0 + y2) ** 2
+    return -y * (y2 * y2 + 10.0 * y2 - 15.0) / (q2 * q2)
 
 
 def _add(f, g):
@@ -115,12 +122,14 @@ def _gaussian_quartic(shift_):
 
     def g(x):
         s = np.asarray(x, dtype=float) - shift_
-        return np.exp(-s ** 4) / (1.0 + s * s)
+        s2 = s * s
+        return np.exp(-(s2 * s2)) / (1.0 + s2)
 
     def gd(x):
         s = np.asarray(x, dtype=float) - shift_
-        return -np.exp(-s ** 4) * (4.0 * s ** 3 * (1.0 + s * s) + 2.0 * s) \
-            / (1.0 + s * s) ** 2
+        s2 = s * s
+        q = 1.0 + s2
+        return -np.exp(-(s2 * s2)) * (4.0 * (s2 * s) * q + 2.0 * s) / (q * q)
 
     return g, gd
 

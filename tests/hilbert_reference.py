@@ -7,6 +7,8 @@ form for the catalog kinds whose image is again in the catalog, so the
 skew-involution H^2 = -I can be checked.  ``function_tail`` and
 ``hilbert_tail`` give the 1/x tail coefficients that ``weideman_fit`` takes
 when it re-expands a catalog function or its transform image.
+``POW_FORMS`` keeps the profiles' integer powers as ``**`` (libm ``pow``),
+the forms the library's products are checked against.
 """
 
 import numpy as np
@@ -80,3 +82,29 @@ def hilbert_quadrature_oracle(f, x: float, R: float = 1e3, n_quad: int = 100_000
     s = (np.arange(n_half) + 0.5) * ds
     vals = (np.asarray(f(x - s)) - np.asarray(f(x + s))) / s
     return float(np.sum(vals) * ds / np.pi)
+
+
+# The closed forms as written with ``**``: the catalog's, by (kind, method)
+# on the centered coordinate y = x (shift 0, scale 1), and the rational
+# blocks and the gaussian-quartic bump (shift 2) of ``problems``.
+POW_FORMS = {
+    (ht.QUARTIC, "__call__"): lambda y: 1.0 / (1.0 + y ** 4),
+    (ht.QUARTIC, "derivative"): lambda y: -4.0 * y ** 3 / (1.0 + y ** 4) ** 2,
+    (ht.QUARTIC, "hilbert"):
+        lambda y: y * (y * y + 1.0) / (np.sqrt(2.0) * (y ** 4 + 1.0)),
+    (ht.QUARTIC, "hilbert_derivative"):
+        lambda y: (-y ** 6 - 3.0 * y ** 4 + 3.0 * y * y + 1.0) / (
+            np.sqrt(2.0) * (y ** 4 + 1.0) ** 2),
+    (ht.SQUARED_LORENTZIAN, "derivative"):
+        lambda y: -4.0 * y / (1.0 + y * y) ** 3,
+    (ht.SQUARED_LORENTZIAN, "hilbert_derivative"):
+        lambda y: -(y ** 4 + 6.0 * y * y - 3.0) / (2.0 * (1.0 + y * y) ** 3),
+    "_sq_d": lambda y: -4.0 * y / (1.0 + y * y) ** 3,
+    "_sq_dd": lambda y: -4.0 * (1.0 - 5.0 * y * y) / (1.0 + y * y) ** 4,
+    "_p3": lambda y: (y ** 4 + 6.0 * y * y - 3.0) / (2.0 * (1.0 + y * y) ** 3),
+    "_p3_d": lambda y: -y * (y ** 4 + 10.0 * y * y - 15.0) / (1.0 + y * y) ** 4,
+    "gaussian_quartic": lambda x: np.exp(-(x - 2.0) ** 4) / (1.0 + (x - 2.0) ** 2),
+    "gaussian_quartic_dx": lambda x: -np.exp(-(x - 2.0) ** 4) * (
+        4.0 * (x - 2.0) ** 3 * (1.0 + (x - 2.0) ** 2) + 2.0 * (x - 2.0))
+        / (1.0 + (x - 2.0) ** 2) ** 2,
+}

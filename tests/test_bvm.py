@@ -207,6 +207,18 @@ def test_assembly_forms_nothing_of_the_rhs_size():
     assert peak < 0.05 * system.shape[0] * system.dtype.itemsize
 
 
+def test_add_terms_skips_a_term_over_chunks_where_its_times_are_zero():
+    # rows of SCRATCH_BYTES make one chunk each; e_0's term is added in row
+    # 0's chunk alone, so its non-finite vector leaves the other rows as
+    # the first term made them
+    n = bvm.SCRATCH_BYTES // 8
+    T = np.column_stack([np.arange(1.0, 5.0), [1.0, 0.0, 0.0, 0.0]])
+    S = np.vstack([np.ones(n), np.full(n, np.inf)])
+    out = bvm._add_terms(T, S, np.empty((4, n)))
+    assert np.all(np.isinf(out[0]))
+    assert np.array_equal(out[1:], T[1:, :1] * S[0])
+
+
 def test_zero_data_gives_zero_solution():
     pb = hb.build_problem("half_diffusion_homogeneous")
     run = hb.setup_run(pb, m=12)

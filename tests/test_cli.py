@@ -176,6 +176,10 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
         assert report["oracle"]["kind"] == "series"
         assert report["oracle"]["n_max"] == 400
         assert report["oracle"]["wall_time"] > 0.0
+        # the BLAS numpy calls, and its thread count where the library tells it
+        assert set(report["blas"]) == {"library", "threads"}
+        assert isinstance(report["blas"]["library"], str)
+        assert report["blas"]["threads"] is None or report["blas"]["threads"] >= 1
         # every path records the torus gap of the line data and the stability
         # verdict; on a torus the constant mode's two eigenvalues are 0, on
         # the segment [-i, i]
@@ -673,3 +677,55 @@ def test_preconditioner_without_gap_exits_solver_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("solver error: theta = ") and "GAP_MIN" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("solve", _base_solve_config()),
+    ("schrodinger", dict(_base_solve_config(problem="schrodinger_single_mode"),
+                         L=20.0, eps=0.1)),
+])
+def test_preconditioner_failure_leaves_a_record(tmp_path, monkeypatch, capsys,
+                                                command, cfg):
+    # no theta clears a GAP_MIN set above every gap: exit 4, one stderr line,
+    # and a report naming the failing block, with no solver path and no
+    # fallback to the direct solve
+    monkeypatch.setattr(krylov, "GAP_MIN", 1e3)
+    monkeypatch.setattr(cli, "direct_solve", None)
+    out = tmp_path / "o"
+    rc = cli.main([command, "--config", _write_config(tmp_path, **cfg),
+                   "--out", str(out)])
+    assert rc == cli.EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    report = json.loads((out / "report.json").read_text())
+    assert report["path"] is None and report["error"] == err[len("solver error: "):-1]
+    assert report["n_steps"] == 8 and report["unknowns"] == 8 * 2 * report["n"]
+    assert report["gap_min"] == 1e3 and 0.0 < report["gap"] < 1e3
+    nearest = report["nearest"]
+    assert set(nearest) == {"mode", "component", "tau_mu", "frequency", "lam"}
+    assert nearest["component"] in (0, 1) and 0 <= nearest["frequency"] < 8
+    # the gap is the distance from that eigenvalue to that frequency
+    run = problems.setup_run(cli.load_config(out.parent / "config.json")
+                             .build_problem(), m=24)
+    z = (1.0 / 8) * eigenvalues_of_D(run.sys)
+    K = z.size // 2
+    zi = z[nearest["component"] * K + nearest["mode"]]
+    assert [zi.real, zi.imag] == nearest["tau_mu"]
+    assert abs(complex(*nearest["lam"]) - zi) == report["gap"]
+    assert not list(out.glob("*.csv"))
+
+
+def test_preformatted_x_writes_the_same_bytes(tmp_path):
+    # x formatted once and passed as strings gives the bytes of the float x
+    # formatted with the table, beside float, int and complex columns
+    rng = np.random.default_rng(3)
+    x = np.concatenate([np.linspace(0.0, 40.0, 257), rng.standard_normal(40) * 1e-300,
+                        [1.0 / 3.0, -0.0, 1e22, 5e-324]])
+    columns = (x, rng.standard_normal(x.size), np.arange(x.size),
+               rng.standard_normal(x.size) + 1j * rng.standard_normal(x.size))
+    cfg = cli.load_config(_write_config(tmp_path, **_base_solve_config()))
+    header = ["x", "u", "k", "z"]
+    cli._write_csv(tmp_path / "new.csv", header, (cli._as_text(x), *columns[1:]), cfg)
+    cli._write_csv(tmp_path / "old.csv", header, columns, cfg)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from hilbert_reference import (function_tail, hilbert_exact_twice,
+import tracemalloc
+
+from hilbert_reference import (POW_FORMS, function_tail, hilbert_exact_twice,
                                hilbert_quadrature_oracle, hilbert_tail)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from halfbvm import hilbert as ht
+from halfbvm import problems
 from halfbvm.doubling import LineProfile
 
 XS = np.linspace(-10.0, 10.0, 401)
@@ -208,7 +211,7 @@ def test_double_application_equals_minus_laplacian():
 
 def _weideman_eval_dense(e, x):
     """The series as one len(x) x 2N matrix of exp(i n phi) times the
-    signed coefficients: the reference for the Horner evaluation."""
+    signed coefficients: the reference for the blocked evaluation."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     ns = np.arange(-e.order, e.order)
     sig = np.where(ns >= 0, -1j, 1j)
@@ -242,7 +245,7 @@ _REAL_DECAYING = ("lorentzian", "quartic", "squared_lorentzian", "gaussian",
        shift=st.floats(-3.0, 3.0), scale=st.floats(0.1, 10.0),
        sign=st.sampled_from([-1.0, 1.0]), N=st.sampled_from([32, 64, 256]))
 def test_real_fit_takes_the_one_sided_sum(kind, alpha, shift, scale, sign, N):
-    # a_{-n-1} = conj(a_n) for real samples: the one-sided Horner sum is the
+    # a_{-n-1} = conj(a_n) for real samples: the one-sided sum is the
     # dense two-sided series, and its imaginary part is exactly zero
     f = ht.CatalogFunction(kind, alpha=alpha, shift=shift, scale=sign * scale)
     e = ht.weideman_fit(f, N, tail=function_tail(f))
@@ -265,3 +268,71 @@ def test_complex_samples_take_the_two_sided_sum(sample):
     assert not e.real
     ref = _weideman_eval_dense(e, XS)
     assert np.abs(ht.weideman_eval(e, XS) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _dense_by_slices(e, xs, size=512):
+    """``_weideman_eval_dense`` a slice of points at a time: its table is
+    len(x) x 2N."""
+    return np.concatenate([_weideman_eval_dense(e, xs[a: a + size])
+                           for a in range(0, len(xs), size)])
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("N", [4, 17, 255, 256, 300])
+def test_blocked_sum_matches_dense_series(N, real):
+    # block rows of BLOCK powers, a partial last row, one row (N < BLOCK);
+    # one point, two, a chunk's worth either side of CHUNK, and the drift
+    # run's torus nodes in chunks of ceil(M/8)
+    f = ht.CatalogFunction("quartic", shift=0.3)
+    g = ht.CatalogFunction("gaussian", alpha=2.0)
+    e = ht.weideman_fit(f if real else (lambda x: f(x) + 1j * g(x)), N)
+    assert e.real == real
+    rng = np.random.default_rng(N)
+    pool = np.concatenate([[0.0, 1e6, -1e6], XS, 10.0 ** rng.uniform(-3, 6, 6401)
+                           * rng.choice([-1.0, 1.0], 6401)])
+    for M in (1, 2, ht.CHUNK - 1, ht.CHUNK + 1, 6401):
+        xs = pool[:M]
+        ref = _dense_by_slices(e, xs)
+        vals = ht.weideman_eval(e, xs)
+        assert vals.shape == (M,)
+        assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max(), M
+        if real:
+            assert np.all(vals.imag == 0.0)
+    val = ht.weideman_eval(e, -2.5)
+    assert isinstance(val, complex)
+    assert abs(val - _weideman_eval_dense(e, -2.5)[0]) <= 1e-12 * np.abs(ref).max()
+
+
+def test_blocked_sum_scratch_is_a_few_vectors():
+    # the chunk tables are about four vectors of len(x) below 8 CHUNK points
+    # and capped above; with x, 1 - ix, z and the result the peak is at
+    # most 8 complex vectors at the drift run's 6,401 points
+    g, gd = problems._gaussian_quartic(2.0)
+    e = ht.weideman_fit(gd, 256, tail=0.0)
+    for M, bound in ((6401, 8), (50_000, 5)):
+        xs = np.linspace(-22.0, 18.0, M)
+        tracemalloc.start()
+        try:
+            ht.weideman_eval(e, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 16 * M, (M, peak / (16 * M))
+
+
+def _pow_free(key):
+    """The library's form of a ``POW_FORMS`` entry."""
+    if isinstance(key, tuple):
+        return getattr(ht.CatalogFunction(key[0]), key[1])
+    if key.startswith("gaussian_quartic"):
+        return problems._gaussian_quartic(2.0)[key.endswith("_dx")]
+    return getattr(problems, key)
+
+
+@pytest.mark.parametrize("key", list(POW_FORMS), ids=str)
+def test_profiles_as_products_match_the_pow_forms(key):
+    xs = np.concatenate([np.linspace(-30.0, 30.0, 20_001),
+                         10.0 ** np.linspace(-8.0, 8.0, 501),
+                         -(10.0 ** np.linspace(-8.0, 8.0, 501))])
+    ref = POW_FORMS[key](xs)
+    assert np.abs(_pow_free(key)(xs) - ref).max() <= 1e-15 * np.abs(ref).max()
