@@ -23,7 +23,7 @@ import numpy as np
 from . import problems, spectrum
 from .bvm import assemble_all_at_once, build_gmm, extract_trajectory
 from .krylov import PreconditionerError, build_preconditioner, direct_solve, \
-    gmres_solve, usable_cpus
+    gmres_solve
 from .oracles import FourierSeriesSolution, relative_l2_error
 from .spatial import ConfigurationError, GridTooSmallError
 from .spectrum import boundary_locus, eigenvalues_of_D, lmm_catalog, \
@@ -43,13 +43,22 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(v) -> bool:
+    """A finite JSON number: true and false are not numbers here, nor is an
+    integer beyond the float range."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
 @dataclass
 class SolverSettings:
     method: str = "gmres"      # "gmres" or "direct" (spatial eigenbasis solve)
     tol: float = 1e-10
     max_iter: int = 500
     precondition: bool = True
-    workers: int = 0           # threads per solve at most; 0: usable_cpus()
+    workers: int = 0           # threads per solve at most; 0: all usable CPUs
 
 
 @dataclass
@@ -93,8 +102,7 @@ class ExperimentConfig:
             values = value if isinstance(value, list) else [value]
             if not values:
                 raise ConfigError(f"{name}: empty sweep")
-            if not all(isinstance(v, (int, float)) and math.isfinite(v) and v > 0
-                       for v in values):
+            if not all(_number(v) and v > 0 for v in values):
                 raise ConfigError(f"{name}: must be positive finite numbers")
             if any(b >= a for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{name}: must be strictly decreasing")
@@ -109,7 +117,8 @@ class ExperimentConfig:
                                    ("mode", self.mode, 1), ("n_max", self.n_max, 1),
                                    ("solver.max_iter", self.solver.max_iter, 1),
                                    ("solver.workers", self.solver.workers, 0)):
-            if value is not None and not (isinstance(value, int) and value >= least):
+            if value is not None and not (isinstance(value, int) and value >= least
+                                          and not isinstance(value, bool)):
                 raise ConfigError(f"{name}: must be an integer of at least {least}")
         if self.solver.method not in ("gmres", "direct"):
             raise ConfigError(f"solver.method: unknown method {self.solver.method!r}")
@@ -117,12 +126,19 @@ class ExperimentConfig:
             raise ConfigError("solver.precondition: must be true or false")
         for name in ("eps", "delta", "V"):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, (int, float))
-                                          and math.isfinite(value)):
+            if value is not None and not _number(value):
                 raise ConfigError(f"{name}: must be a finite number")
         tol = self.solver.tol
-        if not (isinstance(tol, (int, float)) and math.isfinite(tol) and tol > 0):
+        if not (_number(tol) and tol > 0):
             raise ConfigError("solver.tol: must be a positive finite number")
+        w = self.window
+        if w is not None and not (isinstance(w, list) and len(w) == 2
+                                  and all(map(_number, w)) and w[0] < w[1]):
+            raise ConfigError("window: must be two finite numbers lo < hi")
+        times = self.snapshot_times
+        if times is not None and not (isinstance(times, list) and all(
+                _number(t) and 0 <= t <= self.T for t in times)):
+            raise ConfigError("snapshot_times: must be finite numbers in [0, T]")
         return self
 
     def build_problem(self) -> problems.Problem:
@@ -183,8 +199,14 @@ def _as_text(column) -> np.ndarray:
 
 
 def _assemble(cfg, pb, h=None, m=None):
-    """Discretize and assemble one point; returns (run, gmm, system)."""
+    """Discretize and assemble one point; returns (run, gmm, system).  A
+    ``window`` that holds no node of the point's grid is refused here, before
+    any solve."""
     run = problems.setup_run(pb, h=h, m=m)
+    w = cfg.window
+    if w and not np.any((run.grid.nodes >= w[0]) & (run.grid.nodes <= w[1])):
+        raise ConfigError(f"window: {cfg.window} holds no node of the grid "
+                          f"at h = {run.grid.h:g}")
     N = cfg.time_steps(h=h if h is not None else pb.L / m)
     gmm = build_gmm(N, cfg.T)
     return run, gmm, assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
@@ -192,10 +214,9 @@ def _assemble(cfg, pb, h=None, m=None):
 
 def _solve(cfg, run, gmm, system, precondition=None):
     """One solve of an assembled system.  The solver's row blocks run on at
-    most ``solver.workers`` threads (0: all), never more than the usable
-    CPUs."""
-    cpus = usable_cpus()
-    threads = min(cfg.solver.workers or cpus, cpus)
+    most ``solver.workers`` threads (0: no limit); the solver caps them at
+    the usable CPUs."""
+    threads = cfg.solver.workers or None
     if cfg.solver.method == "direct":
         return direct_solve(system, threads=threads)
     use_pre = cfg.solver.precondition if precondition is None else precondition

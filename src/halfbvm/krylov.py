@@ -40,7 +40,7 @@ rows at a time (``_true_residual``), and gates convergence on it.  A GMRES
 report's ``timings`` are the stages ``GMRES_STAGES``: transform, operator
 (M, or P^{-1} M under the preconditioner), preconditioner (its block tables
 and P^{-1} b), orthogonalisation, inverse_transform, true_residual and
-preconditioned_residual (the physical check of ``gmres_solve``).
+preconditioned_residual (||P^{-1} r|| of that r, read in the weighted modes).
 
 Block j is singular where lam_j = i sin((2 pi j - theta)/N) meets tau*spec(D),
 as at theta = pi for odd N on a torus.  Both sets are closed forms: theta is pi
@@ -233,10 +233,11 @@ def _invert_spectra(p: OmegaPreconditioner, tables, V, real: bool):
     return Z
 
 
-def _precondition_modes(p: OmegaPreconditioner, tables, R):
+def apply_preconditioner(p: OmegaPreconditioner, tables, R):
     """P_k^{-1} R_k for mode vectors R (K, 2, N), time last, given the
     modes' ``_block_tables``: the Theta-scaled FFT across time, then
-    ``_invert_spectra``.  No spatial transform; real R stays real under a
+    ``_invert_spectra``.  P is block diagonal in the spatial modes, so this
+    is its only apply: no spatial transform, and real R stays real under a
     real omega."""
     V = fft(R * np.conj(p.theta_scaling), axis=-1, overwrite_x=True)
     return _invert_spectra(p, tables, V, p.real and not np.iscomplexobj(R))
@@ -280,21 +281,6 @@ def solve_frequency_block(p: OmegaPreconditioner, j: int, v1: np.ndarray) -> np.
     return modes.inverse(V).ravel()
 
 
-def apply_preconditioner(p: OmegaPreconditioner, r: np.ndarray,
-                         tables=None) -> np.ndarray:
-    """z = P^{-1} r in physical space: into the spatial modes, the mode-space
-    solve of ``_precondition_modes``, back.  ``tables``, when given, are
-    those modes' ``_block_tables``."""
-    modes = p.sys.modes(p.real and not np.iscomplexobj(r))
-    if tables is None:
-        tables = _block_tables(p.lambda_omega, modes, p.tau)
-    # time contiguous, so that the FFTs across time run on the last axis
-    R = np.ascontiguousarray(modes.forward(
-        np.asarray(r).reshape(p.n_steps, 2, modes.n)).transpose(2, 1, 0))
-    Z = _precondition_modes(p, tables, R)
-    return modes.inverse(Z.transpose(2, 1, 0)).ravel()
-
-
 @dataclass
 class SolveReport:
     """What a linear solve produced and how it got there."""
@@ -316,7 +302,8 @@ class SolveReport:
     # GMRES: ||P^{-1} b|| (||b|| without a preconditioner), the residual
     # history's base, summed over the batch in lockstep
     rhs_norm: float = None
-    # ||P^{-1}(b - Mx)|| / ||P^{-1} b|| in physical space, under a preconditioner
+    # ||P^{-1}(b - Mx)|| / ||P^{-1} b|| under a preconditioner, read in the
+    # weighted modes from the physical b - Mx
     preconditioned_residual: float = None
     threads: int = 1                # threads that ran the row blocks, 1 inline
 
@@ -332,15 +319,15 @@ def usable_cpus() -> int:
 class _RowBlocks:
     """The N time rows of a solve in blocks of about BLOCK_BYTES.  ``map``
     runs a task on each block, the tasks writing disjoint rows, and returns
-    their results in block order.  ``threads`` is the least of ``limit``
-    (default ``usable_cpus()``), MAX_THREADS and the block count; with one,
-    the calling thread runs the blocks in order, else a pool of that many."""
+    their results in block order.  ``threads`` is the least of ``limit``,
+    ``usable_cpus()``, MAX_THREADS and the block count; with one, the
+    calling thread runs the blocks in order, else a pool of that many."""
 
     def __init__(self, N: int, row_bytes: int, limit: int = None):
         size = max(1, BLOCK_BYTES // max(row_bytes, 1))
         self.blocks = [slice(a, min(a + size, N)) for a in range(0, N, size)]
-        limit = usable_cpus() if limit is None else limit
-        self.threads = max(1, min(limit, MAX_THREADS, len(self.blocks)))
+        limit = MAX_THREADS if limit is None else limit
+        self.threads = max(1, min(limit, usable_cpus(), MAX_THREADS, len(self.blocks)))
         self._pool = ThreadPoolExecutor(self.threads) if self.threads > 1 else None
 
     def map(self, task) -> list:
@@ -593,63 +580,64 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
 
     ``iterations`` counts lockstep steps and ``modes`` the batch.  Each mode
     holds at most min(max_iter, 2N) basis vectors.  Under a preconditioner,
-    P^{-1} is applied once to the rhs, and GMRES runs on P_k^{-1} M_k by
-    ``_preconditioned_step``, with the block tables of the modes that enter
-    the batch.  After ``gmres`` returns, the solution goes back to physical
-    space and the true residual is formed there, on ``_RowBlocks`` of at
-    most ``threads`` threads (default ``usable_cpus()``): the solve has
-    converged if the lockstep stopping test holds and the true residual is
-    at most max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol).
-    ``preconditioned_residual`` checks the stopping norm in physical space:
-    ||P^{-1} r|| through ``apply_preconditioner`` over the lockstep
-    ``rhs_norm`` = ||P^{-1} b||, which the weighted transform keeps.
+    GMRES runs on P_k^{-1} M_k (``_preconditioned_step``) from P^{-1} b, with
+    the block tables of the modes that enter the batch.  After ``gmres``
+    returns, x goes back to physical space and r = b - Mx is formed there;
+    the rhs and r run on one ``_RowBlocks``, ``threads`` its limit.  The solve
+    has converged if the lockstep stopping test holds and ||r|| / ||b|| is at
+    most max(TRUE_RESIDUAL_MAX, GMRES_SLACK * tol).  ``preconditioned_residual``
+    checks the stopping norm: r moves back into the modes, P^{-1} r is formed
+    there with the solve's tables, and since the weighted transform keeps the
+    2-norm, ||weight P^{-1} r|| / ``rhs_norm`` is the physical ratio.
     """
     t0 = time.perf_counter()
     sys_, gmm = system.sys, system.gmm
     N = gmm.n_steps
     real = system.dtype.kind != "c"      # P and Q are real by construction
     modes = sys_.modes(real and (precond is None or precond.real))
-    row_bytes = sys_.dim * system.dtype.itemsize
-    with _RowBlocks(N, row_bytes, threads) as rows:
-        B = _mode_rhs(system, modes, rows, np.result_type(system.dtype, modes.dtype))
-    B = np.ascontiguousarray(B.transpose(2, 1, 0))
-    B *= modes.weight[:, None, None]   # the lockstep norm is then the physical one
-    K = len(B)
-    per_mode = (modes.p[:, None], modes.q[:, None])    # what the step reads
     timings = dict.fromkeys(GMRES_STAGES, 0.0)
-    t1 = time.perf_counter()
-    if precond is not None:
-        per_mode = tables = _block_tables(precond.lambda_omega, modes, precond.tau)
-        B = _precondition_modes(precond, tables, B)
-        timings["preconditioner"] = time.perf_counter() - t1
+    with _RowBlocks(N, sys_.dim * system.dtype.itemsize, threads) as rows:
+        B = _mode_rhs(system, modes, rows, np.result_type(system.dtype, modes.dtype))
+        B = np.ascontiguousarray(B.transpose(2, 1, 0))
+        B *= modes.weight[:, None, None]   # the lockstep norm is then the physical one
+        K = len(B)
+        per_mode = (modes.p[:, None], modes.q[:, None])    # what the step reads
+        t1 = time.perf_counter()
+        if precond is not None:
+            per_mode = tables = _block_tables(precond.lambda_omega, modes, precond.tau)
+            B = apply_preconditioner(precond, tables, B)
+            timings["preconditioner"] = time.perf_counter() - t1
 
-    def op(X, idx):
-        nonlocal per_mode
-        t = time.perf_counter()
-        if len(per_mode[0]) != len(idx):   # the batch is fixed: cut once
-            per_mode = [a[idx] for a in per_mode]
-        X = X.reshape(len(idx), 2, N)
-        Y = (_apply_modes(gmm, *per_mode, X) if precond is None
-             else _preconditioned_step(precond, per_mode, X))
-        timings["operator"] += time.perf_counter() - t
-        return Y.reshape(len(idx), -1)
-    report = gmres(op, B.reshape(K, 2 * N), tol, max_iter)
-    t2 = time.perf_counter()
-    Y = report.solution
-    Y /= modes.weight[:, None]
-    x = modes.inverse(Y.reshape(K, 2, N).transpose(2, 1, 0)).ravel()
-    report.solution = x = np.ascontiguousarray(x.real) if real else x
-    t3 = time.perf_counter()
-    r = np.empty(x.size, np.result_type(system.dtype, x))
-    with _RowBlocks(N, row_bytes, threads) as rows:
+        def op(X, idx):
+            nonlocal per_mode
+            t = time.perf_counter()
+            if len(per_mode[0]) != len(idx):   # the batch is fixed: cut once
+                per_mode = [a[idx] for a in per_mode]
+            X = X.reshape(len(idx), 2, N)
+            Y = (_apply_modes(gmm, *per_mode, X) if precond is None
+                 else _preconditioned_step(precond, per_mode, X))
+            timings["operator"] += time.perf_counter() - t
+            return Y.reshape(len(idx), -1)
+        report = gmres(op, B.reshape(K, 2 * N), tol, max_iter)
+        t2 = time.perf_counter()
+        Y = report.solution
+        Y /= modes.weight[:, None]
+        x = modes.inverse(Y.reshape(K, 2, N).transpose(2, 1, 0)).ravel()
+        report.solution = x = np.ascontiguousarray(x.real) if real else x
+        t3 = time.perf_counter()
+        r = np.empty(x.size, np.result_type(system.dtype, x))
         report.true_residual = _true_residual(system, x, rows, out=r)
     t4 = time.perf_counter()
     report.converged = report.converged and report.true_residual <= max(
         TRUE_RESIDUAL_MAX, GMRES_SLACK * tol)
     if precond is not None:
+        R = modes.forward(r.reshape(N, 2, sys_.n))
+        R = np.ascontiguousarray(R.transpose(2, 1, 0))   # time last, for the FFTs
+        del r
+        Z = apply_preconditioner(precond, tables, R)
+        Z *= modes.weight[:, None, None]
         report.preconditioned_residual = float(
-            np.linalg.norm(apply_preconditioner(precond, r, tables=tables))
-            / max(report.rhs_norm, 1e-300))
+            np.linalg.norm(Z) / max(report.rhs_norm, 1e-300))
         report.theta, report.gap = precond.theta, precond.gap
     report.wall_time = time.perf_counter() - t0
     timings.update(transform=t1 - t0, inverse_transform=t3 - t2,
@@ -733,8 +721,8 @@ def direct_solve(system: AllAtOnceSystem, threads: int = None) -> SolveReport:
 
     The rhs enters the mode array by ``_mode_rhs``: its r spatial vectors
     are transformed and turned by U^H once.  The stages that treat each time
-    row on its own run on ``_RowBlocks`` of at most ``threads`` threads
-    (default ``usable_cpus()``), a block at a time: filling the mode array
+    row on its own run on ``_RowBlocks``, ``threads`` its limit, a block at
+    a time: filling the mode array
     from those vectors, the coupling update, U, and the true residual.  The
     inverse transform runs on as many ``scipy.fft`` workers, and the sweeps
     on this thread alone.

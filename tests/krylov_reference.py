@@ -1,18 +1,35 @@
-"""Sequential-Givens lockstep GMRES, the reference for ``krylov.gmres``.
+"""References for ``krylov``: sequential-Givens lockstep GMRES, and P^{-1}
+in physical space.
 
 ``gmres`` here is the same lockstep loop as the library's, with the textbook
 rotation step: at step j each system's new Hessenberg column goes through the
 j earlier rotations one by one, and ``_update`` reads the rotated columns.
 The library keeps the last row of the rotation product instead and rotates
 the raw columns once at the end, so the two must agree to rounding.
+
+``precondition_physical`` applies P^{-1} to a physical vector, for tests
+against a dense P: the library applies it only to mode vectors.
 """
 
 import time
 
 import numpy as np
 
+from halfbvm import krylov
 from halfbvm.krylov import (RHS_FLOOR, SolveReport, _combine, _grown,
                             _project)
+
+
+def precondition_physical(p, r):
+    """z = P^{-1} r for a physical r (N x 2n, flat): into the spatial modes
+    of ``p.sys``, ``krylov.apply_preconditioner`` with their block tables,
+    back."""
+    modes = p.sys.modes(p.real and not np.iscomplexobj(r))
+    tables = krylov._block_tables(p.lambda_omega, modes, p.tau)
+    R = modes.forward(np.asarray(r).reshape(p.n_steps, 2, modes.n))
+    Z = krylov.apply_preconditioner(p, tables,
+                                    np.ascontiguousarray(R.transpose(2, 1, 0)))
+    return modes.inverse(Z.transpose(2, 1, 0)).ravel()
 
 
 def _update(basis, cols, g):

@@ -46,10 +46,12 @@ def test_config_validation_errors(tmp_path):
             cli.load_config(_write_config(tmp_path, **raw))
 
 
-# h above L/3 is a grid of fewer than 3 cells; only the grid can tell, since
-# L comes from the problem
+# h above L/3 is a grid of fewer than 3 cells, and a window between two
+# nodes (h = 20/24) holds none; only the grid can tell, since L comes from
+# the problem
 GRID_ONLY = ({"h": 100.0, "m": None},
-             {"h_sweep": [100.0, 0.5], "m": None, "n_steps": None})
+             {"h_sweep": [100.0, 0.5], "m": None, "n_steps": None},
+             {"window": [0.1, 0.2]})
 # the loader cannot know which parameters each problem's factory takes
 PROBLEM_ONLY = ({"problem": "half_diffusion_manufactured", "delta": 0.1},
                 {"V": 0.5},                  # on single_mode
@@ -80,6 +82,18 @@ PROBLEM_ONLY = ({"problem": "half_diffusion_manufactured", "delta": 0.1},
     {"solver": {"method": 1}},
     {"solver": {"method": ["direct"]}},
     *PROBLEM_ONLY,                       # died on a TypeError, exit 1
+    {"window": [5, -3]},                 # ran, rel_l2_error_at_T 0.0
+    {"window": ["a", "b"]},              # a traceback after the CSVs
+    {"window": [0.1]},
+    {"window": [0.2, 0.4, 7]},           # ran on (0.2, 0.4)
+    {"window": []},                      # ran on the problem's window
+    {"snapshot_times": ["abc"]},         # a traceback after the solve
+    {"snapshot_times": "x"},
+    {"snapshot_times": [None]},
+    {"snapshot_times": [-1, 1e9]},       # clamped to t = 0 and t = T
+    {"T": True},                         # ran as T = 1
+    {"T": 10 ** 400},                    # an OverflowError traceback
+    {"n_max": True},                     # ran as n_max = 1
 ])
 def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting, capsys):
     cfg = _base_solve_config()
@@ -97,7 +111,9 @@ def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting, capsys):
     command = "converge" if "h_sweep" in setting else "solve"
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) \
         == cli.EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not list((tmp_path / "o").glob("*"))     # no solve, no record
 
 
 def test_direct_solver_method(tmp_path):
@@ -442,7 +458,6 @@ def test_workers_caps_the_row_block_threads_of_each_solve(tmp_path, monkeypatch)
     reports = []
     monkeypatch.setattr(krylov, "BLOCK_BYTES", 1)
     monkeypatch.setattr(krylov, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
     monkeypatch.setattr(cli, "gmres_solve", _recording(cli.gmres_solve, reports))
     cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
                         h_sweep=[1.0, 0.5], tau_over_h=0.25,
@@ -465,7 +480,6 @@ def test_workers_caps_the_row_block_threads_of_each_solve(tmp_path, monkeypatch)
 def test_solve_workers_one_runs_inline(tmp_path, monkeypatch):
     monkeypatch.setattr(krylov, "BLOCK_BYTES", 1)
     monkeypatch.setattr(krylov, "usable_cpus", lambda: 2)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
     path = _write_config(tmp_path, **_base_solve_config())
     for workers, threads in (("1", 1), ("0", 2)):
         out = tmp_path / workers
@@ -487,7 +501,6 @@ def test_sweep_threads_are_capped_by_the_cpu_affinity(tmp_path, monkeypatch):
     solve = cli.gmres_solve
     monkeypatch.setattr(krylov, "BLOCK_BYTES", 1)
     monkeypatch.setattr(krylov, "usable_cpus", lambda: 1)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: 1)
     monkeypatch.setattr(cli, "gmres_solve", recording)
     cfg = _write_config(tmp_path, problem="single_mode", T=1.0,
                         h_sweep=[1.0, 0.5], tau_over_h=0.25,

@@ -8,6 +8,7 @@ from conftest import (A_dense, assert_multiset_close, dense_D, dense_system,
                       materialize, materialize_omega_circulant)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from krylov_reference import precondition_physical
 
 import halfbvm as hb
 from halfbvm import krylov, spatial
@@ -120,7 +121,7 @@ def test_preconditioned_step_is_P_inverse_M(name, theta, complex_x):
     dense = X @ A_dense(gmm).T - gmm.tau * DX
     assert np.abs(MX - dense).max() <= 1e-14 * np.abs(MX).max()
     tables = krylov._block_tables(pre.lambda_omega, modes, pre.tau)
-    ref = krylov._precondition_modes(pre, tables, MX)
+    ref = krylov.apply_preconditioner(pre, tables, MX)
     step = krylov._preconditioned_step(pre, tables, X)
     assert np.iscomplexobj(step) == np.iscomplexobj(ref) == (complex_x or not pre.real)
     assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -135,7 +136,7 @@ def test_preconditioner_is_exact_inverse(name, m):
     P = _materialized_preconditioner(gmm, run.sys)
     rng = np.random.default_rng(1)
     x = rng.normal(size=system.shape[0])
-    z = krylov.apply_preconditioner(pre, P @ x)
+    z = precondition_physical(pre, P @ x)
     assert np.abs(z - x).max() < 1e-10
 
 
@@ -145,7 +146,7 @@ def test_preconditioner_round_trip_random_rhs():
     P = _materialized_preconditioner(gmm, run.sys)
     rng = np.random.default_rng(2)
     r = rng.normal(size=system.shape[0])
-    assert np.abs(P @ krylov.apply_preconditioner(pre, r) - r).max() < 1e-10
+    assert np.abs(P @ precondition_physical(pre, r) - r).max() < 1e-10
 
 
 def test_frequency_block_with_zero_operators_divides_by_lambda():
@@ -164,7 +165,7 @@ def test_frequency_block_with_zero_operators_divides_by_lambda():
     assert np.abs(v2[n:] - v1[n:] / pre.lambda_omega[1]).max() < 1e-13
     P = _materialized_preconditioner(gmm, sys)
     r = rng.normal(size=4 * sys.dim)
-    assert np.abs(P @ krylov.apply_preconditioner(pre, r) - r).max() < 1e-11
+    assert np.abs(P @ precondition_physical(pre, r) - r).max() < 1e-11
 
 
 def test_frequency_block_solves():
@@ -232,7 +233,7 @@ def test_preconditioner_inverts_materialized_property(m, N, periodic, theta, dat
     pre = krylov.build_preconditioner(gmm, sys, theta=theta)
     P = _materialized_preconditioner(gmm, sys, theta)
     r = np.random.default_rng(m * 10 + N).normal(size=N * sys.dim)
-    z = krylov.apply_preconditioner(pre, r)
+    z = precondition_physical(pre, r)
     # backward error at round-off, whatever the conditioning of P
     assert np.linalg.norm(P @ z - r) <= 1e-13 * np.linalg.norm(P) * np.linalg.norm(z)
 
@@ -249,7 +250,7 @@ def test_derived_theta_inverts_materialized_property(m, N, periodic, data):
     assert pre.gap >= krylov.GAP_MIN
     P = _materialized_preconditioner(gmm, sys, pre.theta)
     r = np.random.default_rng(m * 10 + N).normal(size=N * sys.dim)
-    z = krylov.apply_preconditioner(pre, r)
+    z = precondition_physical(pre, r)
     assert np.linalg.norm(P @ z - r) <= 1e-13 * np.linalg.norm(P) * np.linalg.norm(z)
 
 
@@ -382,7 +383,7 @@ def test_singular_block_at_pi_moves_theta():
     assert np.min(np.abs(pre.lambda_omega)) == pytest.approx(pre.gap, rel=1e-12)
     P = _materialized_preconditioner(gmm, sys, pre.theta)
     r = np.random.default_rng(6).normal(size=5 * sys.dim)
-    assert np.abs(P @ krylov.apply_preconditioner(pre, r) - r).max() < 1e-12
+    assert np.abs(P @ precondition_physical(pre, r) - r).max() < 1e-12
 
 
 @pytest.mark.parametrize("N,theta", [(8, np.pi), (7, np.pi), (6, 1.0), (2, np.pi)])
@@ -505,8 +506,8 @@ def test_criterion_9_finest_solve_ends_within_five_lockstep_iterations():
 def _physical_stopping_norm(system, pre, x):
     """||P^{-1}(b - Mx)|| / ||P^{-1} b|| formed in physical space."""
     b = system.rhs
-    return (np.linalg.norm(krylov.apply_preconditioner(pre, b - system.apply(x)))
-            / np.linalg.norm(krylov.apply_preconditioner(pre, b)))
+    return (np.linalg.norm(precondition_physical(pre, b - system.apply(x)))
+            / np.linalg.norm(precondition_physical(pre, b)))
 
 
 @settings(max_examples=30, deadline=None)
@@ -529,8 +530,8 @@ def test_lockstep_gmres_property(m, N, periodic, complex_rhs, data):
     pre = krylov.build_preconditioner(gmm, sys)
     rep = krylov.gmres_solve(system, pre, tol=1e-12, max_iter=50)
     one = krylov.gmres(
-        lambda X, idx: krylov.apply_preconditioner(pre, system.apply(X[0]))[None],
-        krylov.apply_preconditioner(pre, rhs)[None], tol=1e-12,
+        lambda X, idx: precondition_physical(pre, system.apply(X[0]))[None],
+        precondition_physical(pre, rhs)[None], tol=1e-12,
         max_iter=N * sys.dim + 1)
     bare = krylov.gmres_solve(system, None, tol=1e-12, max_iter=2 * N)
     direct = krylov.direct_solve(system)
@@ -838,22 +839,67 @@ def test_benchmark_sized_systems_run_inline(monkeypatch, name, h, N, T, bare):
 
 def test_preconditioned_residual_check_applies_the_preconditioner_once(monkeypatch):
     # ||P^{-1} b|| is the lockstep loop's rhs_norm: the orthonormal mode
-    # transforms keep it, so only P^{-1} r is formed in physical space, with
-    # the block tables the solve built once
+    # transforms keep it, so the check applies P^{-1} once more, to r in the
+    # modes, with the block tables the solve built once.  P^{-1} b and the
+    # check are the only applies: a step never applies P^{-1} whole
     pb, run, gmm, system = _setup(m=25, N=16, T=1.0)
     pre = krylov.build_preconditioner(gmm, run.sys)
     calls, built = [], []
     apply, tables = krylov.apply_preconditioner, krylov._block_tables
     monkeypatch.setattr(krylov, "apply_preconditioner",
-                        lambda p, r, **kw: calls.append(r) or apply(p, r, **kw))
+                        lambda p, t, R: calls.append(R.shape) or apply(p, t, R))
     monkeypatch.setattr(krylov, "_block_tables",
                         lambda *args: built.append(args) or tables(*args))
     rep = krylov.gmres_solve(system, pre, tol=1e-10)
-    assert rep.converged and len(calls) == 1 and len(built) == 1
+    assert rep.converged and len(built) == 1
+    assert calls == [(run.sys.n, 2, 16)] * 2
     assert rep.rhs_norm == pytest.approx(
-        np.linalg.norm(krylov.apply_preconditioner(pre, system.rhs)), rel=1e-12)
+        np.linalg.norm(precondition_physical(pre, system.rhs)), rel=1e-12)
     assert rep.preconditioned_residual == pytest.approx(
         _physical_stopping_norm(system, pre, rep.solution), rel=1e-9)
+
+
+@pytest.mark.parametrize("name,theta", [
+    ("half_diffusion_manufactured", np.pi),            # DST-I walls, real
+    ("advection_manufactured", np.pi),                 # rfft half spectrum
+    ("schrodinger_single_mode", np.pi),                # complex walls
+    ("half_diffusion_manufactured", krylov.THETA_GRID[2]),   # theta != pi
+    ("advection_manufactured", krylov.THETA_GRID[9])])       # full spectrum
+def test_mode_space_check_is_the_physical_norm(monkeypatch, name, theta):
+    # the check reads ||P^{-1} r|| from the weighted modes of the solve's own
+    # physical residual r; P^{-1} r formed in physical space has the same norm
+    pb, run, gmm, system = _setup(name, m=16, N=12, T=1.5)
+    pre = krylov.build_preconditioner(gmm, run.sys, theta=theta)
+    residuals, true_residual = [], krylov._true_residual
+
+    def keep(system, x, rows, out=None):
+        res = true_residual(system, x, rows, out=out)
+        residuals.append(out.copy())
+        return res
+    monkeypatch.setattr(krylov, "_true_residual", keep)
+    rep = krylov.gmres_solve(system, pre, tol=1e-10)
+    ref = np.linalg.norm(precondition_physical(pre, residuals[0])) / rep.rhs_norm
+    assert rep.converged and len(residuals) == 1
+    assert rep.half_spectrum == (name == "advection_manufactured" and pre.real)
+    assert rep.preconditioned_residual == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("name", ["half_diffusion_manufactured",
+                                  "advection_manufactured"])
+def test_preconditioned_solve_transforms_back_once(monkeypatch, name):
+    # the check stays in the modes: one inverse spatial transform (the
+    # solution's) and one build of the block tables per solve
+    pb, run, gmm, system = _setup(name, m=16, N=12, T=1.5)
+    pre = krylov.build_preconditioner(gmm, run.sys)
+    inverses, built = [], []
+    inverse, tables = spatial.Modes.inverse, krylov._block_tables
+    monkeypatch.setattr(spatial.Modes, "inverse", lambda self, Y, workers=1: (
+        inverses.append(Y.shape) or inverse(self, Y, workers)))
+    monkeypatch.setattr(krylov, "_block_tables",
+                        lambda *args: built.append(args) or tables(*args))
+    rep = krylov.gmres_solve(system, pre, tol=1e-10)
+    assert rep.converged and rep.preconditioned_residual <= 1e-10
+    assert len(inverses) == 1 and len(built) == 1
 
 
 def test_modes_leaving_the_batch_keep_their_preconditioner_tables(monkeypatch):
@@ -925,10 +971,12 @@ def test_solvers_never_form_the_rhs(monkeypatch, name, m, N):
 
 def test_row_blocks_threads_are_capped_and_keep_block_order(monkeypatch):
     # eight CPUs still give MAX_THREADS threads, a limit of one runs inline
-    # without a pool, and either way the results come back in block order
+    # without a pool, a limit of two on one CPU (as under taskset -c 0) is
+    # cut to one, and either way the results come back in block order
     monkeypatch.setattr(krylov, "BLOCK_BYTES", 1)
-    monkeypatch.setattr(krylov, "usable_cpus", lambda: 8)
-    for limit, threads in ((None, krylov.MAX_THREADS), (1, 1)):
+    for cpus, limit, threads in ((8, None, krylov.MAX_THREADS), (8, 1, 1),
+                                 (1, 2, 1)):
+        monkeypatch.setattr(krylov, "usable_cpus", lambda: cpus)
         with krylov._RowBlocks(200, 1, limit) as rows:
             assert rows.threads == threads and len(rows.blocks) == 200
             assert (rows._pool is None) == (threads == 1)
