@@ -7,9 +7,9 @@ ODE U' = D U + G into one vector gives
 
     (A (x) I - tau B (x) D) u = tau (B (x) I) g - a0 (x) U0,
 
-with B = I for this scheme.
+with B = I for this scheme and a0 = INTERIOR[0] e_0.
 The coefficient table below is the only place the scheme is written down:
-A, a0, the rhs, the stability polynomials (``spectrum.gmm_polynomials``)
+A, the rhs, the stability polynomials (``spectrum.gmm_polynomials``)
 and, through their roots, the sweeps of the direct solve all read it; the
 omega-circulant preconditioner (``krylov``) takes its interior row's symbol
 in closed form.
@@ -17,13 +17,12 @@ The operator is applied matrix free: block row j touches only slices j-1, j,
 j+1, and D acts within a slice from its spatial stencils.
 The rhs is kept separable, as the source is: each term T_i(t) F_i(x) gives
 the column T_i(t_j) of ``times`` and the spatial vector tau G_i of
-``vectors``, and -a0 (x) U0 the column e_0 and the vector -a0[0] U0.  So b =
-times @ vectors has rank r <= terms + 1, and a solver transforms r spatial
-vectors, not N time rows.
+``vectors``, and -a0 (x) U0 the column e_0 and the vector -INTERIOR[0] U0.
+That is b's one form: b = times @ vectors has rank r <= terms + 1, and a
+solver transforms r spatial vectors, not N time rows.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -56,16 +55,10 @@ FINAL = (-1.0, 1.0)
 
 @dataclass(frozen=True)
 class GmmMatrices:
-    """Time-stepping matrices A, B = I and a0 for N steps of size tau."""
+    """Time-stepping matrices A and B = I for N steps of size tau."""
 
     n_steps: int
     tau: float
-
-    @property
-    def a0(self) -> np.ndarray:
-        a = np.zeros(self.n_steps)
-        a[0] = INTERIOR[0]
-        return a
 
     @property
     def times(self) -> np.ndarray:
@@ -142,8 +135,8 @@ def _add_terms(T, S, out):
 class AllAtOnceSystem:
     """Matrix-free space-time operator M = A (x) I - tau B (x) D with its rhs
     b = times @ vectors: ``times`` (N, r) the time coefficients and
-    ``vectors`` (r, 2n) the spatial vectors (module docstring).  A dense b is
-    given as (I_N, its N rows).  Operator-only systems leave both None."""
+    ``vectors`` (r, 2n) the spatial vectors (module docstring), b's only
+    form.  Operator-only systems leave both None."""
 
     gmm: GmmMatrices
     sys: object
@@ -160,21 +153,9 @@ class AllAtOnceSystem:
     def dtype(self) -> np.dtype:
         return np.result_type(self.times, self.vectors)
 
-    @cached_property
-    def dense(self) -> bool:
-        """b given by its rows: ``times`` is the identity."""
-        T = self.times
-        return T.shape[0] == T.shape[1] and np.array_equal(T, np.eye(len(T)))
-
     def rhs_rows(self, rows=slice(None), out=None) -> np.ndarray:
         """Rows ``rows`` (a slice) of b, (rows, 2n), formed from the factors
-        into ``out`` when given, else into a new array (``_add_terms``).  A
-        dense b gives its own rows, copied only into an ``out``."""
-        if self.dense:
-            if out is None:
-                return self.vectors[rows]
-            out[...] = self.vectors[rows]
-            return out
+        into ``out`` when given, else into a new array (``_add_terms``)."""
         T = self.times[rows]
         if out is None:
             out = np.empty((len(T), self.vectors.shape[1]), self.dtype)
@@ -200,7 +181,7 @@ def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,
     """The system of initial state (u0, v0) and source spec, its rhs in
     factors: each term's time function at the N time nodes and its
     Hilbert-transformed spatial vector, evaluated once and scaled by tau,
-    then e_0 and -a0[0] U0.  Nothing N x 2n is formed.
+    then e_0 and -INTERIOR[0] U0.  Nothing N x 2n is formed.
     """
     U0 = u0v0.stack()
     if U0.size != sys.dim:
@@ -211,7 +192,7 @@ def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,
     times = np.column_stack([time_fn(gmm.times) for time_fn, _ in terms] + [e0])
     dtype = np.result_type(U0, *(G for _, G in terms),
                            complex if sys.epsilon.imag != 0 else float)
-    vectors = np.array([gmm.tau * G for _, G in terms] + [-gmm.a0[0] * U0], dtype)
+    vectors = np.array([gmm.tau * G for _, G in terms] + [-INTERIOR[0] * U0], dtype)
     return AllAtOnceSystem(gmm=gmm, sys=sys, times=times, vectors=vectors,
                            initial=u0v0)
 

@@ -15,7 +15,7 @@ import json
 import math
 import sys as _sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +37,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_SOLVER = 4
+
+# the boundaries ``locus`` draws: its default and the names it knows
+LOCUS_METHODS = sorted(lmm_catalog()) + ["rk2", "rk4", "radau_iia"]
 
 
 class ConfigError(ValueError):
@@ -136,9 +139,15 @@ class ExperimentConfig:
                                   and all(map(_number, w)) and w[0] < w[1]):
             raise ConfigError("window: must be two finite numbers lo < hi")
         times = self.snapshot_times
-        if times is not None and not (isinstance(times, list) and all(
+        if times is not None and not (isinstance(times, list) and times and all(
                 _number(t) and 0 <= t <= self.T for t in times)):
-            raise ConfigError("snapshot_times: must be finite numbers in [0, T]")
+            raise ConfigError("snapshot_times: must be a non-empty list of "
+                              "finite numbers in [0, T]")
+        names = self.locus_methods
+        if names is not None and not (isinstance(names, list) and names and all(
+                name in LOCUS_METHODS for name in names)):
+            raise ConfigError(f"locus_methods: must be a non-empty list of "
+                              f"{LOCUS_METHODS}")
         return self
 
     def build_problem(self) -> problems.Problem:
@@ -336,19 +345,8 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     err, flagged, oracle = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
     manifest = {
         **_discretisation(cfg, run, gmm, system),
-        "path": report.path, "half_spectrum": report.half_spectrum,
-        "theta": report.theta, "gap": report.gap,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "true_residual": report.true_residual,
-        "preconditioned_residual": report.preconditioned_residual,
-        "wall_time": report.wall_time,
-        "timings": report.timings,
-        "marginal_modes": report.marginal_modes,
-        "modes": report.modes,
-        "floored_modes": report.floored_modes,
-        "threads": report.threads,
-        "residual_history": report.residual_history,
+        **{f.name: getattr(report, f.name) for f in fields(report)
+           if f.name != "solution"},
         "rel_l2_error_at_T": err,
         "error_norm_flagged_absolute": flagged,
         "oracle": oracle,
@@ -435,14 +433,11 @@ def run_spectrum(cfg: ExperimentConfig, out_dir: Path) -> int:
 
 def run_locus(cfg: ExperimentConfig, out_dir: Path) -> int:
     rows = []
-    methods = cfg.locus_methods or sorted(lmm_catalog()) + ["rk2", "rk4", "radau_iia"]
-    for name in methods:
+    for name in cfg.locus_methods or LOCUS_METHODS:
         if name in lmm_catalog():
             pts = boundary_locus(lmm_catalog()[name], 720)
-        elif name in ("rk2", "rk4", "radau_iia"):
-            pts = rk_boundary_points(name, 360)
         else:
-            raise ConfigError(f"locus_methods: unknown method {name!r}")
+            pts = rk_boundary_points(name, 360)
         rows.extend((float(z.real), float(z.imag), name) for z in pts)
     _write_csv(out_dir / "locus.csv", ["re", "im", "label"], zip(*rows), cfg)
     return EXIT_OK

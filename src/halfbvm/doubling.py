@@ -225,9 +225,8 @@ def _doubled_pair(profile, sys: DiscreteSystem):
 
 
 def doubled_initial_state(u0, sys: DiscreteSystem) -> DoubledState:
-    """Sample u0 and build v0 = -eps*H[u0'] + Lop(u0) on the grid nodes."""
-    if isinstance(u0, ht.CatalogFunction):
-        u0 = profile_from_catalog(u0)
+    """Sample u0, a ``LineProfile`` or an ``OddImage``, and build v0 =
+    -eps*H[u0'] + Lop(u0) on the grid nodes."""
     u, v, hdx = _doubled_pair(u0, sys)
     dtype = complex if np.iscomplexobj(v) or np.iscomplexobj(u) else float
     return DoubledState(u=u.astype(dtype), v=v.astype(dtype), hilbert_dx=hdx)

@@ -138,11 +138,6 @@ def _nearest(lam, z):
     return float(dist[a, i]), int(i), int(order[near[a, i]])
 
 
-def _gap(lam, z) -> float:
-    """Distance between the sets {lam_j} and z (``_nearest``)."""
-    return _nearest(lam, z)[0]
-
-
 class PreconditionerError(ValueError):
     """No theta keeps every block at least GAP_MIN from singular.  ``record``
     holds that theta, its gap and GAP_MIN, and under ``nearest`` where the
@@ -164,7 +159,7 @@ def build_preconditioner(gmm: GmmMatrices, sys,
     z = tau * eigenvalues_of_D(sys)
 
     def gap(th):
-        return _gap(_frequencies(N, th), z)
+        return _nearest(_frequencies(N, th), z)[0]
     if theta is None and gap(np.pi) < GAP_MIN:
         theta = THETA_GRID[np.argmax([gap(th) for th in THETA_GRID])]
     theta = np.pi if theta is None else float(theta)
@@ -390,27 +385,17 @@ def _mode_rhs(system: AllAtOnceSystem, modes, rows: _RowBlocks, dtype, C=None):
     """b in ``modes``, (N, 2, K) with time rows first, and C (2, 2, K), one
     2x2 per mode, applied to each row when given (``_rotate``).  The r
     spatial vectors are transformed (and rotated) once, and each row block
-    of the result is their sum with that block's time coefficients.  When r
-    >= N, as for a dense b, each block of b's rows is transformed instead."""
+    of the result is their sum with that block's time coefficients."""
     N, n = system.gmm.n_steps, system.sys.n
     S = system.vectors
     R = np.empty((N, 2, len(modes.p)), dtype)
-    if len(S) >= N:
-        def fill(r):
-            F = modes.forward(system.rhs_rows(r).reshape(-1, 2, n))
-            F = F.astype(dtype, copy=False)
-            if C is None:
-                R[r] = F
-            else:
-                _rotate(C, F, R[r])
-    else:
-        W = modes.forward(S.reshape(-1, 2, n)).astype(dtype, copy=False)
-        if C is not None:
-            _rotate(C, W)
-        W = W.reshape(len(S), -1)
+    W = modes.forward(S.reshape(-1, 2, n)).astype(dtype, copy=False)
+    if C is not None:
+        _rotate(C, W)
+    W = W.reshape(len(S), -1)
 
-        def fill(r):
-            _add_terms(system.times[r], W, R[r].reshape(-1, W.shape[1]))
+    def fill(r):
+        _add_terms(system.times[r], W, R[r].reshape(-1, W.shape[1]))
     rows.map(fill)
     return R
 

@@ -134,7 +134,7 @@ class FourierSeriesSolution:
         return out.reshape(x.shape)
 
 
-def schrodinger_dalembert(u0_value, u0_hilbert, gamma, V=0.0, L=None):
+def schrodinger_dalembert(u0_value, u0_hilbert, gamma, V=0.0):
     """Traveling-wave solution of i u_t = gamma (-Delta)^{1/2} u + V u.
 
     u0_value / u0_hilbert evaluate the (complex) initial datum and its

@@ -196,7 +196,7 @@ class Problem:
                 model=self.model, delta=self.delta, n_max=n_max, **kw)
         gamma = complex(self.eps).imag
         return oracles.schrodinger_dalembert(self.u0.value, self.u0.hilbert,
-                                             gamma, self.V, self.L)
+                                             gamma, self.V)
 
 
 def catalog():
@@ -362,9 +362,8 @@ def _schrodinger_two_lorentzian(L=100.0, gamma=0.1, V=0.0, separation=10.0,
 
 @dataclass(frozen=True)
 class RunSetup:
-    """Everything a solve needs: system, initial state, source, reference."""
+    """Everything a solve needs: system, initial state and source."""
 
-    problem: Problem
     grid: Grid
     sys: object
     u0v0: object
@@ -399,5 +398,4 @@ def setup_run(problem: Problem, h: float = None, m: int = None) -> RunSetup:
             SourceTerm(time=t.time, space=OddImage(t.space, problem.L))
             for t in src.terms))
     u0v0 = doubled_initial_state(u0, sys)
-    return RunSetup(problem=problem, grid=sys.grid, sys=sys, u0v0=u0v0,
-                    source=src)
+    return RunSetup(grid=sys.grid, sys=sys, u0v0=u0v0, source=src)

@@ -14,7 +14,7 @@ def test_gmm_matrices_frozen():
     gmm = bvm.build_gmm(3, 3.0)
     assert gmm.tau == pytest.approx(1.0)
     assert np.allclose(A_dense(gmm), [[0, 0.5, 0], [-0.5, 0, 0.5], [0, -1, 1]])
-    assert np.allclose(gmm.a0, [-0.5, 0, 0])
+    assert bvm.INTERIOR[0] == -0.5
     with pytest.raises(ValueError):
         bvm.build_gmm(1, 1.0)
     with pytest.raises(ValueError):
@@ -170,7 +170,7 @@ def _dense_rhs(gmm, sys, src, u0v0):
         rhs = reduce(np.add, (np.multiply.outer(T(gmm.times), gmm.tau * G)
                               for T, G in source_block_values(src, sys)))
     rhs = rhs.astype(np.result_type(rhs, U0), copy=False)
-    rhs[0] -= gmm.a0[0] * U0
+    rhs[0] -= bvm.INTERIOR[0] * U0
     return rhs.ravel()
 
 

@@ -1,6 +1,6 @@
 import json
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -94,6 +94,10 @@ PROBLEM_ONLY = ({"problem": "half_diffusion_manufactured", "delta": 0.1},
     {"T": True},                         # ran as T = 1
     {"T": 10 ** 400},                    # an OverflowError traceback
     {"n_max": True},                     # ran as n_max = 1
+    {"snapshot_times": []},              # wrote the default three
+    {"locus_methods": ["nope"]},         # solve ignored it
+    {"locus_methods": "gmm"},
+    {"locus_methods": []},               # locus drew every method
 ])
 def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting, capsys):
     cfg = _base_solve_config()
@@ -152,6 +156,9 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
         assert report["n"] == 160 and report["h_effective"] == 0.25   # torus [0, 2L)
         assert report["unknowns"] == 4 * 2 * 160
         assert report["boundary"] == "periodic"
+        # every field of the solve report but the solution itself
+        assert {f.name for f in fields(krylov.SolveReport)} - set(report) \
+            == {"solution"}
         assert report["path"] == path and report["half_spectrum"] is half
         assert 0.0 <= report["true_residual"] < 1e-8
         # a system of one row block runs inline on every path
@@ -164,6 +171,7 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
             assert sum(report["timings"].values()) == pytest.approx(report["wall_time"])
             assert report["marginal_modes"] == 2
             assert report["modes"] is None and report["floored_modes"] is None
+            assert report["rhs_norm"] is None
         else:
             # GMRES times its seven stages, summing to within 5% of the wall
             # time, and solves the 160 // 2 + 1 rfft modes as one batch
@@ -177,6 +185,7 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
             assert report["modes"] == 81
             # no rfft mode of this data is below the floor of the rhs
             assert report["floored_modes"] == 0
+            assert report["rhs_norm"] > 0.0
         # only the preconditioned path has a theta, its gap and a physical
         # preconditioned residual
         if path == "gmres+omega":

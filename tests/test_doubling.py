@@ -20,7 +20,7 @@ def test_initial_state_single_mode():
     # H[(sin(pi x/L))'] = (pi/L) sin(pi x/L), so v0 = -(pi/L) sin for eps = 1
     L = 20.0
     sys = _system(L=L, m=32, eps=1.0)
-    u0 = ht.CatalogFunction("sine", alpha=np.pi / L)
+    u0 = doubling.profile_from_catalog(ht.CatalogFunction("sine", alpha=np.pi / L))
     state = doubling.doubled_initial_state(u0, sys)
     x = sys.grid.nodes
     assert np.abs(state.u - np.sin(np.pi * x / L)).max() < 1e-14
@@ -170,7 +170,8 @@ def test_growing_mode_cancellation_exact_rates():
     sys = _system(L=L, m=m, eps=eps)
     x = sys.grid.nodes
     for n in (1, 2, 3, 4):
-        u0 = ht.CatalogFunction("sine", alpha=n * np.pi / L)
+        u0 = doubling.profile_from_catalog(
+            ht.CatalogFunction("sine", alpha=n * np.pi / L))
         state = doubling.doubled_initial_state(u0, sys)
         sol = solve_ivp(lambda t, y: sys.apply_D(y), (0.0, T), state.stack(),
                         method="DOP853", rtol=1e-12, atol=1e-14,
