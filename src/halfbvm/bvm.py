@@ -19,7 +19,9 @@ The rhs is kept separable, as the source is: each term T_i(t) F_i(x) gives
 the column T_i(t_j) of ``times`` and the spatial vector tau G_i of
 ``vectors``, and -a0 (x) U0 the column e_0 and the vector -INTERIOR[0] U0.
 That is b's one form: b = times @ vectors has rank r <= terms + 1, and a
-solver transforms r spatial vectors, not N time rows.
+solver transforms r spatial vectors, not N time rows.  ``AllAtOnceSystem``
+alone forms anything of b: its rows, also from transformed vectors, ||b||
+from the factors' Gram matrices, and the rows of b - Mx of a true residual.
 """
 
 from dataclasses import dataclass, field
@@ -110,33 +112,14 @@ def _row_chunks(n_rows: int, row_bytes: int) -> list:
     return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
-def _add_terms(T, S, out):
-    """out = T @ S, T (rows, r) and S (r, d), by ufuncs term by term in
-    order, each product after the first through one ``_row_chunks`` scratch:
-    no BLAS call, so any thread may run it, no temporary of out's size, and
-    every row comes out the same bits however the rows are split.  A later
-    term is skipped over a chunk where its time coefficients are all zero,
-    as the U0 term's e_0 is outside row 0: that adds nothing but the sign
-    of a zero."""
-    np.multiply(T[:, :1], S[0], out=out)
-    if len(S) > 1:
-        dtype = np.result_type(T, S)
-        chunks = _row_chunks(len(T), S.shape[1] * dtype.itemsize)
-        live = np.logical_or.reduceat(T[:, 1:] != 0, [c.start for c in chunks])
-        tmp = np.empty((chunks[0].stop, S.shape[1]), dtype)
-        for c, terms in zip(chunks, live):
-            t = tmp[: c.stop - c.start]
-            for i in np.flatnonzero(terms) + 1:
-                out[c] += np.multiply(T[c, i: i + 1], S[i], out=t)
-    return out
-
-
 @dataclass(frozen=True)
 class AllAtOnceSystem:
     """Matrix-free space-time operator M = A (x) I - tau B (x) D with its rhs
     b = times @ vectors: ``times`` (N, r) the time coefficients and
     ``vectors`` (r, 2n) the spatial vectors (module docstring), b's only
-    form.  Operator-only systems leave both None."""
+    form.  Operator-only systems leave both None.  Only this class forms
+    anything of b: its rows (``rhs_rows``), in another spatial basis too,
+    its norm (``rhs_norm``) and the rows of b - Mx (``residual_sumsq``)."""
 
     gmm: GmmMatrices
     sys: object
@@ -153,20 +136,42 @@ class AllAtOnceSystem:
     def dtype(self) -> np.dtype:
         return np.result_type(self.times, self.vectors)
 
-    def rhs_rows(self, rows=slice(None), out=None) -> np.ndarray:
-        """Rows ``rows`` (a slice) of b, (rows, 2n), formed from the factors
-        into ``out`` when given, else into a new array (``_add_terms``)."""
+    def rhs_rows(self, rows=slice(None), out=None, vectors=None) -> np.ndarray:
+        """Rows ``rows`` (a slice) of times @ vectors, or of times @ W for
+        ``vectors`` W (r, d): b's rows in W's basis.  Into ``out`` or a new
+        array, term by term in order by ufuncs, each later product through
+        one ``_row_chunks`` scratch: no BLAS call (any thread may run it),
+        and the same bits however the rows are split.  A term is skipped
+        over a chunk where its times are all zero, as the U0 term's e_0 is
+        outside row 0: that changes nothing but the sign of a zero."""
+        S = self.vectors if vectors is None else vectors
         T = self.times[rows]
-        if out is None:
-            out = np.empty((len(T), self.vectors.shape[1]), self.dtype)
-        return _add_terms(T, self.vectors, out)
+        dtype = np.result_type(T, S)
+        out = np.empty((len(T), S.shape[1]), dtype) if out is None else out
+        np.multiply(T[:, :1], S[0], out=out)
+        if len(S) > 1:
+            chunks = _row_chunks(len(T), S.shape[1] * dtype.itemsize)
+            live = np.logical_or.reduceat(T[:, 1:] != 0, [c.start for c in chunks])
+            tmp = np.empty((chunks[0].stop, S.shape[1]), dtype)
+            for c, terms in zip(chunks, live):
+                t = tmp[: c.stop - c.start]
+                for i in np.flatnonzero(terms) + 1:
+                    out[c] += np.multiply(T[c, i: i + 1], S[i], out=t)
+        return out
 
     @property
     def rhs(self) -> np.ndarray:
         """b = times @ vectors, flat, in one new array: for tests and checks;
         the solvers read the factors."""
-        b = np.empty((self.gmm.n_steps, self.vectors.shape[1]), self.dtype)
-        return self.rhs_rows(out=b).ravel()
+        return self.rhs_rows().ravel()
+
+    @property
+    def rhs_norm(self) -> float:
+        """||b|| with no pass over b: ||T S||_F^2 = sum (T^H T) o (S S^H)^T,
+        from the r x r Gram matrices."""
+        T, S = self.times, self.vectors
+        bb = float(np.sum((T.conj().T @ T) * (S.conj() @ S.T)).real)
+        return float(np.sqrt(max(bb, 0.0)))
 
     def apply(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
         """M @ x without materializing M: A's table added to -tau D X.  Given
@@ -174,6 +179,24 @@ class AllAtOnceSystem:
         X = np.asarray(x).reshape(self.gmm.n_steps, self.sys.dim)
         return self.gmm.apply_A(X, self.sys.apply_D(X[rows], -self.gmm.tau),
                                 rows).ravel()
+
+    def residual_sumsq(self, x, rows, out=None) -> float:
+        """||(b - Mx)[lo:hi]||^2 for ``rows`` = slice(lo, hi) of the N rows:
+        b's rows, a ``_row_chunks`` chunk at a time, minus ``apply``'s, into
+        those rows of ``out`` (b's shape) or else apply's output, which x's
+        dtype makes hold b's.  The sum is einsum's loop: on a pool thread a
+        BLAS dot would start BLAS threads of its own."""
+        d = self.vectors.shape[1]
+        Mx = self.apply(x, rows).reshape(-1, d)
+        dest = Mx if out is None else out.reshape(-1, d)[rows]
+        chunks = _row_chunks(len(Mx), d * self.dtype.itemsize)
+        b = np.empty((chunks[0].stop, d), self.dtype)
+        for c in chunks:
+            rows_b = self.rhs_rows(slice(rows.start + c.start, rows.start + c.stop),
+                                   b[: c.stop - c.start])
+            np.subtract(rows_b, Mx[c], out=dest[c])
+        z = dest.reshape(-1).view(np.float64)
+        return float(np.einsum("i,i->", z, z))
 
 
 def assemble_all_at_once(gmm: GmmMatrices, sys, src: SourceSpec,

@@ -330,10 +330,12 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         raise
     traj = extract_trajectory(report.solution, system)
     x = _as_text(run.grid.nodes)
-    times = cfg.snapshot_times or [0.0, cfg.T / 2.0, cfg.T]
     is_complex = pb.scalar_field == "complex"
-    for t in times:
+    snapshots = []                     # each requested time, as rounded
+    for t in cfg.snapshot_times or [0.0, cfg.T / 2.0, cfg.T]:
         j = min(range(len(traj)), key=lambda i: abs(i * gmm.tau - t))
+        name = f"solution_t{j * gmm.tau:g}.csv"
+        snapshots.append({"requested": t, "j": j, "t": j * gmm.tau, "file": name})
         u, v = pb.physical_state(traj[j], j * gmm.tau)
         if is_complex:
             columns = (x, u.real, u.imag, v.real, v.imag)
@@ -341,7 +343,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         else:
             columns = (x, u.real, v.real)
             header = ["x", "u", "v"]
-        _write_csv(out_dir / f"solution_t{j * gmm.tau:g}.csv", header, columns, cfg)
+        _write_csv(out_dir / name, header, columns, cfg)
     err, flagged, oracle = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
     manifest = {
         **_discretisation(cfg, run, gmm, system),
@@ -350,6 +352,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         "rel_l2_error_at_T": err,
         "error_norm_flagged_absolute": flagged,
         "oracle": oracle,
+        "snapshots": snapshots,
         # how H[f'] of each profile was formed, the torus it was wrapped on,
         # and how far the line data's H[u0'] is from that torus's own
         "hilbert": {"periodisation": pb.torus, "u0": pb.u0.hilbert_route(),
@@ -466,6 +469,8 @@ def main(argv=None) -> int:
         if args.workers is not None:
             cfg.solver.workers = args.workers
             cfg.validate()
+        if cfg.locus_methods is not None and args.command != "locus":
+            raise ConfigError(f"locus_methods: read by locus only, not {args.command}")
         out_dir = Path(args.out or cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         runner = {

@@ -35,12 +35,13 @@ One GMRES on the whole system stops on the same test, and its Krylov space
 projected onto mode k lies in that mode's own, so the lockstep count is
 never above it.  ``gmres`` is the lockstep loop alone, on one fixed batch;
 ``gmres_solve`` alone forms the true residual ||b - Mx|| / ||b||, in physical
-space from the operator's stencils and coefficient table, one block of time
-rows at a time (``_true_residual``), and gates convergence on it.  A GMRES
-report's ``timings`` are the stages ``GMRES_STAGES``: transform, operator
-(M, or P^{-1} M under the preconditioner), preconditioner (its block tables
-and P^{-1} b), orthogonalisation, inverse_transform, true_residual and
-preconditioned_residual (||P^{-1} r|| of that r, read in the weighted modes).
+space one block of time rows at a time, each block's rows of b - Mx and
+||b|| from ``AllAtOnceSystem`` (``_true_residual``), and gates convergence on
+it.  A GMRES report's ``timings`` are the stages ``GMRES_STAGES``:
+transform, operator (M, or P^{-1} M under the preconditioner),
+preconditioner (its block tables and P^{-1} b), orthogonalisation,
+inverse_transform, true_residual and preconditioned_residual (||P^{-1} r||
+of that r, read in the weighted modes).
 
 Block j is singular where lam_j = i sin((2 pi j - theta)/N) meets tau*spec(D),
 as at theta = pi for odd N on a torus.  Both sets are closed forms: theta is pi
@@ -55,8 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, ifft
 
-from .bvm import (FINAL, INTERIOR, AllAtOnceSystem, GmmMatrices, _add_terms,
-                  _row_chunks)
+from .bvm import FINAL, INTERIOR, AllAtOnceSystem, GmmMatrices
 from .spectrum import eigenvalues_of_D, gmm_polynomials
 
 TRUE_RESIDUAL_MAX = 1e-8   # ||b - Mx|| / ||b|| above which a direct solve failed
@@ -78,7 +78,7 @@ GAP_MIN = 5e-5
 # Symmetric data leaves the antisymmetric DST-I modes at rounding noise,
 # <= 2.5e-16 ||b||: at tol 1e-10 and K = 399 the floor is 5e-15 beta0.
 RHS_FLOOR = 1e-3
-# pi * (1 + k/64), k = 0, -1, 1, ..., 63: nearest pi first, as argmax ties go
+# pi * (1 + k/64), k = 0, -1, 1, ..., 63: nearest pi first, as max ties go
 THETA_GRID = np.pi * (1.0 + np.array(sorted(range(-63, 64), key=abs)) / 64.0)
 GMRES_STAGES = ("transform", "operator", "preconditioner", "orthogonalisation",
                 "inverse_transform", "true_residual", "preconditioned_residual")
@@ -114,7 +114,6 @@ class OmegaPreconditioner:
 
     theta: float
     gap: float                         # distance from the lam_j to tau*spec(D)
-    n_steps: int
     tau: float
     theta_scaling: np.ndarray = field(repr=False)
     lambda_omega: np.ndarray = field(repr=False)
@@ -158,13 +157,13 @@ def build_preconditioner(gmm: GmmMatrices, sys,
     N, tau = gmm.n_steps, gmm.tau
     z = tau * eigenvalues_of_D(sys)
 
-    def gap(th):
-        return _nearest(_frequencies(N, th), z)[0]
-    if theta is None and gap(np.pi) < GAP_MIN:
-        theta = THETA_GRID[np.argmax([gap(th) for th in THETA_GRID])]
-    theta = np.pi if theta is None else float(theta)
-    lam = _frequencies(N, theta)
-    g, i, j = _nearest(lam, z)
+    def at(th):
+        lam = _frequencies(N, th)
+        return (*_nearest(lam, z), th, lam)
+    given = theta is not None
+    g, i, j, theta, lam = at(float(theta) if given else np.pi)
+    if not given and g < GAP_MIN:
+        g, i, j, theta, lam = max(map(at, THETA_GRID.tolist()), key=lambda c: c[0])
     if not g >= GAP_MIN:
         K = z.size // 2                # z is mu (2, K) raveled
         raise PreconditionerError(
@@ -174,7 +173,7 @@ def build_preconditioner(gmm: GmmMatrices, sys,
                          "tau_mu": [z[i].real, z[i].imag],
                          "frequency": j, "lam": [lam[j].real, lam[j].imag]}})
     scaling = np.exp(-1j * theta * np.arange(N) / N)   # Theta, omega^{-s/N}
-    return OmegaPreconditioner(theta=theta, gap=g, n_steps=N, tau=tau,
+    return OmegaPreconditioner(theta=theta, gap=g, tau=tau,
                                theta_scaling=scaling, lambda_omega=lam, sys=sys)
 
 
@@ -338,54 +337,20 @@ class _RowBlocks:
             self._pool.shutdown()
 
 
-def _sumsq(a) -> float:
-    """sum |a_i|^2 by einsum's loop: on a pool thread, a BLAS dot would
-    start BLAS threads of its own."""
-    x = np.ravel(a).view(np.float64)
-    return float(np.einsum("i,i->", x, x))
-
-
 def _true_residual(system: AllAtOnceSystem, x, rows: _RowBlocks, out=None) -> float:
-    """||b - Mx|| / ||b|| in physical space, one row block at a time.
-
-    ``AllAtOnceSystem.apply`` forms each block's rows of Mx from the block
-    and its halo rows.  b minus them goes into ``out`` (b's shape) when
-    given, else into the block's own apply output, a ``_row_chunks`` chunk
-    at a time: each chunk of b is formed from the factors (``rhs_rows``)
-    just before it is used, with no BLAS call.  The squared norms of the
-    blocks add up in block order, so the result does not depend on the
-    thread count.  ||b||^2 = ||T S||_F^2 = sum (T^H T) o (S S^H)^T takes no
-    pass over b.
-    """
-    N = system.gmm.n_steps
-    T, S = system.times, system.vectors
-    O = None if out is None else out.reshape(N, -1)
-
-    def block(r):
-        Mx = system.apply(x, r).reshape(-1, S.shape[1])
-        if O is not None:
-            dest = O[r]
-        elif np.can_cast(system.dtype, Mx.dtype):
-            dest = Mx
-        else:
-            dest = np.empty(Mx.shape, system.dtype)
-        chunks = _row_chunks(len(Mx), S.shape[1] * system.dtype.itemsize)
-        b = np.empty((chunks[0].stop, S.shape[1]), system.dtype)
-        for c in chunks:
-            rows_b = system.rhs_rows(slice(r.start + c.start, r.start + c.stop),
-                                     b[: c.stop - c.start])
-            np.subtract(rows_b, Mx[c], out=dest[c])
-        return _sumsq(dest)
-    rr = sum(rows.map(block))
-    bb = max(float(np.sum((T.conj().T @ T) * (S.conj() @ S.T)).real), 0.0)
-    return float(np.sqrt(rr) / max(np.sqrt(bb), 1e-300))
+    """||b - Mx|| / ||b|| in physical space, one row block at a time: each
+    block's squared norm comes from ``AllAtOnceSystem.residual_sumsq``, its
+    rows of b - Mx into ``out`` (b's shape) when given.  The blocks add up
+    in block order, so the result does not depend on the thread count."""
+    rr = sum(rows.map(lambda r: system.residual_sumsq(x, r, out)))
+    return float(np.sqrt(rr) / max(system.rhs_norm, 1e-300))
 
 
 def _mode_rhs(system: AllAtOnceSystem, modes, rows: _RowBlocks, dtype, C=None):
     """b in ``modes``, (N, 2, K) with time rows first, and C (2, 2, K), one
     2x2 per mode, applied to each row when given (``_rotate``).  The r
     spatial vectors are transformed (and rotated) once, and each row block
-    of the result is their sum with that block's time coefficients."""
+    of the result is ``rhs_rows`` with them in place of the vectors."""
     N, n = system.gmm.n_steps, system.sys.n
     S = system.vectors
     R = np.empty((N, 2, len(modes.p)), dtype)
@@ -393,10 +358,7 @@ def _mode_rhs(system: AllAtOnceSystem, modes, rows: _RowBlocks, dtype, C=None):
     if C is not None:
         _rotate(C, W)
     W = W.reshape(len(S), -1)
-
-    def fill(r):
-        _add_terms(system.times[r], W, R[r].reshape(-1, W.shape[1]))
-    rows.map(fill)
+    rows.map(lambda r: system.rhs_rows(r, R[r].reshape(-1, W.shape[1]), vectors=W))
     return R
 
 
@@ -671,25 +633,18 @@ def _scalar_sweeps(y, c) -> int:
     return int(np.count_nonzero(np.abs(np.abs(z1) - 1.0) <= 1e-12))
 
 
-def _rotate(C, F, out=None):
-    """out[j] = C F[j] for every time row j of F (rows, 2, M), by whole-array
-    ops; C (2, 2, M) is one 2x2 per mode.  With ``out``, F is spent as the
-    scratch.  Without it, the rotation is in place on F, through two
-    scratches half F's size.  Every product keeps the order C F: swapped,
-    numpy's complex products change in the last bit here."""
+def _rotate(C, F):
+    """F[j] = C F[j] in place for every time row j of F (rows, 2, M), by
+    whole-array ops through two scratches half F's size; C (2, 2, M) is one
+    2x2 per mode.  Every product keeps the order C F: swapped, numpy's
+    complex products change in the last bit here."""
     u, v = F[:, 0], F[:, 1]
-    if out is None:
-        a = np.multiply(C[0, 0], u)
-        t = np.multiply(C[0, 1], v)
-        a += t
-        np.multiply(C[1, 1], v, out=v)
-        v += np.multiply(C[1, 0], u, out=t)
-        u[...] = a
-        return
-    np.multiply(C[0, 0], u, out=out[:, 0])
-    np.multiply(C[1, 1], v, out=out[:, 1])
-    out[:, 0] += np.multiply(C[0, 1], v, out=v)
-    out[:, 1] += np.multiply(C[1, 0], u, out=u)
+    a = np.multiply(C[0, 0], u)
+    t = np.multiply(C[0, 1], v)
+    a += t
+    np.multiply(C[1, 1], v, out=v)
+    v += np.multiply(C[1, 0], u, out=t)
+    u[...] = a
 
 
 def direct_solve(system: AllAtOnceSystem, threads: int = None) -> SolveReport:

@@ -26,7 +26,7 @@ def precondition_physical(p, r):
     back."""
     modes = p.sys.modes(p.real and not np.iscomplexobj(r))
     tables = krylov._block_tables(p.lambda_omega, modes, p.tau)
-    R = modes.forward(np.asarray(r).reshape(p.n_steps, 2, modes.n))
+    R = modes.forward(np.asarray(r).reshape(p.lambda_omega.size, 2, modes.n))
     Z = krylov.apply_preconditioner(p, tables,
                                     np.ascontiguousarray(R.transpose(2, 1, 0)))
     return modes.inverse(Z.transpose(2, 1, 0)).ravel()

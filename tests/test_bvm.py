@@ -192,6 +192,42 @@ def test_factored_rhs_is_the_dense_assembly_bit_for_bit(name):
         assert np.array_equal(system.rhs_rows(slice(1, N)), ref.reshape(N, -1)[1:])
 
 
+@pytest.mark.parametrize("name", sorted(hb.catalog()))
+def test_rhs_algebra_of_the_system_matches_the_dense_b(name, monkeypatch):
+    # ||b|| from the Gram matrices, the blocks of ||b - Mx||^2 with and
+    # without a destination, and b's rows from other spatial vectors, over
+    # row blocks of 1, 3 and 7 rows and scratch chunks of 2 rows
+    run = hb.setup_run(hb.build_problem(name), m=12)
+    system = bvm.assemble_all_at_once(bvm.build_gmm(23, 1.3), run.sys, run.source,
+                                      run.u0v0)
+    monkeypatch.setattr(bvm, "SCRATCH_BYTES", 2 * run.sys.dim * system.dtype.itemsize)
+    b, rng = system.rhs, np.random.default_rng(5)
+    ref = np.linalg.norm(b)
+    assert system.rhs_norm == pytest.approx(ref, rel=1e-14, abs=0)
+    x = rng.normal(size=b.size)
+    if np.iscomplexobj(b):
+        x = x + 1j * rng.normal(size=b.size)
+    r = (b - system.apply(x)).reshape(23, -1)
+    rr = np.vdot(r, r).real
+    for size in (1, 3, 7):
+        blocks = [slice(a, min(a + size, 23)) for a in range(0, 23, size)]
+        out = np.empty_like(b)
+        with_out = [system.residual_sumsq(x, c, out) for c in blocks]
+        assert np.array_equal(out.reshape(23, -1), r)
+        assert sum(with_out) == pytest.approx(rr, rel=1e-12, abs=0)
+        assert [system.residual_sumsq(x, c) for c in blocks] == with_out
+    # times @ W bit for bit as the sum of its terms in order; BLAS's matmul
+    # rounds differently (fused multiply-adds) at r = 3
+    T = system.times
+    for cplx in (False, True):
+        W = rng.normal(size=system.vectors.shape)
+        W = W + 1j * rng.normal(size=W.shape) if cplx else W
+        TW = reduce(np.add, (np.multiply.outer(T[:, i], W[i]) for i in range(len(W))))
+        assert np.array_equal(system.rhs_rows(vectors=W), TW)
+        assert np.array_equal(system.rhs_rows(slice(4, 15), vectors=W), TW[4:15])
+        assert np.abs(TW - T @ W).max() <= 1e-15 * np.abs(TW).max()
+
+
 def test_assembly_forms_nothing_of_the_rhs_size():
     # the drift run's fitted source: its vectors and Hilbert evaluations are
     # about 16 vectors of n, 0.02 rhs sizes at N = 400; the dense assembly
@@ -208,13 +244,14 @@ def test_assembly_forms_nothing_of_the_rhs_size():
 
 
 def test_add_terms_skips_a_term_over_chunks_where_its_times_are_zero():
-    # rows of SCRATCH_BYTES make one chunk each; e_0's term is added in row
-    # 0's chunk alone, so its non-finite vector leaves the other rows as
-    # the first term made them
+    # rows of SCRATCH_BYTES make one chunk each; rhs_rows adds e_0's term
+    # in row 0's chunk alone, so its non-finite vector leaves the other rows
+    # as the first term made them
     n = bvm.SCRATCH_BYTES // 8
     T = np.column_stack([np.arange(1.0, 5.0), [1.0, 0.0, 0.0, 0.0]])
     S = np.vstack([np.ones(n), np.full(n, np.inf)])
-    out = bvm._add_terms(T, S, np.empty((4, n)))
+    system = bvm.AllAtOnceSystem(gmm=None, sys=None, times=T, vectors=S)
+    out = system.rhs_rows(out=np.empty((4, n)))
     assert np.all(np.isinf(out[0]))
     assert np.array_equal(out[1:], T[1:, :1] * S[0])
 

@@ -57,6 +57,14 @@ PROBLEM_ONLY = ({"problem": "half_diffusion_manufactured", "delta": 0.1},
                 {"V": 0.5},                  # on single_mode
                 {"problem": "transport_limit", "eps": 0.1},
                 {"problem": "advection_mms", "mode": 2})
+# a valid locus_methods loads, but only locus reads it: main refuses it on
+# the other commands, each named under "command"
+COMMAND_ONLY = ({"locus_methods": ["gmm"], "command": "solve"},   # solve ignored it
+                {"locus_methods": ["gmm"], "command": "converge",
+                 "h_sweep": [0.5, 0.25], "m": None, "n_steps": None},
+                {"locus_methods": ["gmm"], "command": "spectrum"},
+                {"locus_methods": ["bdf2", "rk4"], "command": "schrodinger",
+                 "problem": "schrodinger_single_mode"})
 
 
 @pytest.mark.parametrize("setting", [
@@ -98,26 +106,50 @@ PROBLEM_ONLY = ({"problem": "half_diffusion_manufactured", "delta": 0.1},
     {"locus_methods": ["nope"]},         # solve ignored it
     {"locus_methods": "gmm"},
     {"locus_methods": []},               # locus drew every method
+    *COMMAND_ONLY,
 ])
 def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting, capsys):
     cfg = _base_solve_config()
+    command = setting.get("command", "converge" if "h_sweep" in setting else "solve")
     for key, value in setting.items():
         if key == "solver":
             cfg["solver"] = dict(cfg["solver"], **value)
         elif value is None:
             cfg.pop(key)
-        else:
+        elif key != "command":
             cfg[key] = value
     path = _write_config(tmp_path, **cfg)
-    if setting not in GRID_ONLY + PROBLEM_ONLY:
+    if setting in COMMAND_ONLY:
+        cli.load_config(path)
+    elif setting not in GRID_ONLY + PROBLEM_ONLY:
         with pytest.raises(cli.ConfigError):
             cli.load_config(path)
-    command = "converge" if "h_sweep" in setting else "solve"
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) \
         == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not list((tmp_path / "o").glob("*"))     # no solve, no record
+
+
+def test_report_lists_each_snapshot_as_rounded(tmp_path):
+    # tau = 1/8: 0.55 and 0.5 both round to step 4, so both requests are
+    # listed, with the one file they share; without requests the default
+    # three times are listed
+    cfg = _write_config(tmp_path, **_base_solve_config(snapshot_times=[0.55, 0.5, 1]))
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "s")]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "s" / "report.json").read_text())
+    assert report["snapshots"] == [
+        {"requested": 0.55, "j": 4, "t": 0.5, "file": "solution_t0.5.csv"},
+        {"requested": 0.5, "j": 4, "t": 0.5, "file": "solution_t0.5.csv"},
+        {"requested": 1, "j": 8, "t": 1.0, "file": "solution_t1.csv"}]
+    assert sorted(p.name for p in (tmp_path / "s").glob("*.csv")) == [
+        "solution_t0.5.csv", "solution_t1.csv"]
+    cfg = _write_config(tmp_path, **_base_solve_config())
+    assert cli.main(["solve", "--config", cfg, "--out", str(tmp_path / "d")]) == cli.EXIT_OK
+    report = json.loads((tmp_path / "d" / "report.json").read_text())
+    assert [(s["requested"], s["j"], s["file"]) for s in report["snapshots"]] == [
+        (0.0, 0, "solution_t0.csv"), (0.5, 4, "solution_t0.5.csv"),
+        (1.0, 8, "solution_t1.csv")]
 
 
 def test_direct_solver_method(tmp_path):
