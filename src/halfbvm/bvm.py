@@ -55,6 +55,27 @@ INTERIOR_B = (0.0, 1.0, 0.0)
 FINAL = (-1.0, 1.0)
 
 
+# A's bands, rows formed from the rhs factors, and their products pass
+# through scratch arrays of at most SCRATCH_BYTES.  Temporaries of a whole
+# row block on each pool thread made glibc trim and re-fault its heap on
+# every block (on a 2-core VM, drift_quartic's true residual took 2.5x as
+# long); one-row scratches cost a numpy call per row (+2.3 ms on
+# walls_gmres's 160-row true residual).  Larger scratches also stay resident:
+# glibc raises its mmap threshold to the size of each mmap'd block freed, up
+# to 32 MiB, and serves later blocks below it from the brk heap, which keeps
+# their pages.  A's former half-width scratch, 641 x 6400 float64 = 31.3 MiB
+# on drift_quartic, sat just under that cap and held about 28 MB of the
+# benchmark's 355 MB peak RSS (327 MB with this bound).
+SCRATCH_BYTES = 2 ** 18
+
+
+def _row_chunks(n_rows: int, row_bytes: int) -> list:
+    """Slices of n_rows rows of row_bytes each, at most SCRATCH_BYTES apiece
+    (one row at least)."""
+    step = max(1, SCRATCH_BYTES // max(row_bytes, 1))
+    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
+
+
 @dataclass(frozen=True)
 class GmmMatrices:
     """Time-stepping matrices A and B = I for N steps of size tau."""
@@ -69,19 +90,20 @@ class GmmMatrices:
     def apply_A(self, X: np.ndarray, out: np.ndarray, rows=slice(None)) -> np.ndarray:
         """Add the rows ``rows`` (all N by default) of A X to ``out``, A
         acting across the time axis of X with shape (N, dim); ``out`` holds
-        just those rows.  Each interior band passes through one scratch half
-        as wide as ``out``: no temporary of its size is made."""
+        just those rows.  The interior bands pass, chunk by chunk of
+        ``_row_chunks`` rows, through one scratch of at most SCRATCH_BYTES:
+        each row adds its bands in the table's order, so the result does not
+        depend on the chunks."""
         N, dim = X.shape
         lo, hi, _ = rows.indices(N)
         top = min(hi, N - 1)                   # the interior rows end at N - 2
-        tmp = np.empty((hi - lo, dim - dim // 2), out.dtype)
-        for cols in (slice(0, dim // 2), slice(dim // 2, dim)):
+        chunks = _row_chunks(top - lo, dim * out.itemsize)
+        tmp = np.empty((chunks[0].stop, dim), out.dtype) if chunks else None
+        for c in chunks:
             for d, a in zip((-1, 0, 1), INTERIOR):
-                if a:
-                    s = max(lo, -d)            # row 0 has no slice before it
-                    t = np.multiply(X[s + d: top + d, cols], a,
-                                    out=tmp[s - lo: top - lo, : cols.stop - cols.start])
-                    out[s - lo: top - lo, cols] += t
+                s, e = max(lo + c.start, -d), lo + c.stop  # row 0: no slice before it
+                if a and s < e:
+                    out[s - lo: e - lo] += np.multiply(X[s + d: e + d], a, out=tmp[: e - s])
         if hi == N:
             out[N - 1 - lo] += FINAL[0] * X[N - 2] + FINAL[1] * X[N - 1]
         return out
@@ -94,22 +116,6 @@ def build_gmm(N: int, T: float) -> GmmMatrices:
     if not T > 0:
         raise ValueError("final time must be positive")
     return GmmMatrices(n_steps=N, tau=T / N)
-
-
-# Rows formed from the rhs factors, and their products, pass through scratch
-# arrays of at most SCRATCH_BYTES.  Temporaries of a whole row block on each
-# pool thread made glibc trim and re-fault its heap on every block (on a
-# 2-core VM, drift_quartic's true residual took 2.5x as long); one-row
-# scratches cost a numpy call per row (+2.3 ms on walls_gmres's 160-row true
-# residual).
-SCRATCH_BYTES = 2 ** 18
-
-
-def _row_chunks(n_rows: int, row_bytes: int) -> list:
-    """Slices of n_rows rows of row_bytes each, at most SCRATCH_BYTES apiece
-    (one row at least)."""
-    step = max(1, SCRATCH_BYTES // max(row_bytes, 1))
-    return [slice(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import ctypes
 import functools
 import json
 import math
+import resource
 import sys as _sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -94,8 +95,15 @@ class ExperimentConfig:
     out: str = "out"
 
     def validate(self):
-        if self.problem not in problems.catalog():
+        if not isinstance(self.problem, str) or self.problem not in problems.catalog():
             raise ConfigError(f"problem: unknown name {self.problem!r}")
+        # null stands for a field's default only where that default is null
+        for obj, prefix in ((self, ""), (self.solver, "solver.")):
+            for f in fields(obj):
+                if getattr(obj, f.name) is None and f.default is not None:
+                    raise ConfigError(f"{prefix}{f.name}: must not be null")
+        if not isinstance(self.out, str):
+            raise ConfigError("out: must be a path")
         if self.h_sweep is not None and self.tau_sweep is not None:
             raise ConfigError("sweep: give at most one of h_sweep, tau_sweep")
         for name in ("T", "L", "tau", "h", "tau_over_h", "h_sweep", "tau_sweep"):
@@ -179,6 +187,8 @@ def load_config(path) -> ExperimentConfig:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
+    if not isinstance(raw, dict) or "problem" not in raw:
+        raise ConfigError("config: must be a JSON object naming its problem")
     try:
         solver = SolverSettings(**raw.pop("solver", {}))
     except TypeError as exc:
@@ -305,6 +315,12 @@ def _blas() -> tuple:
     return library, None
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set so far, ru_maxrss (KiB on Linux) in
+    MB of 1024 KiB: read as a record is written, a CLI run's own peak."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def _discretisation(cfg, run, gmm, system) -> dict:
     """The discretisation actually solved: T/tau and L/h are rounded."""
     return {"config": asdict(cfg),
@@ -325,7 +341,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         report = _solve(cfg, run, gmm, system)
     except PreconditionerError as exc:
         failure = {**_discretisation(cfg, run, gmm, system), "path": None,
-                   "error": str(exc), **exc.record}
+                   "error": str(exc), **exc.record, "peak_rss_mb": _peak_rss_mb()}
         (out_dir / "report.json").write_text(json.dumps(failure, indent=2))
         raise
     traj = extract_trajectory(report.solution, system)
@@ -360,6 +376,7 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
                     "torus_gap": _torus_gap(run)},
         "stability": _stability(run, gmm),
         "blas": dict(zip(("library", "threads"), _blas())),
+        "peak_rss_mb": _peak_rss_mb(),
     }
     (out_dir / "report.json").write_text(json.dumps(manifest, indent=2))
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
@@ -411,17 +428,20 @@ def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
                        "wall_time": wall_time,
                        "iterations_pre": pre_rep.iterations,
                        "iterations_nopre": no_iters})
+    swept = [r[0] if cfg.h_sweep else r[1] for r in rows]
+    errs = [r[2] for r in rows]
     slope = None
-    if len(rows) > 1:
-        swept = [r[0] if cfg.h_sweep else r[1] for r in rows]
-        errs = [r[2] for r in rows]
+    # a line through two solved steps at least, on positive finite errors:
+    # two requests may round to one step
+    if len(set(swept)) > 1 and all(0 < e < math.inf for e in errs):
         slope = float(np.polyfit(np.log(swept), np.log(errs), 1)[0])
     _write_csv(out_dir / "convergence.csv",
                ["h", "tau", "rel_l2_error", "iterations_pre", "iterations_nopre"],
                zip(*rows), cfg)
     manifest = {"config": asdict(cfg), "points": solved,
                 "fitted_slope": slope, "partial": failed,
-                "unpreconditioned_hit_iteration_cap": comparison_failed}
+                "unpreconditioned_hit_iteration_cap": comparison_failed,
+                "peak_rss_mb": _peak_rss_mb()}
     (out_dir / "convergence.json").write_text(json.dumps(manifest, indent=2))
     return EXIT_NO_CONVERGENCE if failed else EXIT_OK
 

@@ -583,8 +583,10 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
         del r
         Z = apply_preconditioner(precond, tables, R)
         Z *= modes.weight[:, None, None]
+        # einsum's loop, not a BLAS dot, whose sum depends on the BLAS threads
+        z = Z.reshape(-1).view(np.float64)
         report.preconditioned_residual = float(
-            np.linalg.norm(Z) / max(report.rhs_norm, 1e-300))
+            np.sqrt(np.einsum("i,i->", z, z)) / max(report.rhs_norm, 1e-300))
         report.theta, report.gap = precond.theta, precond.gap
     report.wall_time = time.perf_counter() - t0
     timings.update(transform=t1 - t0, inverse_transform=t3 - t2,

@@ -22,11 +22,21 @@ def test_gmm_matrices_frozen():
 
 
 @pytest.mark.parametrize("N", [2, 3, 5, 8])
-def test_apply_A_matches_dense(N):
+def test_apply_A_matches_dense(N, monkeypatch):
     gmm = bvm.build_gmm(N, 1.0)
     rng = np.random.default_rng(N)
     X = rng.normal(size=(N, 6))
     assert np.allclose(gmm.apply_A(X, np.zeros_like(X)), A_dense(gmm) @ X)
+    # bit for bit the bands added whole in the table's order, over scratch
+    # chunks of 1, 2 or all rows
+    out = rng.normal(size=X.shape)
+    ref = out.copy()
+    ref[1: N - 1] += bvm.INTERIOR[0] * X[: N - 2]
+    ref[: N - 1] += bvm.INTERIOR[2] * X[1:]
+    ref[N - 1] += bvm.FINAL[0] * X[N - 2] + bvm.FINAL[1] * X[N - 1]
+    for rows in (1, 2, N):
+        monkeypatch.setattr(bvm, "SCRATCH_BYTES", rows * X[0].nbytes)
+        assert np.array_equal(gmm.apply_A(X, out.copy()), ref)
 
 
 @pytest.mark.parametrize("N,d", [(2, 2), (5, 4), (8, 8)])
@@ -66,19 +76,27 @@ def test_apply_rows_are_those_of_the_whole_apply(N):
             assert np.array_equal(system.apply(x, slice(lo, hi)), whole[lo:hi].ravel())
 
 
-def test_apply_peak_memory_is_output_and_half_scratch():
-    # one output and a scratch half its size; the matrix route took 2.5x
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_whole_system_arrays_peak_at_their_result_plus_scratch(dtype):
+    # apply, rhs and residual_sumsq over all N rows each hold their N x 2n
+    # result and scratches of SCRATCH_BYTES: A's half-width scratch (2 or 4
+    # MiB here) made apply peak at 8.5 and 17 SCRATCH_BYTES over its result
     g = spatial.Grid(length=10.0, m=1024, boundary=spatial.PERIODIC)
     sys = spatial.assemble_discrete_system(g, 0.1, spatial.OperatorKind("advection", 0.3))
-    system = bvm.AllAtOnceSystem(gmm=bvm.build_gmm(128, 1.0), sys=sys)
-    x = np.random.default_rng(1).normal(size=system.shape[0])
-    tracemalloc.start()
-    try:
-        system.apply(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.75 * x.nbytes
+    N, rng = 256, np.random.default_rng(1)
+    system = bvm.AllAtOnceSystem(gmm=bvm.build_gmm(N, 1.0), sys=sys,
+                                 times=rng.normal(size=(N, 3)),
+                                 vectors=rng.normal(size=(3, sys.dim)).astype(dtype))
+    x = rng.normal(size=system.shape[0]).astype(dtype)
+    for make in (lambda: system.apply(x), lambda: system.rhs,
+                 lambda: system.residual_sumsq(x, slice(0, N))):
+        tracemalloc.start()
+        try:
+            make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= x.nbytes + 4 * bvm.SCRATCH_BYTES
 
 
 def test_interior_stencil_truncation_order_three():

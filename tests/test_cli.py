@@ -1,9 +1,14 @@
+import inspect
 import json
+import tempfile
 import threading
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halfbvm import cli, krylov, problems
 from halfbvm import hilbert as ht
@@ -107,6 +112,10 @@ COMMAND_ONLY = ({"locus_methods": ["gmm"], "command": "solve"},   # solve ignore
     {"locus_methods": "gmm"},
     {"locus_methods": []},               # locus drew every method
     *COMMAND_ONLY,
+    {"problem": None},                   # a TypeError traceback at load
+    {"problem": []},                     # an unhashable-type traceback
+    {"solver": {"max_iter": None}},      # a TypeError in the solve
+    {"out": 5},                          # a TypeError without --out
 ])
 def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting, capsys):
     cfg = _base_solve_config()
@@ -237,6 +246,8 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
         assert set(report["blas"]) == {"library", "threads"}
         assert isinstance(report["blas"]["library"], str)
         assert report["blas"]["threads"] is None or report["blas"]["threads"] >= 1
+        # the process's peak memory when the record was written, in MB
+        assert 1.0 < report["peak_rss_mb"] < 1e5
         # every path records the torus gap of the line data and the stability
         # verdict; on a torus the constant mode's two eigenvalues are 0, on
         # the segment [-i, i]
@@ -342,6 +353,12 @@ def test_missing_config_is_config_error(tmp_path):
     rc = cli.main(["solve", "--config", str(tmp_path / "absent.json"),
                    "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
+    # JSON, but not an object: a number died on an AttributeError
+    for i, text in enumerate(("[1, 2]", "5")):
+        (tmp_path / f"{i}.json").write_text(text)
+        rc = cli.main(["solve", "--config", str(tmp_path / f"{i}.json"),
+                       "--out", str(tmp_path / "o")])
+        assert rc == cli.EXIT_CONFIG
 
 
 def test_solve_writes_outputs(tmp_path):
@@ -429,6 +446,7 @@ def test_converge_records_and_fits_the_solved_discretisation(tmp_path):
     iterations = [[int(v) for v in line.split(",")[3:]] for line in lines[2:]]
     times = [p.pop("wall_time") for p in manifest["points"]]
     assert all(t > 0 for t in times)
+    assert 1.0 < manifest["peak_rss_mb"] < 1e5
     assert manifest["points"] == [
         {"h": 20.0 / 67, "tau": 1.0 / 13, "n_steps": 13, "theta": np.pi,
          "threads": 1,
@@ -756,6 +774,7 @@ def test_preconditioner_failure_leaves_a_record(tmp_path, monkeypatch, capsys,
     assert report["path"] is None and report["error"] == err[len("solver error: "):-1]
     assert report["n_steps"] == 8 and report["unknowns"] == 8 * 2 * report["n"]
     assert report["gap_min"] == 1e3 and 0.0 < report["gap"] < 1e3
+    assert 1.0 < report["peak_rss_mb"] < 1e5
     nearest = report["nearest"]
     assert set(nearest) == {"mode", "component", "tau_mu", "frequency", "lam"}
     assert nearest["component"] in (0, 1) and 0 <= nearest["frequency"] < 8
@@ -783,3 +802,112 @@ def test_preformatted_x_writes_the_same_bytes(tmp_path):
     cli._write_csv(tmp_path / "new.csv", header, (cli._as_text(x), *columns[1:]), cfg)
     cli._write_csv(tmp_path / "old.csv", header, columns, cfg)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# values no field takes, and each field's own invalid ones
+JUNK = (None, True, "x", [], -1.0, 0.0, 1e400)
+INVALID = {
+    "problem": ["nope"], "T": [10 ** 400], "L": [], "eps": [], "delta": [], "V": [],
+    "mode": [0, 1.5], "n_steps": [1, 2.5], "tau": [], "m": [2, 8.0], "h": [100.0],
+    "tau_over_h": [], "h_sweep": [[2.5, 5.0], [100.0, 2.5], ["a"]],
+    "tau_sweep": [[0.25, 0.5], [0.5, -0.5]],
+    "snapshot_times": [[-1.0], [1e9], ["abc"], [None], "x"], "n_max": [0, 2.5],
+    "locus_methods": [["nope"], "gmm"],
+    "window": [[5.0, -3.0], ["a", "b"], [0.1], [0.2, 0.4, 7], [1e3, 1e3 + 1]],
+    "frobs": [1], "out": [5]}
+INVALID_SOLVER = {"method": ["nope", 1], "tol": [], "max_iter": [0, 2.5],
+                  "precondition": ["no", 0, 1], "workers": [1.5], "restart": [50]}
+# what a run that gets past its config leaves
+RECORD = {"solve": "report.json", "schrodinger": "report.json",
+          "converge": "convergence.json", "spectrum": "spectrum.csv",
+          "locus": "locus.csv"}
+
+
+@st.composite
+def _cli_runs(draw):
+    """(command, config, --workers or None): a valid config of the command on
+    a grid of at most 16 cells and 8 steps, then up to two fields given an
+    invalid value, null, or dropped."""
+    command = draw(st.sampled_from(sorted(RECORD)))
+    names = [n for n in sorted(problems.catalog())
+             if command != "schrodinger" or n.startswith("schrodinger")]
+    problem = draw(st.sampled_from(names))
+    takes = inspect.signature(problems.catalog()[problem]).parameters
+    cfg = {"problem": problem, "T": draw(st.sampled_from([0.5, 1.0, 2.0]))}
+    if draw(st.booleans()):
+        cfg["L"] = draw(st.sampled_from([4.0, 10.0, 20.0]))
+    L = cfg.get("L", takes["L"].default)
+    for name, key, values in (("eps", "eps", [0.05, 0.1, 0.5, -0.1, 0.0]),
+                              ("gamma", "eps", [0.05, 0.1, 1.0, 0.0]),
+                              ("delta", "delta", [0.0, 0.02, 0.2, 1.0, -0.2]),
+                              ("V", "V", [0.0, 0.5, -0.5]), ("mode", "mode", [1, 2, 7])):
+        if name in takes and draw(st.booleans()):
+            cfg[key] = draw(st.sampled_from(values))
+    hs = st.sampled_from([L / 3.0, L / 4.5, L / 7.0, L / 12.0])
+    sweep = command == "converge" and draw(st.sampled_from(["h_sweep", "tau_sweep"]))
+    if sweep == "h_sweep":
+        cfg["h_sweep"] = sorted(draw(st.lists(hs, min_size=1, max_size=2, unique=True)),
+                                reverse=True)
+        cfg["tau_over_h"] = draw(st.sampled_from([0.25, 0.5, 2.0]))
+    else:
+        if sweep:
+            cfg["tau_sweep"] = sorted(draw(st.lists(st.sampled_from([0.5, 0.25, 0.2]),
+                                                    min_size=1, max_size=2, unique=True)),
+                                      reverse=True)
+        elif draw(st.booleans()):
+            cfg["n_steps"] = draw(st.sampled_from([2, 3, 5, 8]))
+        else:
+            cfg["tau"] = draw(st.sampled_from([0.25, 0.3, 0.5]))
+        if draw(st.booleans()):
+            cfg["m"] = draw(st.sampled_from([3, 4, 6, 11, 16]))
+        else:
+            cfg["h"] = draw(hs)
+    for key, values in (("snapshot_times", st.lists(st.sampled_from(
+                            [0.0, 0.3, cfg["T"] / 2, cfg["T"]]), min_size=1, max_size=3)),
+                        ("window", st.sampled_from([[-1e3, 1e3], [0.0, L / 2],
+                                                    [0.4 * L, 0.6 * L]])),
+                        ("n_max", st.sampled_from([1, 20, 400]))):
+        if draw(st.booleans()):
+            cfg[key] = draw(values)
+    if command == "locus" and draw(st.booleans()):
+        cfg["locus_methods"] = draw(st.sampled_from([["gmm"], ["bdf2", "rk4"]]))
+    solver = {}
+    for key, values in (("method", ["gmres", "direct"]), ("tol", [1e-6, 1e-10, 1e-14]),
+                        ("max_iter", [1, 3, 200]), ("precondition", [True, False]),
+                        ("workers", [0, 1, 2])):
+        if draw(st.booleans()):
+            solver[key] = draw(st.sampled_from(values))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        if draw(st.booleans()):
+            key = draw(st.sampled_from(sorted(INVALID_SOLVER)))
+            solver[key] = draw(st.sampled_from(INVALID_SOLVER[key] + list(JUNK)))
+        elif draw(st.booleans()):
+            cfg.pop(draw(st.sampled_from(sorted(cfg))))
+        else:
+            key = draw(st.sampled_from(sorted(INVALID)))
+            cfg[key] = draw(st.sampled_from(INVALID[key] + list(JUNK)))
+    if solver:
+        cfg["solver"] = solver
+    return command, cfg, draw(st.sampled_from([None, None, None, 1, 2, -1]))
+
+
+@settings(max_examples=200)
+@given(run=_cli_runs())
+def test_cli_contract_property(run):
+    # every run exits 0, 2, 3 or 4 and raises nothing; one that gets past its
+    # config leaves its record (a solve its report.json, also on exit 3 or 4),
+    # and a config error leaves no output at all
+    command, cfg, workers = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "o"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), "--out", str(out)]
+        if workers is not None:
+            argv += ["--workers", str(workers)]
+        rc = cli.main(argv)
+        assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NO_CONVERGENCE, cli.EXIT_SOLVER)
+        written = {p.name for p in out.glob("*")}
+        if rc == cli.EXIT_CONFIG:
+            assert not written
+        else:
+            assert RECORD[command] in written

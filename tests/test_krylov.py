@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import krylov_reference
 import numpy as np
@@ -839,6 +844,38 @@ def test_true_residual_on_pool_threads_calls_no_blas(monkeypatch):
         res = krylov._true_residual(system, x, rows)
     assert main not in used
     assert res == pytest.approx(ref, rel=1e-14)
+
+
+def test_reports_do_not_depend_on_the_blas_threads(tmp_path):
+    # the preconditioned residual was a BLAS dot over the mode array: on this
+    # data its last digit moved between 1 and 2 OpenBLAS threads.  Each
+    # thread count runs in a process of its own, the count set before numpy
+    # loads; all but the timings and the BLAS and memory readings must match
+    runs = {}
+    for threads in (1, 2):
+        argv = []
+        for N in (15, 16):
+            cfg = tmp_path / f"n{N}.json"
+            cfg.write_text(json.dumps({"problem": "schrodinger_two_lorentzian",
+                                       "T": 2.0, "h": 0.25, "n_steps": N}))
+            argv += [str(cfg), str(tmp_path / f"t{threads}_n{N}")]
+        code = ("import sys; from halfbvm import cli; a = sys.argv[1:]; sys.exit(max("
+                "cli.main(['schrodinger', '--config', c, '--out', o])"
+                " for c, o in zip(a[::2], a[1::2])))")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=str(Path(hb.__file__).parents[1]))
+        subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                       timeout=300)
+        runs[threads] = []
+        for out in map(Path, argv[1::2]):
+            report = json.loads((out / "report.json").read_text())
+            for key in ("timings", "wall_time", "blas", "peak_rss_mb"):
+                report.pop(key)
+            report["oracle"].pop("wall_time")
+            csvs = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+            runs[threads].append((report, csvs))
+    assert runs[1] == runs[2]
+    assert all(report["preconditioned_residual"] > 0 for report, _ in runs[1])
 
 
 @pytest.mark.parametrize("name,h,N,T,bare", [
