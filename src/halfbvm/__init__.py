@@ -27,7 +27,7 @@ from .problems import Problem, build_problem, catalog, setup_run
 from .spatial import (DIRICHLET, PERIODIC, ConfigurationError, DiscreteSystem,
                       Grid, GridTooSmallError, Modes, OperatorKind,
                       assemble_discrete_system)
-from .spectrum import (MethodPolynomials, StabilityVerdict, boundary_locus,
+from .spectrum import (ONE_STEP, MethodPolynomials, boundary_locus,
                        eigenvalues_of_D, gmm_polynomials, gmm_stability_verdict,
                        lmm_catalog, rk_boundary_points)
 

@@ -21,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import problems, spectrum
+from . import problems
 from .bvm import assemble_all_at_once, build_gmm, extract_trajectory
 from .krylov import PreconditionerError, build_preconditioner, direct_solve, \
     gmres_solve
 from .oracles import FourierSeriesSolution, relative_l2_error
 from .spatial import ConfigurationError, GridTooSmallError
-from .spectrum import boundary_locus, eigenvalues_of_D, lmm_catalog, \
-    rk_boundary_points
+from .spectrum import ONE_STEP, boundary_locus, eigenvalues_of_D, \
+    gmm_stability_verdict, lmm_catalog, rk_boundary_points
 
 __all__ = ["ExperimentConfig", "ConfigError", "load_config", "run_solve",
            "run_convergence", "run_spectrum", "run_locus", "run_schrodinger",
@@ -40,7 +40,13 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_SOLVER = 4
 
 # the boundaries ``locus`` draws: its default and the names it knows
-LOCUS_METHODS = sorted(lmm_catalog()) + ["rk2", "rk4", "radau_iia"]
+LOCUS_METHODS = sorted(lmm_catalog()) + list(ONE_STEP)
+# fields that one command alone reads: every other command refuses them
+READ_BY = {"locus_methods": "locus", "h_sweep": "converge", "tau_sweep": "converge"}
+# a converge point's fields in convergence.json, and its convergence.csv columns
+POINT_FIELDS = ("h", "tau", "n_steps", "theta", "threads", "wall_time",
+                "iterations_pre", "iterations_nopre")
+POINT_COLUMNS = ("h", "tau", "rel_l2_error", "iterations_pre", "iterations_nopre")
 
 
 class ConfigError(ValueError):
@@ -117,6 +123,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be positive finite numbers")
             if any(b >= a for a, b in zip(values, values[1:])):
                 raise ConfigError(f"{name}: must be strictly decreasing")
+        # each sweep point sets the grid field swept: one given beside it is refused
+        for sweep, fixed in (("h_sweep", "h"), ("h_sweep", "m"),
+                             ("tau_sweep", "tau"), ("tau_sweep", "n_steps")):
+            if getattr(self, sweep) is not None and getattr(self, fixed) is not None:
+                raise ConfigError(f"{fixed}: {sweep} sets it at each point")
         if self.tau_sweep is not None and (self.m is None) == (self.h is None):
             raise ConfigError("tau_sweep: fix the space grid with one of m, h")
         if self.h_sweep is None and self.tau_sweep is None:
@@ -139,6 +150,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None and not _number(value):
                 raise ConfigError(f"{name}: must be a finite number")
+        # eps is a diffusion coefficient, except on a Schrödinger problem (gamma)
+        if self.eps is not None and self.eps < 0 and not self.problem.startswith(
+                "schrodinger"):
+            raise ConfigError("eps: must not be negative off a Schrödinger problem")
         tol = self.solver.tol
         if not (_number(tol) and tol > 0):
             raise ConfigError("solver.tol: must be a positive finite number")
@@ -217,21 +232,21 @@ def _as_text(column) -> np.ndarray:
     return np.array(["%.16g" % v for v in np.asarray(column, float).tolist()])
 
 
-def _assemble(cfg, pb, h=None, m=None):
-    """Discretize and assemble one point; returns (run, gmm, system).  A
-    ``window`` that holds no node of the point's grid is refused here, before
-    any solve."""
-    run = problems.setup_run(pb, h=h, m=m)
+def _assemble(cfg, pb):
+    """Discretize and assemble the config's grid, its h or m and its tau or
+    n_steps (else tau_over_h * h).  A ``window`` that holds no node of the
+    grid is refused here, before any solve."""
+    run = problems.setup_run(pb, h=cfg.h, m=cfg.m)
     w = cfg.window
     if w and not np.any((run.grid.nodes >= w[0]) & (run.grid.nodes <= w[1])):
         raise ConfigError(f"window: {cfg.window} holds no node of the grid "
                           f"at h = {run.grid.h:g}")
-    N = cfg.time_steps(h=h if h is not None else pb.L / m)
-    gmm = build_gmm(N, cfg.T)
-    return run, gmm, assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
+    gmm = build_gmm(cfg.time_steps(h=cfg.h if cfg.h is not None else pb.L / cfg.m),
+                    cfg.T)
+    return assemble_all_at_once(gmm, run.sys, run.source, run.u0v0)
 
 
-def _solve(cfg, run, gmm, system, precondition=None):
+def _solve(cfg, system, precondition=None):
     """One solve of an assembled system.  The solver's row blocks run on at
     most ``solver.workers`` threads (0: no limit); the solver caps them at
     the usable CPUs."""
@@ -239,37 +254,37 @@ def _solve(cfg, run, gmm, system, precondition=None):
     if cfg.solver.method == "direct":
         return direct_solve(system, threads=threads)
     use_pre = cfg.solver.precondition if precondition is None else precondition
-    pre = build_preconditioner(gmm, run.sys) if use_pre else None
+    pre = build_preconditioner(system.gmm, system.sys) if use_pre else None
     return gmres_solve(system, pre, tol=cfg.solver.tol,
                        max_iter=cfg.solver.max_iter, threads=threads)
 
 
-def _error_at(cfg, pb, run, traj, t_index, gmm):
-    """Error at step t_index against the problem's oracle: (error, flagged
-    absolute, record of the oracle's kind, modes and wall time)."""
+def _error_at(cfg, pb, system, state, t):
+    """Error of a solved state at time t against the problem's oracle:
+    (error, flagged absolute, record of the oracle's kind, modes and wall
+    time)."""
     t0 = time.perf_counter()
     oracle = pb.oracle(n_max=cfg.n_max)
-    t = t_index * gmm.tau
     window = tuple(cfg.window) if cfg.window else pb.measure_window
-    u, _ = pb.physical_state(traj[t_index], t)
+    u, _ = pb.physical_state(state, t)
     if pb.scalar_field == "complex":
         exact = oracle
     else:
         u = u.real
         exact = lambda x, tt: np.asarray(oracle(x, tt)).real
-    err, flagged = relative_l2_error(u, exact, run.grid, t, window=window)
+    err, flagged = relative_l2_error(u, exact, system.sys.grid, t, window=window)
     series = isinstance(oracle, FourierSeriesSolution)
     return err, flagged, {"kind": "series" if series else "closed_form",
                           "n_max": oracle.n_max if series else None,
                           "wall_time": time.perf_counter() - t0}
 
 
-def _torus_gap(run):
+def _torus_gap(system):
     """||H[u0'] - |k| u0|| / ||H[u0']|| on a torus, None between walls: the
     H[u0'] the initial state took from the line data against the torus's own
     half-Laplacian of u0, |k| on its modes.  The gap is the data mismatch a
     torus run inherits from line data."""
-    sys, state = run.sys, run.u0v0
+    sys, state = system.sys, system.initial
     if not sys.is_circulant:
         return None
     modes = sys.modes(real=not np.iscomplexobj(state.u))
@@ -278,14 +293,6 @@ def _torus_gap(run):
     torus = modes.inverse(k * modes.forward(state.u))
     return float(np.linalg.norm(state.hilbert_dx - torus)
                  / np.linalg.norm(state.hilbert_dx))
-
-
-def _stability(run, gmm) -> dict:
-    """The verdict of tau*spec(D) against the segment [-i, i]."""
-    verdict = spectrum.gmm_stability_verdict(run.sys, gmm.tau)
-    return {"stable": verdict.stable,
-            "offending_modes": int(verdict.offending.size),
-            "all_marginal": verdict.offending_are_marginal()}
 
 
 @functools.cache
@@ -321,12 +328,13 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
-def _discretisation(cfg, run, gmm, system) -> dict:
+def _discretisation(cfg, system) -> dict:
     """The discretisation actually solved: T/tau and L/h are rounded."""
+    gmm, grid = system.gmm, system.sys.grid
     return {"config": asdict(cfg),
             "n_steps": gmm.n_steps, "tau_effective": gmm.tau,
-            "n": run.grid.n, "h_effective": run.grid.h,
-            "unknowns": gmm.n_steps * run.sys.dim, "boundary": run.grid.boundary,
+            "n": grid.n, "h_effective": grid.h,
+            "unknowns": system.shape[0], "boundary": grid.boundary,
             # the rhs's separable terms: one per source term, one for U0
             "rhs_rank": len(system.vectors)}
 
@@ -336,16 +344,17 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     leaves a record of the failure, with no solver ``path``, and is raised
     on: no other solver stands in for it."""
     pb = cfg.build_problem()
-    run, gmm, system = _assemble(cfg, pb, h=cfg.h, m=cfg.m)
+    system = _assemble(cfg, pb)
+    gmm = system.gmm
     try:
-        report = _solve(cfg, run, gmm, system)
+        report = _solve(cfg, system)
     except PreconditionerError as exc:
-        failure = {**_discretisation(cfg, run, gmm, system), "path": None,
+        failure = {**_discretisation(cfg, system), "path": None,
                    "error": str(exc), **exc.record, "peak_rss_mb": _peak_rss_mb()}
         (out_dir / "report.json").write_text(json.dumps(failure, indent=2))
         raise
     traj = extract_trajectory(report.solution, system)
-    x = _as_text(run.grid.nodes)
+    x = _as_text(system.sys.grid.nodes)
     is_complex = pb.scalar_field == "complex"
     snapshots = []                     # each requested time, as rounded
     for t in cfg.snapshot_times or [0.0, cfg.T / 2.0, cfg.T]:
@@ -360,9 +369,9 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
             columns = (x, u.real, v.real)
             header = ["x", "u", "v"]
         _write_csv(out_dir / name, header, columns, cfg)
-    err, flagged, oracle = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)
+    err, flagged, oracle = _error_at(cfg, pb, system, traj[-1], gmm.n_steps * gmm.tau)
     manifest = {
-        **_discretisation(cfg, run, gmm, system),
+        **_discretisation(cfg, system),
         **{f.name: getattr(report, f.name) for f in fields(report)
            if f.name != "solution"},
         "rel_l2_error_at_T": err,
@@ -373,8 +382,8 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
         # and how far the line data's H[u0'] is from that torus's own
         "hilbert": {"periodisation": pb.torus, "u0": pb.u0.hilbert_route(),
                     "source": [t.space.hilbert_route() for t in pb.source.terms],
-                    "torus_gap": _torus_gap(run)},
-        "stability": _stability(run, gmm),
+                    "torus_gap": _torus_gap(system)},
+        "stability": gmm_stability_verdict(system.sys, gmm.tau),
         "blas": dict(zip(("library", "threads"), _blas())),
         "peak_rss_mb": _peak_rss_mb(),
     }
@@ -382,65 +391,51 @@ def run_solve(cfg: ExperimentConfig, out_dir: Path) -> int:
     return EXIT_OK if report.converged else EXIT_NO_CONVERGENCE
 
 
-def _sweep_point(cfg, pb, h=None, tau=None):
-    """Assemble one point once and solve it with the preconditioner, then,
-    on the GMRES path and if that converged, without it for the iteration
-    count; the error is the preconditioned solve's."""
+def _sweep_point(cfg, pb) -> dict:
+    """One sweep point, ``cfg`` with the swept h or tau set, as one dict:
+    assembled once, solved with the preconditioner and, on the GMRES path
+    and if that converged, without it for the iteration count; h, tau and N
+    as solved, and the preconditioned solve's error."""
     t0 = time.perf_counter()
-    if tau is not None:
-        cfg = replace(cfg, tau=tau, n_steps=None)
-        h = cfg.h if cfg.h is not None else pb.L / cfg.m
-    run, gmm, system = _assemble(cfg, pb, h=h)
-    report = _solve(cfg, run, gmm, system, precondition=True)
-    traj = extract_trajectory(report.solution, system)
-    err = _error_at(cfg, pb, run, traj, len(traj) - 1, gmm)[0]
-    # h, tau and N as solved
-    rows = {"pre": (report, err, run.grid.h, gmm.tau, gmm.n_steps)}
+    system = _assemble(cfg, pb)
+    gmm = system.gmm
+    report = _solve(cfg, system, precondition=True)
+    state, t = extract_trajectory(report.solution, system)[-1], gmm.n_steps * gmm.tau
+    point = {"h": system.sys.grid.h, "tau": gmm.tau, "n_steps": gmm.n_steps,
+             "theta": report.theta, "threads": report.threads,
+             "rel_l2_error": _error_at(cfg, pb, system, state, t)[0],
+             "converged": report.converged, "iterations_pre": report.iterations,
+             "iterations_nopre": -1, "nopre_converged": True}
     if cfg.solver.method != "direct" and report.converged:
-        rows["nopre"] = _solve(cfg, run, gmm, system, precondition=False)
-    return rows, time.perf_counter() - t0
+        nopre = _solve(cfg, system, precondition=False)
+        point.update(iterations_nopre=nopre.iterations,
+                     nopre_converged=nopre.converged)
+    point["wall_time"] = time.perf_counter() - t0
+    return point
 
 
 def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
     if not cfg.h_sweep and not cfg.tau_sweep:
         raise ConfigError("sweep: converge needs h_sweep or tau_sweep")
     pb = cfg.build_problem()
-    if cfg.h_sweep:
-        points = [{"h": h} for h in cfg.h_sweep]
-    else:
-        points = [{"tau": tau} for tau in cfg.tau_sweep]
-    results = [_sweep_point(cfg, pb, **pt) for pt in points]
-    rows, solved = [], []
-    failed = False
-    comparison_failed = False
-    for res, wall_time in results:
-        pre_rep, pre_err, h, tau, n_steps = res["pre"]
-        if "nopre" in res:
-            no_rep = res["nopre"]
-            no_iters = no_rep.iterations
-            comparison_failed = comparison_failed or not no_rep.converged
-        else:
-            no_iters = -1
-        failed = failed or not pre_rep.converged
-        rows.append((h, tau, pre_err, pre_rep.iterations, no_iters))
-        solved.append({"h": h, "tau": tau, "n_steps": n_steps,
-                       "theta": pre_rep.theta, "threads": pre_rep.threads,
-                       "wall_time": wall_time,
-                       "iterations_pre": pre_rep.iterations,
-                       "iterations_nopre": no_iters})
-    swept = [r[0] if cfg.h_sweep else r[1] for r in rows]
-    errs = [r[2] for r in rows]
+    swept = "h" if cfg.h_sweep else "tau"
+    points = [_sweep_point(replace(cfg, **{swept: v}), pb)
+              for v in cfg.h_sweep or cfg.tau_sweep]
+    failed = not all(p["converged"] for p in points)
+    xs = [p[swept] for p in points]
+    errs = [p["rel_l2_error"] for p in points]
     slope = None
     # a line through two solved steps at least, on positive finite errors:
     # two requests may round to one step
-    if len(set(swept)) > 1 and all(0 < e < math.inf for e in errs):
-        slope = float(np.polyfit(np.log(swept), np.log(errs), 1)[0])
-    _write_csv(out_dir / "convergence.csv",
-               ["h", "tau", "rel_l2_error", "iterations_pre", "iterations_nopre"],
-               zip(*rows), cfg)
-    manifest = {"config": asdict(cfg), "points": solved,
+    if len(set(xs)) > 1 and all(0 < e < math.inf for e in errs):
+        slope = float(np.polyfit(np.log(xs), np.log(errs), 1)[0])
+    _write_csv(out_dir / "convergence.csv", POINT_COLUMNS,
+               [[p[c] for p in points] for c in POINT_COLUMNS], cfg)
+    manifest = {"config": asdict(cfg),
+                "points": [{f: p[f] for f in POINT_FIELDS} for p in points],
                 "fitted_slope": slope, "partial": failed,
-                "unpreconditioned_hit_iteration_cap": comparison_failed,
+                "unpreconditioned_hit_iteration_cap":
+                    not all(p["nopre_converged"] for p in points),
                 "peak_rss_mb": _peak_rss_mb()}
     (out_dir / "convergence.json").write_text(json.dumps(manifest, indent=2))
     return EXIT_NO_CONVERGENCE if failed else EXIT_OK
@@ -489,8 +484,9 @@ def main(argv=None) -> int:
         if args.workers is not None:
             cfg.solver.workers = args.workers
             cfg.validate()
-        if cfg.locus_methods is not None and args.command != "locus":
-            raise ConfigError(f"locus_methods: read by locus only, not {args.command}")
+        for name, command in READ_BY.items():
+            if getattr(cfg, name) is not None and args.command != command:
+                raise ConfigError(f"{name}: read by {command} only, not {args.command}")
         out_dir = Path(args.out or cfg.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         runner = {
@@ -501,8 +497,8 @@ def main(argv=None) -> int:
             "schrodinger": run_schrodinger,
         }[args.command]
         return runner(cfg, out_dir)
-    # grids the loader cannot check fail here: h against the problem's L, and
-    # a sweep-only config (a sweep lifts the loader's grid check) outside converge
+    # what the loader cannot check fails here: h against the problem's L, and
+    # a parameter the problem's factory does not take
     except (ConfigError, ConfigurationError, GridTooSmallError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG

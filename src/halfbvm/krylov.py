@@ -290,7 +290,6 @@ class SolveReport:
     theta: float = None             # the preconditioner's theta and its gap,
     gap: float = None               # None without one
     timings: dict = field(default_factory=dict)   # stage -> seconds
-    marginal_modes: int = None      # direct: mode components with tau*mu on [-i, i]
     modes: int = None               # GMRES: the batch size
     floored_modes: int = None       # GMRES: modes solved by X = 0 without a step
     # GMRES: ||P^{-1} b|| (||b|| without a preconditioner), the residual
@@ -601,14 +600,16 @@ def gmres_solve(system: AllAtOnceSystem, precond: OmegaPreconditioner = None,
     return report
 
 
-def _scalar_sweeps(y, c) -> int:
-    """Solve (A - cI) y = r in place on y (N, M), one c per column, and count
-    the c on [-i, i] (|z1| = 1).  rho(z) - c sigma(z) = a (z - z1)(z - z2),
-    |z1| <= 1 <= |z2|, so row j < N-1 is a (w_{j+1} - z2 w_j) = r_j for
-    w_j = y_j - z1 y_{j-1}: w by a backward sweep in 1/z2 from w_{N-1}, then
-    y by a forward sweep in z1.  Run with w_{N-1} = 0, they leave the FINAL
-    row to fix w_{N-1}; its part of y_{N-2} is u_{N-1}/z2, u_j = 1 +
-    (z1/z2) u_{j-1}, which needs no powers of z1."""
+def _scalar_sweeps(y, c):
+    """Solve (A - cI) y = r in place on y (N, M), one c per column.
+    rho(z) - c sigma(z) = a (z - z1)(z - z2), |z1| <= 1 <= |z2|, so row
+    j < N-1 is a (w_{j+1} - z2 w_j) = r_j for w_j = y_j - z1 y_{j-1}: w by a
+    backward sweep in 1/z2 from w_{N-1}, then y by a forward sweep in z1.
+    Run with w_{N-1} = 0, they leave the FINAL row to fix w_{N-1}; its part
+    of y_{N-2} is u_{N-1}/z2, u_j = 1 + (z1/z2) u_{j-1}, which needs no
+    powers of z1.  Where c is on [-i, i] (|z1| = 1) the sweeps do not
+    contract; the run record's ``spectrum.gmm_stability_verdict`` counts
+    those c over the whole spectrum."""
     mp = gmm_polynomials()
     k, b, a = (r - c * s for r, s in zip(mp.rho, mp.sigma))
     d = np.sqrt(b * b - 4.0 * a * k)
@@ -632,7 +633,6 @@ def _scalar_sweeps(y, c) -> int:
         w *= iz2
     for j in range(1, N):
         y[j] += np.multiply(z1, y[j - 1], out=t)
-    return int(np.count_nonzero(np.abs(np.abs(z1) - 1.0) <= 1e-12))
 
 
 def _rotate(C, F):
@@ -657,9 +657,9 @@ def direct_solve(system: AllAtOnceSystem, threads: int = None) -> SolveReport:
     [mu1, 1]], s = 1/sqrt(1 + |mu1|^2), unitary at a Jordan block too, has
     diagonal mu and t12 = 1 + conj(mu1) mu2: scalar systems (A - qI) y = r,
     q = tau*mu, the first with tau t12 y2 added.  Their sweeps contract when
-    q is off [-i, i], the scheme's (k1, k2) = (1, 1) condition; on it
-    (``marginal_modes``) the true residual is the check.  All in place on
-    the mode array.
+    q is off [-i, i], the scheme's (k1, k2) = (1, 1) condition; on it (the
+    run record's ``stability`` counts those modes) the true residual is the
+    check.  All in place on the mode array.
 
     The rhs enters the mode array by ``_mode_rhs``: its r spatial vectors
     are transformed and turned by U^H once.  The stages that treat each time
@@ -682,13 +682,13 @@ def direct_solve(system: AllAtOnceSystem, threads: int = None) -> SolveReport:
         R = _mode_rhs(system, modes, rows,
                       np.result_type(system.dtype, mu, modes.dtype), C)
         t1 = time.perf_counter()
-        marginal = _scalar_sweeps(R[:, 1], tau * m2)
+        _scalar_sweeps(R[:, 1], tau * m2)
         coupling = tau * (1.0 + m1.conj() * m2)
 
         def couple(r):
             R[r, 0] += coupling * R[r, 1]
         rows.map(couple)
-        marginal += _scalar_sweeps(R[:, 0], tau * m1)
+        _scalar_sweeps(R[:, 0], tau * m1)
         C = np.array([[s, -s * m1.conj()], [s * m1, s]])         # U
         rows.map(lambda r: _rotate(C, R[r]))
         t2 = time.perf_counter()
@@ -703,5 +703,4 @@ def direct_solve(system: AllAtOnceSystem, threads: int = None) -> SolveReport:
     return SolveReport(solution=x, iterations=1, residual_history=[res],
                        converged=res < TRUE_RESIDUAL_MAX, wall_time=t4 - t0,
                        true_residual=res, path="direct", half_spectrum=modes.half,
-                       timings=timings, marginal_modes=marginal,
-                       threads=rows.threads)
+                       timings=timings, threads=rows.threads)

@@ -192,7 +192,7 @@ class Problem:
             return self.exact
         if self.model != "schrodinger":
             return oracles.FourierSeriesSolution(
-                u0=self.u0.value, source=self.source, eps=abs(self.eps), L=self.L,
+                u0=self.u0.value, source=self.source, eps=self.eps, L=self.L,
                 model=self.model, delta=self.delta, n_max=n_max, **kw)
         gamma = complex(self.eps).imag
         return oracles.schrodinger_dalembert(self.u0.value, self.u0.hilbert,

@@ -12,11 +12,15 @@ absolutely stable where pi has exactly k1 roots inside and k2 outside the
 unit circle.  For the midpoint main formula with a backward-Euler final row
 the unstable set is precisely the segment [-i, i] of the boundary locus
 q(e^{i theta}) = i sin(theta).
+
+This module owns two facts of a run: ``gmm_stability_verdict`` is the run
+record's one count of tau*spec(D) on that segment, and ``ONE_STEP`` with
+``lmm_catalog`` names every method the locus dump draws.
 """
 
 import cmath
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,10 +29,10 @@ from .spatial import DiscreteSystem
 
 __all__ = [
     "MethodPolynomials",
-    "StabilityVerdict",
     "gmm_polynomials",
     "lmm_catalog",
     "boundary_locus",
+    "ONE_STEP",
     "rk_boundary_points",
     "eigenvalues_of_D",
     "gmm_stability_verdict",
@@ -112,30 +116,26 @@ def boundary_locus(mp: MethodPolynomials, n_theta: int = 720) -> np.ndarray:
     return mp.rho_at(z[ok]) / s[ok]
 
 
-# Stability functions of one-step methods displayed alongside the LMM loci.
-RK_STABILITY = {
-    "rk2": np.array([1.0, 1.0, 0.5]),
-    "rk4": np.array([1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0]),
+# Stability functions R = num/den of the one-step methods displayed alongside
+# the LMM loci, coefficients low to high: the locus knows these names
+ONE_STEP = {
+    "rk2": (np.array([1.0, 1.0, 0.5]), np.array([1.0])),
+    "rk4": (np.array([1.0, 1.0, 0.5, 1.0 / 6.0, 1.0 / 24.0]), np.array([1.0])),
+    # 2-stage Radau IIA: R(z) = (1 + z/3) / (1 - 2z/3 + z^2/6)
+    "radau_iia": (np.array([1.0, 1.0 / 3.0]), np.array([1.0, -2.0 / 3.0, 1.0 / 6.0])),
 }
-# 2-stage Radau IIA: R(z) = (1 + z/3) / (1 - 2z/3 + z^2/6)
-RADAU_IIA = (np.array([1.0, 1.0 / 3.0]), np.array([1.0, -2.0 / 3.0, 1.0 / 6.0]))
 
 
 def rk_boundary_points(name: str, n_theta: int = 720) -> np.ndarray:
-    """|R(z)| = 1 contour of a one-step stability function R.
+    """|R(z)| = 1 contour of the one-step stability function ``ONE_STEP[name]``.
 
     Solves R(z) = e^{i theta} as a polynomial root problem per angle and
     returns all finite roots; this traces the region boundary without
     assuming it is star shaped.
     """
+    num, den = ONE_STEP[name]
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     pts = []
-    if name in RK_STABILITY:
-        num, den = RK_STABILITY[name], np.array([1.0])
-    elif name == "radau_iia":
-        num, den = RADAU_IIA
-    else:
-        raise KeyError(f"unknown one-step method {name!r}")
     deg = max(len(num), len(den))
     for th in theta:
         c = np.zeros(deg, dtype=complex)
@@ -158,21 +158,13 @@ def segment_distance(q) -> np.ndarray:
     return np.hypot(q.real, np.maximum(np.abs(q.imag) - 1.0, 0.0))
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Outcome of testing tau*spec(D) against the locus segment [-i, i]."""
-
-    stable: bool
-    offending: np.ndarray = field(repr=False)
-
-    def offending_are_marginal(self, tol: float = 1e-10) -> bool:
-        """True when every flagged mode is the (conserved) constant mode q ~ 0."""
-        return bool(np.all(np.abs(self.offending) <= tol))
-
-
 def gmm_stability_verdict(sys: DiscreteSystem, tau: float,
-                          tol: float = 1e-12) -> StabilityVerdict:
-    """Flag eigenvalues with tau*lam on (or within tol of) [-i, i].
+                          tol: float = 1e-12) -> dict:
+    """The run record's verdict of tau*spec(D) against the segment [-i, i]:
+    ``offending_modes`` counts the eigenvalues with tau*lam on it (or within
+    ``tol``) over all 2n, ``stable`` is true when there are none, and
+    ``all_marginal`` when each of them is the (conserved) constant mode,
+    |tau*lam| <= 1e-10.
 
     The flagged set is conservative: the stability region is open, so
     borderline modes such as a periodic constant mode are reported rather
@@ -182,4 +174,5 @@ def gmm_stability_verdict(sys: DiscreteSystem, tau: float,
         raise ValueError("tau must be positive")
     q = tau * eigenvalues_of_D(sys)
     bad = q[segment_distance(q) <= tol]
-    return StabilityVerdict(stable=bad.size == 0, offending=bad)
+    return {"stable": bad.size == 0, "offending_modes": int(bad.size),
+            "all_marginal": bool(np.all(np.abs(bad) <= 1e-10))}

@@ -3,9 +3,10 @@
 ``classify_stability`` decides, from the roots of pi(z, q) = rho(z) -
 q sigma(z), whether ``spectrum.MethodPolynomials`` is S-stable, N-stable or
 unstable at one point q.  Acceptance criterion 3 and ``test_spectrum`` check
-the midpoint scheme's stability region with it; the library itself flags
-tau*spec(D) against the closed-form segment [-i, i]
-(``spectrum.gmm_stability_verdict``).
+the midpoint scheme's stability region with it; the library itself only
+counts tau*spec(D) on the closed-form segment [-i, i], once, in
+``spectrum.gmm_stability_verdict``, whose dict is the run record's
+``stability``.
 """
 
 import numpy as np

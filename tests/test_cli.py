@@ -69,6 +69,13 @@ COMMAND_ONLY = ({"locus_methods": ["gmm"], "command": "solve"},   # solve ignore
                  "h_sweep": [0.5, 0.25], "m": None, "n_steps": None},
                 {"locus_methods": ["gmm"], "command": "spectrum"},
                 {"locus_methods": ["bdf2", "rk4"], "command": "schrodinger",
+                 "problem": "schrodinger_single_mode"},
+                # and only converge reads a sweep
+                {"tau_sweep": [0.1, 0.05], "n_steps": None,       # ran on tau_over_h * h
+                 "command": "solve"},
+                {"h_sweep": [0.5, 0.25], "m": None, "command": "spectrum"},
+                {"h_sweep": [0.5, 0.25], "m": None, "command": "locus"},   # ignored it
+                {"tau_sweep": [0.1, 0.05], "n_steps": None, "command": "schrodinger",
                  "problem": "schrodinger_single_mode"})
 
 
@@ -85,6 +92,8 @@ COMMAND_ONLY = ({"locus_methods": ["gmm"], "command": "solve"},   # solve ignore
     {"problem": "advection_gaussian_quartic", "weideman_n": 2},  # fit order is fixed
     {"L": -5.0},
     {"eps": 1e400},                      # JSON Infinity
+    {"eps": -0.1},                       # ran, error 0.58 against the oracle of |eps|
+    {"problem": "advection_homogeneous", "eps": -0.01},
     {"solver": {"max_iter": 0}},         # ran, then exit 3
     {"solver": {"tol": -1.0}},
     {"mode": 0},                         # a zero sine profile
@@ -112,6 +121,12 @@ COMMAND_ONLY = ({"locus_methods": ["gmm"], "command": "solve"},   # solve ignore
     {"locus_methods": "gmm"},
     {"locus_methods": []},               # locus drew every method
     *COMMAND_ONLY,
+    # a sweep sets the grid field it sweeps: one given beside it was ignored
+    {"tau_sweep": [0.1, 0.05], "command": "converge"},             # n_steps: 8
+    {"tau_sweep": [0.1, 0.05], "n_steps": None, "tau": 0.3, "command": "converge"},
+    {"h_sweep": [0.5, 0.25]},                                      # m: 24
+    {"h_sweep": [0.5, 0.25], "m": None, "h": 0.5},
+    {"h_sweep": [0.5, 0.25], "command": "solve"},                  # ran m = 24
     {"problem": None},                   # a TypeError traceback at load
     {"problem": []},                     # an unhashable-type traceback
     {"solver": {"max_iter": None}},      # a TypeError in the solve
@@ -204,13 +219,11 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
         assert 0.0 <= report["true_residual"] < 1e-8
         # a system of one row block runs inline on every path
         assert report["threads"] == 1
-        # the direct path times its four stages and counts the mode components
-        # with tau*mu on [-i, i]: here the constant mode, twice (Jordan block)
+        # the direct path times its four stages
         if path == "direct":
             assert set(report["timings"]) == {"transform", "sweeps",
                                               "inverse_transform", "true_residual"}
             assert sum(report["timings"].values()) == pytest.approx(report["wall_time"])
-            assert report["marginal_modes"] == 2
             assert report["modes"] is None and report["floored_modes"] is None
             assert report["rhs_norm"] is None
         else:
@@ -222,7 +235,6 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
             assert sum(report["timings"].values()) == pytest.approx(
                 report["wall_time"], rel=0.05)
             assert all(t >= 0.0 for t in report["timings"].values())
-            assert report["marginal_modes"] is None
             assert report["modes"] == 81
             # no rfft mode of this data is below the floor of the rhs
             assert report["floored_modes"] == 0
@@ -298,6 +310,57 @@ def test_report_records_discretisation_and_path(tmp_path, monkeypatch):
         assert report["rhs_rank"] == rank
         # the record reads the fits the run made, and makes none of its own
         assert fits == [FIT_ORDER] * routes.count(fitted)
+
+
+# every key of each record, written out: a record gains or loses a fact
+# only with this list.  A solve's report.json (on every path) and its exit-4
+# record both start with the discretisation solved
+DISCRETISATION_KEYS = {"config", "n_steps", "tau_effective", "n", "h_effective",
+                       "unknowns", "boundary", "rhs_rank"}
+REPORT_KEYS = DISCRETISATION_KEYS | {
+    "iterations", "residual_history", "converged", "wall_time", "true_residual",
+    "path", "half_spectrum", "theta", "gap", "timings", "modes", "floored_modes",
+    "rhs_norm", "preconditioned_residual", "threads", "rel_l2_error_at_T",
+    "error_norm_flagged_absolute", "oracle", "snapshots", "hilbert", "stability",
+    "blas", "peak_rss_mb"}
+NESTED_KEYS = {"oracle": {"kind", "n_max", "wall_time"},
+               "hilbert": {"periodisation", "u0", "source", "torus_gap"},
+               "stability": {"stable", "offending_modes", "all_marginal"},
+               "blas": {"library", "threads"}}
+FAILURE_KEYS = DISCRETISATION_KEYS | {"path", "error", "theta", "gap", "gap_min",
+                                      "nearest", "peak_rss_mb"}
+CONVERGENCE_KEYS = {"config", "points", "fitted_slope", "partial",
+                    "unpreconditioned_hit_iteration_cap", "peak_rss_mb"}
+POINT_KEYS = {"h", "tau", "n_steps", "theta", "threads", "wall_time",
+              "iterations_pre", "iterations_nopre"}
+
+
+def test_records_hold_exactly_their_keys(tmp_path, monkeypatch):
+    def record(command, cfg, name, rc=cli.EXIT_OK):
+        out = tmp_path / str(len(list(tmp_path.iterdir())))
+        path = _write_config(tmp_path, **cfg)
+        assert cli.main([command, "--config", path, "--out", str(out)]) == rc
+        return json.loads((out / name).read_text())
+
+    for solver, path in (({"method": "direct"}, "direct"), ({}, "gmres+omega"),
+                         ({"precondition": False}, "gmres")):
+        report = record("solve", _base_solve_config(solver=solver), "report.json")
+        assert report["path"] == path
+        assert set(report) == REPORT_KEYS
+        for key, keys in NESTED_KEYS.items():
+            assert set(report[key]) == keys
+        for snapshot in report["snapshots"]:
+            assert set(snapshot) == {"requested", "j", "t", "file"}
+    manifest = record("converge", {"problem": "single_mode", "T": 1.0,
+                                   "h_sweep": [1.0, 0.5], "tau_over_h": 0.25},
+                      "convergence.json")
+    assert set(manifest) == CONVERGENCE_KEYS
+    assert len(manifest["points"]) == 2
+    for point in manifest["points"]:
+        assert set(point) == POINT_KEYS
+    monkeypatch.setattr(krylov, "GAP_MIN", 1e3)
+    failure = record("solve", _base_solve_config(), "report.json", cli.EXIT_SOLVER)
+    assert set(failure) == FAILURE_KEYS
 
 
 @pytest.mark.parametrize("h,n,floored", [(0.3125, 63, 31), (20.0 / 41, 40, 20)])
@@ -574,15 +637,20 @@ def test_sweep_threads_are_capped_by_the_cpu_affinity(tmp_path, monkeypatch):
 @pytest.mark.parametrize("command", ["solve", "spectrum", "schrodinger"])
 def test_single_runs_need_one_space_grid(tmp_path, command, capsys):
     # a sweep lifts the loader's grid check, so a sweep-only config loads;
-    # the single-run commands then have no grid and exit 2, not a traceback
+    # the single-run commands read no sweep and exit 2, not a traceback.  A
+    # space grid beside the sweep is refused at load
     problem = "schrodinger_single_mode" if command == "schrodinger" else "single_mode"
-    for grid in ({}, {"m": 8, "h": 0.5}):
+    path = _write_config(tmp_path, problem=problem, T=1.0, h_sweep=[0.5, 0.25])
+    cli.load_config(path)
+    rc = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
+    assert rc == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == \
+        f"config error: h_sweep: read by converge only, not {command}\n"
+    for grid in ({"m": 8}, {"h": 0.5}, {"m": 8, "h": 0.5}):
         path = _write_config(tmp_path, problem=problem, T=1.0,
                              h_sweep=[0.5, 0.25], **grid)
-        cli.load_config(path)
-        rc = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
-        assert rc == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: space grid")
+        with pytest.raises(cli.ConfigError, match="h_sweep sets it"):
+            cli.load_config(path)
 
 
 def test_negative_workers_flag_exits_config(tmp_path, capsys):
@@ -673,15 +741,18 @@ def test_locus_method_selection(tmp_path):
 
 
 def test_schrodinger_subcommand(tmp_path):
-    cfg = _write_config(tmp_path, problem="schrodinger_single_mode", L=20.0,
-                        eps=0.1, T=1.0, n_steps=8, m=24,
-                        solver={"tol": 1e-10, "max_iter": 200})
-    rc = cli.main(["schrodinger", "--config", cfg, "--out", str(tmp_path / "sch")])
-    assert rc == cli.EXIT_OK
-    report = json.loads((tmp_path / "sch" / "report.json").read_text())
-    assert report["rel_l2_error_at_T"] < 1e-3
-    head = (tmp_path / "sch" / "solution_t0.csv").read_text().splitlines()
-    assert head[1] == "x,re_u,im_u,re_v,im_v"
+    # eps is the Schrödinger gamma here, and a negative one stays valid
+    for gamma in (0.1, -0.1):
+        cfg = _write_config(tmp_path, problem="schrodinger_single_mode", L=20.0,
+                            eps=gamma, T=1.0, n_steps=8, m=24,
+                            solver={"tol": 1e-10, "max_iter": 200})
+        out = tmp_path / f"sch{gamma}"
+        rc = cli.main(["schrodinger", "--config", cfg, "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["rel_l2_error_at_T"] < 1e-3
+        head = (out / "solution_t0.csv").read_text().splitlines()
+        assert head[1] == "x,re_u,im_u,re_v,im_v"
 
 
 def test_schrodinger_with_potential(tmp_path):
@@ -807,7 +878,9 @@ def test_preformatted_x_writes_the_same_bytes(tmp_path):
 # values no field takes, and each field's own invalid ones
 JUNK = (None, True, "x", [], -1.0, 0.0, 1e400)
 INVALID = {
-    "problem": ["nope"], "T": [10 ** 400], "L": [], "eps": [], "delta": [], "V": [],
+    "problem": ["nope"], "T": [10 ** 400], "L": [],
+    "eps": [-0.1],                       # a diffusion eps; valid as a Schrödinger gamma
+    "delta": [], "V": [],
     "mode": [0, 1.5], "n_steps": [1, 2.5], "tau": [], "m": [2, 8.0], "h": [100.0],
     "tau_over_h": [], "h_sweep": [[2.5, 5.0], [100.0, 2.5], ["a"]],
     "tau_sweep": [[0.25, 0.5], [0.5, -0.5]],
@@ -837,7 +910,7 @@ def _cli_runs(draw):
     if draw(st.booleans()):
         cfg["L"] = draw(st.sampled_from([4.0, 10.0, 20.0]))
     L = cfg.get("L", takes["L"].default)
-    for name, key, values in (("eps", "eps", [0.05, 0.1, 0.5, -0.1, 0.0]),
+    for name, key, values in (("eps", "eps", [0.05, 0.1, 0.5, 0.0]),
                               ("gamma", "eps", [0.05, 0.1, 1.0, 0.0]),
                               ("delta", "delta", [0.0, 0.02, 0.2, 1.0, -0.2]),
                               ("V", "V", [0.0, 0.5, -0.5]), ("mode", "mode", [1, 2, 7])):
