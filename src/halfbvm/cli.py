@@ -1,8 +1,12 @@
 """Experiment driver: solve, convergence sweeps, spectra and locus dumps.
 
-Configuration is one JSON document; outputs are CSV files plus a JSON
-manifest, each embedding the fully resolved configuration so a run can be
-reproduced from any of its artifacts.  Exit codes: 0 success, 2 bad
+Configuration is one JSON document.  Each of its fields is declared once, in
+``ExperimentConfig`` or ``SolverSettings``, with its default, its check and
+the commands that read it: experiment fields are read by every command, so
+one file serves several, and a command refuses an output or sweep field that
+it does not read.  Each command needs only the grids it reads.  Outputs are
+CSV files plus a JSON manifest, each embedding the fully resolved
+configuration, defaults included.  Exit codes: 0 success, 2 bad
 configuration, 3 solver non-convergence, 4 solver error (no preconditioner
 clears GAP_MIN; ``solve`` and ``schrodinger`` still write a report.json,
 with a null ``path`` and the failure).
@@ -16,7 +20,7 @@ import math
 import resource
 import sys as _sys
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +43,12 @@ EXIT_CONFIG = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_SOLVER = 4
 
+COMMANDS = ("solve", "schrodinger", "converge", "spectrum", "locus")
+# the commands that solve once, and those that measure an error (window, n_max)
+SOLVES = ("solve", "schrodinger")
+MEASURES = SOLVES + ("converge",)
 # the boundaries ``locus`` draws: its default and the names it knows
 LOCUS_METHODS = sorted(lmm_catalog()) + list(ONE_STEP)
-# fields that one command alone reads: every other command refuses them
-READ_BY = {"locus_methods": "locus", "h_sweep": "converge", "tau_sweep": "converge"}
 # a converge point's fields in convergence.json, and its convergence.csv columns
 POINT_FIELDS = ("h", "tau", "n_steps", "theta", "threads", "wall_time",
                 "iterations_pre", "iterations_nopre")
@@ -62,133 +68,88 @@ def _number(v) -> bool:
         return False
 
 
+def _list(v, item) -> bool:
+    """A non-empty JSON list of items that each pass ``item``."""
+    return isinstance(v, list) and bool(v) and all(map(item, v))
+
+
+def _at_least(least) -> tuple:
+    return (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= least,
+            f"must be an integer of at least {least}")
+
+
+# (check, error) of the kinds of value that several fields take
+FINITE = (_number, "must be a finite number")
+POSITIVE = (lambda v: _number(v) and v > 0, "must be a positive finite number")
+SWEEP = (lambda v: _list(v, POSITIVE[0]) and all(b < a for a, b in zip(v, v[1:])),
+         "must be a non-empty, strictly decreasing list of positive finite numbers")
+
+
+def _field(default, check, error, read_by=COMMANDS):
+    """A config field, declared once: its default, the check a value given
+    must pass (else ``error``) and the commands that read it.  Any other
+    command refuses it."""
+    return field(default=default,
+                 metadata={"check": check, "error": error, "read_by": read_by})
+
+
 @dataclass
 class SolverSettings:
-    method: str = "gmres"      # "gmres" or "direct" (spatial eigenbasis solve)
-    tol: float = 1e-10
-    max_iter: int = 500
-    precondition: bool = True
-    workers: int = 0           # threads per solve at most; 0: all usable CPUs
+    # "direct": the structured solve in the spatial eigenbasis
+    method: str = _field("gmres", lambda v: v in ("gmres", "direct"),
+                         'must be "gmres" or "direct"')
+    tol: float = _field(1e-10, *POSITIVE)
+    max_iter: int = _field(500, *_at_least(1))
+    precondition: bool = _field(True, lambda v: isinstance(v, bool),
+                                "must be true or false")
+    # threads per solve at most; 0: all usable CPUs
+    workers: int = _field(0, *_at_least(0))
 
 
 @dataclass
 class ExperimentConfig:
-    """Resolved experiment description.
+    """Resolved experiment description: one field per key of the JSON config.
 
-    Exactly one of (n_steps, tau) and one of (m, h) must be given; sweep
-    lists, when present, must be strictly decreasing.
+    Experiment fields (the problem and its parameters, T, the grids, solver
+    and out) are read by every command, so one file serves several.  An
+    output or sweep field names the commands that read it, and the others
+    refuse it.  The rules that join fields are ``load_config``'s.
     """
 
-    problem: str
-    T: float = 2.0
-    L: float = None
-    eps: float = None
-    delta: float = None
-    V: float = None
-    mode: int = None
-    n_steps: int = None
-    tau: float = None
-    m: int = None
-    h: float = None
-    tau_over_h: float = 0.5
-    h_sweep: list = None
-    tau_sweep: list = None
-    snapshot_times: list = None
-    n_max: int = 400
-    locus_methods: list = None
-    window: list = None
-    solver: SolverSettings = field(default_factory=SolverSettings)
-    out: str = "out"
-
-    def validate(self):
-        if not isinstance(self.problem, str) or self.problem not in problems.catalog():
-            raise ConfigError(f"problem: unknown name {self.problem!r}")
-        # null stands for a field's default only where that default is null
-        for obj, prefix in ((self, ""), (self.solver, "solver.")):
-            for f in fields(obj):
-                if getattr(obj, f.name) is None and f.default is not None:
-                    raise ConfigError(f"{prefix}{f.name}: must not be null")
-        if not isinstance(self.out, str):
-            raise ConfigError("out: must be a path")
-        if self.h_sweep is not None and self.tau_sweep is not None:
-            raise ConfigError("sweep: give at most one of h_sweep, tau_sweep")
-        for name in ("T", "L", "tau", "h", "tau_over_h", "h_sweep", "tau_sweep"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            values = value if isinstance(value, list) else [value]
-            if not values:
-                raise ConfigError(f"{name}: empty sweep")
-            if not all(_number(v) and v > 0 for v in values):
-                raise ConfigError(f"{name}: must be positive finite numbers")
-            if any(b >= a for a, b in zip(values, values[1:])):
-                raise ConfigError(f"{name}: must be strictly decreasing")
-        # each sweep point sets the grid field swept: one given beside it is refused
-        for sweep, fixed in (("h_sweep", "h"), ("h_sweep", "m"),
-                             ("tau_sweep", "tau"), ("tau_sweep", "n_steps")):
-            if getattr(self, sweep) is not None and getattr(self, fixed) is not None:
-                raise ConfigError(f"{fixed}: {sweep} sets it at each point")
-        if self.tau_sweep is not None and (self.m is None) == (self.h is None):
-            raise ConfigError("tau_sweep: fix the space grid with one of m, h")
-        if self.h_sweep is None and self.tau_sweep is None:
-            if (self.n_steps is None) == (self.tau is None):
-                raise ConfigError("time grid: give exactly one of n_steps, tau")
-            if (self.m is None) == (self.h is None):
-                raise ConfigError("space grid: give exactly one of m, h")
-        for name, value, least in (("n_steps", self.n_steps, 2), ("m", self.m, 3),
-                                   ("mode", self.mode, 1), ("n_max", self.n_max, 1),
-                                   ("solver.max_iter", self.solver.max_iter, 1),
-                                   ("solver.workers", self.solver.workers, 0)):
-            if value is not None and not (isinstance(value, int) and value >= least
-                                          and not isinstance(value, bool)):
-                raise ConfigError(f"{name}: must be an integer of at least {least}")
-        if self.solver.method not in ("gmres", "direct"):
-            raise ConfigError(f"solver.method: unknown method {self.solver.method!r}")
-        if not isinstance(self.solver.precondition, bool):
-            raise ConfigError("solver.precondition: must be true or false")
-        for name in ("eps", "delta", "V"):
-            value = getattr(self, name)
-            if value is not None and not _number(value):
-                raise ConfigError(f"{name}: must be a finite number")
-        # eps is a diffusion coefficient, except on a Schrödinger problem (gamma)
-        if self.eps is not None and self.eps < 0 and not self.problem.startswith(
-                "schrodinger"):
-            raise ConfigError("eps: must not be negative off a Schrödinger problem")
-        tol = self.solver.tol
-        if not (_number(tol) and tol > 0):
-            raise ConfigError("solver.tol: must be a positive finite number")
-        w = self.window
-        if w is not None and not (isinstance(w, list) and len(w) == 2
-                                  and all(map(_number, w)) and w[0] < w[1]):
-            raise ConfigError("window: must be two finite numbers lo < hi")
-        times = self.snapshot_times
-        if times is not None and not (isinstance(times, list) and times and all(
-                _number(t) and 0 <= t <= self.T for t in times)):
-            raise ConfigError("snapshot_times: must be a non-empty list of "
-                              "finite numbers in [0, T]")
-        names = self.locus_methods
-        if names is not None and not (isinstance(names, list) and names and all(
-                name in LOCUS_METHODS for name in names)):
-            raise ConfigError(f"locus_methods: must be a non-empty list of "
-                              f"{LOCUS_METHODS}")
-        return self
+    problem: str = _field(MISSING, lambda v: isinstance(v, str) and v in problems.catalog(),
+                          "must name a problem of problems.catalog()")
+    T: float = _field(2.0, *POSITIVE)
+    L: float = _field(None, *POSITIVE)
+    eps: float = _field(None, *FINITE)      # gamma on a Schrödinger problem
+    delta: float = _field(None, *FINITE)
+    V: float = _field(None, *FINITE)
+    mode: int = _field(None, *_at_least(1))
+    n_steps: int = _field(None, *_at_least(2))
+    tau: float = _field(None, *POSITIVE)
+    m: int = _field(None, *_at_least(3))
+    h: float = _field(None, *POSITIVE)
+    tau_over_h: float = _field(0.5, *POSITIVE, ("converge",))
+    h_sweep: list = _field(None, *SWEEP, ("converge",))
+    tau_sweep: list = _field(None, *SWEEP, ("converge",))
+    snapshot_times: list = _field(None, lambda v: _list(v, _number),
+                                  "must be a non-empty list of finite numbers", SOLVES)
+    n_max: int = _field(400, *_at_least(1), MEASURES)
+    locus_methods: list = _field(None, lambda v: _list(v, LOCUS_METHODS.__contains__),
+                                 f"must be a non-empty list of {LOCUS_METHODS}", ("locus",))
+    window: list = _field(None, lambda v: isinstance(v, list) and len(v) == 2 and all(
+        map(_number, v)) and v[0] < v[1], "must be two finite numbers lo < hi", MEASURES)
+    solver: SolverSettings = field(default_factory=SolverSettings,
+                                   metadata={"read_by": COMMANDS})
+    out: str = _field("out", lambda v: isinstance(v, str), "must be a path")
 
     def build_problem(self) -> problems.Problem:
-        kw = {}
-        if self.L is not None:
-            kw["L"] = self.L
-        if self.eps is not None:
-            if self.problem.startswith("schrodinger"):
-                kw["gamma"] = self.eps
-            else:
-                kw["eps"] = self.eps
-        if self.delta is not None:
-            kw["delta"] = self.delta
-        if self.V is not None:
-            kw["V"] = self.V
-        if self.mode is not None:
-            kw["mode"] = self.mode
-        return problems.build_problem(self.problem, **kw)
+        """The named problem with the parameters given: eps is a Schrödinger
+        problem's gamma."""
+        eps = "gamma" if self.problem.startswith("schrodinger") else "eps"
+        kw = {"L": self.L, eps: self.eps, "delta": self.delta, "V": self.V,
+              "mode": self.mode}
+        return problems.build_problem(
+            self.problem, **{k: v for k, v in kw.items() if v is not None})
 
     def time_steps(self, h=None) -> int:
         if self.n_steps is not None:
@@ -197,22 +158,66 @@ class ExperimentConfig:
         return max(2, int(round(self.T / tau)))
 
 
-def load_config(path) -> ExperimentConfig:
+# each grid: its fields, of which at most one is given, and the commands that
+# need exactly one.  A sweep sets the grid field it sweeps at each point, and
+# tau_over_h sets tau on an h_sweep
+GRIDS = (("time grid", ("n_steps", "tau", "tau_sweep", "tau_over_h"), SOLVES),
+         ("space grid", ("m", "h", "h_sweep"), MEASURES + ("spectrum",)),
+         ("sweep", ("h_sweep", "tau_sweep"), ("converge",)))
+
+
+def _read_by(cls, name: str) -> tuple:
+    return cls.__dataclass_fields__[name].metadata["read_by"]
+
+
+def _checked(cls, raw, command: str, prefix: str = ""):
+    """``cls`` of the fields given in ``raw``, each declared, read by
+    ``command`` and passing its check.  null stands for a field's default
+    only where that default is null, and counts as not given."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix[:-1]}: must be a JSON object")
+    values = {}
+    for name, value in raw.items():
+        f = cls.__dataclass_fields__.get(name)
+        if f is None:
+            raise ConfigError(f"{prefix}{name}: unknown field")
+        if value is not None and command not in _read_by(cls, name):
+            raise ConfigError(f"{prefix}{name}: read by {', '.join(_read_by(cls, name))} "
+                              f"only, not {command}")
+        if is_dataclass(f.default_factory):
+            value = _checked(f.default_factory, value, command, f"{prefix}{name}.")
+        elif not (f.default is None if value is None else f.metadata["check"](value)):
+            raise ConfigError(f"{prefix}{name}: {f.metadata['error']}")
+        values[name] = value
+    return cls(**values)
+
+
+def load_config(path, command: str = "solve", workers: int = None) -> ExperimentConfig:
+    """The config at ``path`` as ``command`` reads it, ``workers`` (when not
+    None) standing for its ``solver.workers``.  Each field is checked as
+    declared; the rules that join fields follow: the grids (``GRIDS``), eps's
+    sign off a Schrödinger problem, and snapshot times within [0, T]."""
     try:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     if not isinstance(raw, dict) or "problem" not in raw:
         raise ConfigError("config: must be a JSON object naming its problem")
-    try:
-        solver = SolverSettings(**raw.pop("solver", {}))
-    except TypeError as exc:
-        raise ConfigError(f"solver: {exc}")
-    known = {f for f in ExperimentConfig.__dataclass_fields__ if f != "solver"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    return ExperimentConfig(solver=solver, **raw).validate()
+    if workers is not None and isinstance(raw.get("solver", {}), dict):
+        raw["solver"] = dict(raw.get("solver", {}), workers=workers)
+    cfg = _checked(ExperimentConfig, raw, command)
+    given = {name for name, value in raw.items() if value is not None}
+    for label, group, needed_by in GRIDS:
+        count, needed = len(given.intersection(group)), command in needed_by
+        if count > 1 or (needed and not count):
+            read = [n for n in group if command in _read_by(ExperimentConfig, n)]
+            raise ConfigError(f"{label}: give {'exactly' if needed else 'at most'} one "
+                              f"of {', '.join(read)}")
+    if cfg.eps is not None and cfg.eps < 0 and not cfg.problem.startswith("schrodinger"):
+        raise ConfigError("eps: must not be negative off a Schrödinger problem")
+    if not all(0 <= t <= cfg.T for t in cfg.snapshot_times or ()):
+        raise ConfigError("snapshot_times: must lie in [0, T]")
+    return cfg
 
 
 def _write_csv(path: Path, header, columns, cfg):
@@ -415,8 +420,6 @@ def _sweep_point(cfg, pb) -> dict:
 
 
 def run_convergence(cfg: ExperimentConfig, out_dir: Path) -> int:
-    if not cfg.h_sweep and not cfg.tau_sweep:
-        raise ConfigError("sweep: converge needs h_sweep or tau_sweep")
     pb = cfg.build_problem()
     swept = "h" if cfg.h_sweep else "tau"
     points = [_sweep_point(replace(cfg, **{swept: v}), pb)
@@ -471,24 +474,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="halfbvm",
         description="half-Laplacian evolution runs, all-at-once in time")
-    parser.add_argument("command",
-                        choices=["solve", "converge", "spectrum", "locus",
-                                 "schrodinger"])
+    parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--workers", type=int, default=None,
                         help="threads per solve at most (0: all usable CPUs)")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.workers is not None:
-            cfg.solver.workers = args.workers
-            cfg.validate()
-        for name, command in READ_BY.items():
-            if getattr(cfg, name) is not None and args.command != command:
-                raise ConfigError(f"{name}: read by {command} only, not {args.command}")
+        cfg = load_config(args.config, args.command, args.workers)
         out_dir = Path(args.out or cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"out: cannot make directory {out_dir}: {exc.strerror}")
         runner = {
             "solve": run_solve,
             "converge": run_convergence,

@@ -62,8 +62,8 @@ PROBLEM_ONLY = ({"problem": "half_diffusion_manufactured", "delta": 0.1},
                 {"V": 0.5},                  # on single_mode
                 {"problem": "transport_limit", "eps": 0.1},
                 {"problem": "advection_mms", "mode": 2})
-# a valid locus_methods loads, but only locus reads it: main refuses it on
-# the other commands, each named under "command"
+# a valid output or sweep field, given to a command that does not read it:
+# the loader refuses it for that command, named under "command"
 COMMAND_ONLY = ({"locus_methods": ["gmm"], "command": "solve"},   # solve ignored it
                 {"locus_methods": ["gmm"], "command": "converge",
                  "h_sweep": [0.5, 0.25], "m": None, "n_steps": None},
@@ -76,7 +76,20 @@ COMMAND_ONLY = ({"locus_methods": ["gmm"], "command": "solve"},   # solve ignore
                 {"h_sweep": [0.5, 0.25], "m": None, "command": "spectrum"},
                 {"h_sweep": [0.5, 0.25], "m": None, "command": "locus"},   # ignored it
                 {"tau_sweep": [0.1, 0.05], "n_steps": None, "command": "schrodinger",
-                 "problem": "schrodinger_single_mode"})
+                 "problem": "schrodinger_single_mode"},
+                # each of these exited 0 having been ignored
+                {"tau_over_h": 7.0, "command": "solve"},
+                {"tau_over_h": 0.25, "tau_sweep": [0.1, 0.05], "n_steps": None,
+                 "command": "converge"},
+                {"tau_over_h": 0.25, "h_sweep": [0.5, 0.25], "m": None,  # n_steps: 8
+                 "command": "converge"},
+                {"snapshot_times": [0.5], "h_sweep": [0.5, 0.25], "m": None,
+                 "n_steps": None, "command": "converge"},
+                {"window": [0.0, 10.0], "command": "spectrum"},
+                {"n_max": 20, "command": "spectrum"},
+                {"snapshot_times": [0.5], "command": "spectrum"},
+                {"window": [0.0, 10.0], "command": "locus"},
+                {"n_max": 20, "command": "locus"})
 
 
 @pytest.mark.parametrize("setting", [
@@ -143,11 +156,9 @@ def test_bad_solver_and_grid_settings_exit_config(tmp_path, setting, capsys):
         elif key != "command":
             cfg[key] = value
     path = _write_config(tmp_path, **cfg)
-    if setting in COMMAND_ONLY:
-        cli.load_config(path)
-    elif setting not in GRID_ONLY + PROBLEM_ONLY:
+    if setting not in GRID_ONLY + PROBLEM_ONLY:
         with pytest.raises(cli.ConfigError):
-            cli.load_config(path)
+            cli.load_config(path, command)
     assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) \
         == cli.EXIT_CONFIG
     err = capsys.readouterr().err
@@ -636,12 +647,12 @@ def test_sweep_threads_are_capped_by_the_cpu_affinity(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("command", ["solve", "spectrum", "schrodinger"])
 def test_single_runs_need_one_space_grid(tmp_path, command, capsys):
-    # a sweep lifts the loader's grid check, so a sweep-only config loads;
-    # the single-run commands read no sweep and exit 2, not a traceback.  A
-    # space grid beside the sweep is refused at load
+    # a sweep-only config loads for converge; the single-run commands read
+    # no sweep and exit 2, not a traceback.  A space grid beside the sweep is
+    # refused at load
     problem = "schrodinger_single_mode" if command == "schrodinger" else "single_mode"
     path = _write_config(tmp_path, problem=problem, T=1.0, h_sweep=[0.5, 0.25])
-    cli.load_config(path)
+    cli.load_config(path, "converge")
     rc = cli.main([command, "--config", path, "--out", str(tmp_path / "o")])
     assert rc == cli.EXIT_CONFIG
     assert capsys.readouterr().err == \
@@ -649,8 +660,26 @@ def test_single_runs_need_one_space_grid(tmp_path, command, capsys):
     for grid in ({"m": 8}, {"h": 0.5}, {"m": 8, "h": 0.5}):
         path = _write_config(tmp_path, problem=problem, T=1.0,
                              h_sweep=[0.5, 0.25], **grid)
-        with pytest.raises(cli.ConfigError, match="h_sweep sets it"):
-            cli.load_config(path)
+        with pytest.raises(cli.ConfigError,
+                           match="space grid: give exactly one of m, h, h_sweep"):
+            cli.load_config(path, "converge")
+
+
+def test_output_directory_that_cannot_be_made_exits_config(tmp_path, capsys):
+    # an existing file, or a path through one, by --out or by out: mkdir's
+    # FileExistsError or NotADirectoryError was a traceback with exit 1
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    for out, argv in ((blocker, ["--out", str(blocker)]),
+                      (blocker / "o", ["--out", str(blocker / "o")]),
+                      (blocker / "o", [])):
+        path = _write_config(tmp_path, **_base_solve_config(out=str(out)))
+        assert cli.main(["solve", "--config", path, *argv]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: out: cannot make directory {out}: ")
+        assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "file"]
+    assert blocker.read_text() == "kept"
 
 
 def test_negative_workers_flag_exits_config(tmp_path, capsys):
@@ -673,18 +702,20 @@ def test_converge_tau_sweep(tmp_path):
     assert manifest["fitted_slope"] == pytest.approx(2.0, abs=0.35)
     lines = (tmp_path / "ts" / "convergence.csv").read_text().splitlines()
     assert [float(l.split(",")[0]) for l in lines[2:]] == [0.1, 0.1, 0.1]
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(cli.ConfigError, match="space grid: give exactly one"):
         cli.load_config(_write_config(tmp_path, problem="single_mode",
-                                      tau_sweep=[0.2, 0.1]))   # no space grid
+                                      tau_sweep=[0.2, 0.1]), "converge")
     with pytest.raises(cli.ConfigError):
         cli.load_config(_write_config(tmp_path, problem="single_mode", h=0.5,
-                                      h_sweep=[0.4, 0.2], tau_sweep=[0.2, 0.1]))
+                                      h_sweep=[0.4, 0.2], tau_sweep=[0.2, 0.1]),
+                        "converge")
 
 
 def test_converge_requires_sweep(tmp_path):
     cfg = _write_config(tmp_path, **_base_solve_config())
-    with pytest.raises(cli.ConfigError):
-        cli.run_convergence(cli.load_config(cfg), tmp_path)
+    with pytest.raises(cli.ConfigError,
+                       match="sweep: give exactly one of h_sweep, tau_sweep"):
+        cli.load_config(cfg, "converge")
 
 
 def test_spectrum_evaluates_no_transform(tmp_path, monkeypatch):
@@ -718,6 +749,12 @@ def test_spectrum_dump(tmp_path):
     # doubled torus: 2 * (2 * L/h) eigenvalue rows
     assert len(lines) == 2 + 2 * 40
     assert lines[2].endswith("advection_homogeneous")
+    # the spectrum of D does not depend on tau: no time grid is needed, and
+    # the rows are the same
+    cfg = _write_config(tmp_path, problem="advection_homogeneous", h=1.0)
+    rc = cli.main(["spectrum", "--config", cfg, "--out", str(tmp_path / "nt")])
+    assert rc == cli.EXIT_OK
+    assert (tmp_path / "nt" / "spectrum.csv").read_text().splitlines()[1:] == lines[1:]
 
 
 def test_locus_dump(tmp_path):
@@ -727,6 +764,11 @@ def test_locus_dump(tmp_path):
     text = (tmp_path / "loc" / "locus.csv").read_text()
     for name in ("gmm", "bdf2", "rk4", "radau_iia", "explicit_euler"):
         assert name in text
+    # locus reads no grid: a config naming only its problem draws the same rows
+    cfg = _write_config(tmp_path, problem="single_mode")
+    assert cli.main(["locus", "--config", cfg, "--out", str(tmp_path / "p")]) == cli.EXIT_OK
+    assert (tmp_path / "p" / "locus.csv").read_text().splitlines()[1:] \
+        == text.splitlines()[1:]
 
 
 def test_locus_method_selection(tmp_path):
@@ -894,13 +936,34 @@ INVALID_SOLVER = {"method": ["nope", 1], "tol": [], "max_iter": [0, 2.5],
 RECORD = {"solve": "report.json", "schrodinger": "report.json",
           "converge": "convergence.json", "spectrum": "spectrum.csv",
           "locus": "locus.csv"}
+# the output and sweep fields, the commands that read each (every command
+# reads the other fields), and a valid value to give one that does not
+READS = {"snapshot_times": ("solve", "schrodinger"),
+         "window": ("solve", "schrodinger", "converge"),
+         "n_max": ("solve", "schrodinger", "converge"),
+         "locus_methods": ("locus",), "h_sweep": ("converge",), "tau_sweep": ("converge",),
+         "tau_over_h": ("converge",)}
+STRAY = {"snapshot_times": [0.0], "window": [-1e3, 1e3], "n_max": 20,
+         "locus_methods": ["gmm"], "h_sweep": [2.5], "tau_sweep": [0.5], "tau_over_h": 0.5}
+
+
+def _unread(command, cfg) -> set:
+    """The fields ``cfg`` gives (null gives none) that ``command`` does not
+    read: tau_over_h is read on an h_sweep without n_steps or tau alone."""
+    given = {k for k, v in cfg.items() if v is not None}
+    unread = {k for k in given if command not in READS.get(k, RECORD)}
+    if "tau_over_h" in given and ("h_sweep" not in given or given & {"n_steps", "tau"}):
+        unread.add("tau_over_h")
+    return unread
 
 
 @st.composite
 def _cli_runs(draw):
     """(command, config, --workers or None): a valid config of the command on
-    a grid of at most 16 cells and 8 steps, then up to two fields given an
-    invalid value, null, or dropped."""
+    a grid of at most 16 cells and 8 steps, with the grids it needs, some
+    that it does not and the output fields it reads; then maybe a field it
+    does not read, and up to two fields given an invalid value, null, or
+    dropped."""
     command = draw(st.sampled_from(sorted(RECORD)))
     names = [n for n in sorted(problems.catalog())
              if command != "schrodinger" or n.startswith("schrodinger")]
@@ -921,16 +984,20 @@ def _cli_runs(draw):
     if sweep == "h_sweep":
         cfg["h_sweep"] = sorted(draw(st.lists(hs, min_size=1, max_size=2, unique=True)),
                                 reverse=True)
-        cfg["tau_over_h"] = draw(st.sampled_from([0.25, 0.5, 2.0]))
-    else:
-        if sweep:
-            cfg["tau_sweep"] = sorted(draw(st.lists(st.sampled_from([0.5, 0.25, 0.2]),
-                                                    min_size=1, max_size=2, unique=True)),
-                                      reverse=True)
-        elif draw(st.booleans()):
+    elif sweep:
+        cfg["tau_sweep"] = sorted(draw(st.lists(st.sampled_from([0.5, 0.25, 0.2]),
+                                                min_size=1, max_size=2, unique=True)),
+                                  reverse=True)
+    # solve and schrodinger need a time grid, and an h_sweep without one
+    # takes tau = tau_over_h * h; only locus needs no space grid
+    if sweep != "tau_sweep" and (command in READS["snapshot_times"] or draw(st.booleans())):
+        if draw(st.booleans()):
             cfg["n_steps"] = draw(st.sampled_from([2, 3, 5, 8]))
         else:
             cfg["tau"] = draw(st.sampled_from([0.25, 0.3, 0.5]))
+    elif sweep == "h_sweep" and draw(st.booleans()):
+        cfg["tau_over_h"] = draw(st.sampled_from([0.25, 0.5, 2.0]))
+    if sweep != "h_sweep" and (command != "locus" or draw(st.booleans())):
         if draw(st.booleans()):
             cfg["m"] = draw(st.sampled_from([3, 4, 6, 11, 16]))
         else:
@@ -939,11 +1006,14 @@ def _cli_runs(draw):
                             [0.0, 0.3, cfg["T"] / 2, cfg["T"]]), min_size=1, max_size=3)),
                         ("window", st.sampled_from([[-1e3, 1e3], [0.0, L / 2],
                                                     [0.4 * L, 0.6 * L]])),
-                        ("n_max", st.sampled_from([1, 20, 400]))):
-        if draw(st.booleans()):
+                        ("n_max", st.sampled_from([1, 20, 400])),
+                        ("locus_methods", st.sampled_from([["gmm"], ["bdf2", "rk4"]]))):
+        if command in READS[key] and draw(st.booleans()):
             cfg[key] = draw(values)
-    if command == "locus" and draw(st.booleans()):
-        cfg["locus_methods"] = draw(st.sampled_from([["gmm"], ["bdf2", "rk4"]]))
+    if draw(st.sampled_from([False, False, True])):
+        key = draw(st.sampled_from(sorted(k for k in STRAY if command not in READS[k])
+                                   + ["tau_over_h"]))
+        cfg[key] = STRAY[key]
     solver = {}
     for key, values in (("method", ["gmres", "direct"]), ("tol", [1e-6, 1e-10, 1e-14]),
                         ("max_iter", [1, 3, 200]), ("precondition", [True, False]),
@@ -969,7 +1039,8 @@ def _cli_runs(draw):
 def test_cli_contract_property(run):
     # every run exits 0, 2, 3 or 4 and raises nothing; one that gets past its
     # config leaves its record (a solve its report.json, also on exit 3 or 4),
-    # and a config error leaves no output at all
+    # and a config error leaves no output at all.  A config that gives a
+    # field its command does not read is a config error
     command, cfg, workers = run
     with tempfile.TemporaryDirectory() as tmp:
         path, out = Path(tmp) / "config.json", Path(tmp) / "o"
@@ -979,6 +1050,8 @@ def test_cli_contract_property(run):
             argv += ["--workers", str(workers)]
         rc = cli.main(argv)
         assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NO_CONVERGENCE, cli.EXIT_SOLVER)
+        if _unread(command, cfg):
+            assert rc == cli.EXIT_CONFIG
         written = {p.name for p in out.glob("*")}
         if rc == cli.EXIT_CONFIG:
             assert not written

@@ -786,17 +786,26 @@ def test_gmres_solve_basis_grows_with_the_iterations_taken():
 def test_pooled_and_inline_direct_solves_are_bit_identical(monkeypatch, name, m):
     # a drift torus (rfft), real walls (DST-I) and complex walls, in 4-row
     # blocks: every pooled stage treats each time row on its own and the
-    # residual adds its block norms in block order, so threads change no bit
+    # residual adds its block norms in block order, so threads change no bit.
+    # GMRES, with and without the preconditioner, forms its rhs and true
+    # residual on the same row blocks
     pb, run, gmm, system = _setup(name, m=m, N=40)
     monkeypatch.setattr(krylov, "BLOCK_BYTES", 4 * system.rhs.nbytes // 40)
-    monkeypatch.setattr(krylov, "usable_cpus", lambda: 2)
-    pooled = krylov.direct_solve(system)
-    monkeypatch.setattr(krylov, "usable_cpus", lambda: 1)
-    inline = krylov.direct_solve(system)
-    assert pooled.threads == 2 and inline.threads == 1
-    assert np.array_equal(pooled.solution, inline.solution)
-    assert pooled.true_residual == inline.true_residual < 1e-12
-    assert np.iscomplexobj(pooled.solution) == (pb.scalar_field == "complex")
+    pre = krylov.build_preconditioner(gmm, run.sys)
+    for solve in (krylov.direct_solve,
+                  lambda s: krylov.gmres_solve(s, pre, tol=1e-10),
+                  lambda s: krylov.gmres_solve(s, None, tol=1e-10)):
+        monkeypatch.setattr(krylov, "usable_cpus", lambda: 2)
+        pooled = solve(system)
+        monkeypatch.setattr(krylov, "usable_cpus", lambda: 1)
+        inline = solve(system)
+        assert pooled.threads == 2 and inline.threads == 1
+        assert np.array_equal(pooled.solution, inline.solution)
+        assert pooled.residual_history == inline.residual_history
+        assert pooled.converged and inline.converged
+        assert pooled.true_residual == inline.true_residual < 1e-12
+        assert pooled.preconditioned_residual == inline.preconditioned_residual
+        assert np.iscomplexobj(pooled.solution) == (pb.scalar_field == "complex")
 
 
 @pytest.mark.parametrize("name", ["advection_manufactured", "schrodinger_two_lorentzian"])
